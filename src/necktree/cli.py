@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__, config, geometry, measure, trees
+from . import __version__, config, geometry, measure, streams, trees
 from .errors import (
     ConfigError,
     NecktreeError,
@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     ResourceError,
 )
-from .rifs import HOMOGENEOUS, RECURSIVE, dimension, validate
+from .rifs import HOMOGENEOUS, RECURSIVE, dimension, solver_model, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -273,8 +273,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
     )
 
     if cmd == "validate":
-        rifs_model = RECURSIVE if model_spec.kind == RECURSIVE else HOMOGENEOUS
-        report = validate(family, rifs_model)
+        report = validate(family, solver_model(model_spec.kind))
         print(json.dumps({
             "n_bound_ok": report.n_bound_ok,
             "ratio_bounds_ok": report.ratio_bounds_ok,
@@ -286,8 +285,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "dim":
-        rifs_model = RECURSIVE if model_spec.kind == RECURSIVE else HOMOGENEOUS
-        print(_fmt(dimension(family, rifs_model)))
+        print(_fmt(dimension(family, solver_model(model_spec.kind))))
         return EXIT_OK
 
     if cmd == "levelsum":
@@ -352,8 +350,9 @@ def _cmd_percolate(ns: argparse.Namespace) -> int:
         scales = [2.0**-k for k in range(2, ns.min_scale_exp + 1)]
         slopes = []
         attempt = 0
+        base = streams.fold(ns.seed, streams.TAG_SUBSTREAM)
         while len(slopes) < ns.seeds and attempt < 50 * ns.seeds:
-            r = trees.sample(model_spec, measure.ensemble_seeds(ns.seed, attempt + 1)[-1], family)
+            r = trees.sample(model_spec, streams.fold(base, attempt), family)
             attempt += 1
             counts = geometry.stopping_counts(r, scales)
             if counts[-1] == 0:

@@ -22,7 +22,7 @@ from typing import Any, Optional, Union
 
 from .errors import ConfigError
 from .gauges import GaugeFunction
-from .rifs import HOMOGENEOUS, IFS, RIFSFamily, SimilarityMap, dimension
+from .rifs import HOMOGENEOUS, IFS, RIFSFamily, SimilarityMap, dimension, solver_model
 from .trees import BlockTemplate, ModelSpec
 
 
@@ -123,8 +123,7 @@ def gauge_from_dict(
     if s_raw == "auto":
         if family is None:
             raise ConfigError("gauge config: s = 'auto' needs a family")
-        rifs_model = HOMOGENEOUS if model_kind in (HOMOGENEOUS, "v_variable", "neck_block") else "recursive"
-        s = dimension(family, rifs_model)
+        s = dimension(family, solver_model(model_kind))
     else:
         s = float(s_raw)
 

@@ -20,6 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ParameterError
+from .rifs import bisect_decreasing
 
 POWER = "power"
 LOGLOG_POWER = "loglog_power"
@@ -29,19 +30,6 @@ _FAMILIES = (POWER, LOGLOG_POWER, H1, H1_STAR)
 
 _E = math.e
 _LN2 = math.log(2.0)
-
-
-def _bisect_decreasing(f, lo: float, hi: float, tol: float = 1e-12, iters: int = 200) -> float:
-    """Root of a function positive at lo and negative at hi."""
-    for _ in range(iters):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -70,6 +58,8 @@ class GaugeFunction:
         object.__setattr__(self, "log_r0", log_r0)
         object.__setattr__(self, "r0", math.exp(log_r0))
         h_bar = math.exp(min(0.0, float(self._formula_log(np.atleast_1d(log_r0))[0])))
+        if h_bar == 0.0:
+            raise ConfigError(f"{self.describe()}: plateau h(r0) underflows to 0 (log r0 = {log_r0:g})")
         object.__setattr__(self, "h_bar", h_bar)
 
     # ---- cutoff -------------------------------------------------------
@@ -86,7 +76,7 @@ class GaugeFunction:
             hi = max(_E, target + 2.0)
             while hi * math.log(hi) < target:
                 hi *= 2.0
-            return -_bisect_decreasing(f, 1.0 + 1e-12, hi)
+            return -bisect_decreasing(f, 1.0 + 1e-12, hi)
         # h1 / h1_star: formula valid once loglog(beta L) is positive.
         return -_E / self.beta
 
@@ -128,7 +118,7 @@ class GaugeFunction:
             hi *= 2.0
             if hi > 1e300:
                 return None
-        return -_bisect_decreasing(grad, lo, hi)
+        return -bisect_decreasing(grad, lo, hi)
 
     # ---- evaluation ---------------------------------------------------
 

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .gauges import GaugeFunction
-from .rifs import HOMOGENEOUS, RIFSFamily, log_moment_stats, validate
+from .rifs import HOMOGENEOUS, RIFSFamily, log_moment_stats, log_moments, validate
 from .trees import (
     V_VARIABLE,
     Coding,
@@ -31,6 +31,7 @@ from .trees import (
     Realization,
     sample,
     stopping_set,
+    walk,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -272,29 +273,14 @@ def _stream_log_sums(
     r: Realization, h: GaugeFunction, depths: Sequence[int], node_budget: int
 ) -> np.ndarray:
     """Log level sums at the requested depths by a single depth-first pass."""
-    wanted = set(depths)
-    kmax = max(depths)
-    accs = {d: _LogSumAcc() for d in wanted}
-    systems = r.family.systems
+    accs = {d: _LogSumAcc() for d in depths}
     visited = 0
-
-    def rec(state, log_ratio: float, depth: int) -> None:
-        nonlocal visited
+    for depth, log_ratio, _ in walk(r, max_depth=max(depths)):
         visited += 1
         if visited > node_budget:
-            raise ResourceError(
-                f"node budget {node_budget} exceeded while streaming level {depth}"
-            )
-        if depth in wanted:
+            raise ResourceError(f"node budget {node_budget} exceeded while streaming level {depth}")
+        if depth in accs:
             accs[depth].add(h.eval_log(log_ratio))
-        if depth == kmax:
-            return
-        si = r._sys_of_state(state)
-        sysm = systems[si]
-        for j in range(1, sysm.nmaps + 1):
-            rec(r._child_state(state, j), log_ratio + math.log(sysm.maps[j - 1].ratio), depth + 1)
-
-    rec(r._root_state, 0.0, 0)
     return np.array([accs[d].value() for d in depths])
 
 
@@ -382,7 +368,6 @@ def _path_stats(
     h: GaugeFunction,
     path_seed: int,
     depths: tuple[int, ...],
-    thresholds: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
     """Per-path grid values, running min/max, and increment accumulators."""
     r = sample(model, path_seed, family)
@@ -408,8 +393,8 @@ def _path_stats(
 
 
 def _drift_chunk(args) -> list:
-    family, model, h, seeds, depths, thresholds = args
-    return [_path_stats(family, model, h, s, depths, thresholds) for s in seeds]
+    family, model, h, seeds, depths = args
+    return [_path_stats(family, model, h, s, depths) for s in seeds]
 
 
 def drift_experiment(
@@ -442,7 +427,7 @@ def drift_experiment(
 
     seeds = ensemble_seeds(seed, n_realizations)
     chunks = _chunk(seeds, workers)
-    args = [(family, model, h, c, depths, thresholds) for c in chunks]
+    args = [(family, model, h, c, depths) for c in chunks]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -517,10 +502,7 @@ def lil_calibration(
     mean, variance = log_moment_stats(family, s)
     if not variance > 0:
         raise PreconditionError("calibration needs Var(log S^s) > 0")
-    logs = np.array(
-        [math.log(m) if (m := sum(mp.ratio**s for mp in sysm.maps)) > 0 else -math.inf
-         for sysm in family.systems]
-    )
+    logs = log_moments(family, s)
     k = np.arange(1, depth + 1, dtype=float)
     vk = variance * k
     checked = (vk > _E) & (k >= math.ceil(ENVELOPE_CHECK_FRACTION * depth))
@@ -580,43 +562,38 @@ def section_infimum(
     """
     if depth_min < 0 or depth_cap < depth_min:
         raise ParameterError("need 0 <= depth_min <= depth_cap")
-    systems = r.family.systems
+    # stack[d + 1] is the open node at depth d: [own value, address or None,
+    # child values or None at depth_cap, child section]; stack[0] collects the root.
+    stack: list[list] = [[None, None, [], []]]
     visited = 0
-    collecting = True
-    address: list[int] = []
-
-    def value(state, log_ratio: float, depth: int) -> tuple[float, list]:
-        nonlocal visited, collecting
+    for depth, log_ratio, letters in walk(r, max_depth=depth_cap):
         visited += 1
         if visited > node_budget:
             raise ResourceError(f"node budget {node_budget} exceeded at depth {depth}")
-        if visited > argmin_limit:
-            collecting = False
-        own = h.eval_log(log_ratio)
-        if depth == depth_cap:
-            return own, [tuple(address)] if collecting else []
-        si = r._sys_of_state(state)
-        sysm = systems[si]
-        parts = []
-        section: list = []
-        for j in range(1, sysm.nmaps + 1):
-            address.append(j)
-            sub, subsec = value(
-                r._child_state(state, j),
-                log_ratio + math.log(sysm.maps[j - 1].ratio),
-                depth + 1,
-            )
-            address.pop()
-            parts.append(sub)
-            section.extend(subsec)
-        child_sum = _logsumexp(parts)
-        if depth < depth_min or child_sum <= own:
-            return child_sum, section
-        return own, [tuple(address)] if collecting else []
-
-    val, section = value(r._root_state, 0.0, 0)
-    argmin = tuple(section) if collecting else None
+        _close_sections(stack, depth, depth_min)
+        address = tuple(j for _, j in letters) if visited <= argmin_limit else None
+        parts = None if depth == depth_cap else []
+        stack.append([h.eval_log(log_ratio), address, parts, []])
+    _close_sections(stack, 0, depth_min)
+    (val,), section = stack[0][2], stack[0][3]
+    argmin = tuple(section) if visited <= argmin_limit else None
     return SectionValue(value_log=val, depth_min=depth_min, argmin_section=argmin)
+
+
+def _close_sections(stack: list[list], depth: int, depth_min: int) -> None:
+    """Finish the open nodes at ``depth`` or deeper, passing each value to its parent."""
+    while len(stack) > depth + 1:
+        own, address, parts, section = stack.pop()
+        parent = stack[-1]
+        if parts is not None:
+            child_sum = _logsumexp(parts)
+            if len(stack) <= depth_min or child_sum <= own:
+                parent[2].append(child_sum)
+                parent[3].extend(section)
+                continue
+        parent[2].append(own)
+        if address is not None:
+            parent[3].append(address)
 
 
 def _logsumexp(parts: list[float]) -> float:

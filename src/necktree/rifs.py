@@ -160,6 +160,24 @@ def moment(family: RIFSFamily, lambda_index: int, s: float) -> float:
     return float(sum(m.ratio**s for m in family.systems[lambda_index].maps))
 
 
+def bisect_decreasing(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
+    """Root of a function positive at lo and non-positive at hi, in at most 200 halvings."""
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def solver_model(kind: str) -> str:
+    """The dimension solver for a tree model kind: recursive or homogeneous."""
+    return RECURSIVE if kind == RECURSIVE else HOMOGENEOUS
+
+
 def _moment_root(system: IFS, tol: float = ROOT_TOL) -> Optional[float]:
     """Unique s >= 0 with S^s = 1, or None when no root exists."""
     if system.nmaps == 0:
@@ -171,25 +189,21 @@ def _moment_root(system: IFS, tol: float = ROOT_TOL) -> Optional[float]:
     cmax = max(m.ratio for m in system.maps)
     if cmax >= 1.0:
         return None
-    lo, hi = 0.0, math.log(system.nmaps) / math.log(1.0 / cmax) + 1.0
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_decreasing(g, 0.0, math.log(system.nmaps) / math.log(1.0 / cmax) + 1.0, tol)
+
+
+def log_moments(family: RIFSFamily, s: float) -> np.ndarray:
+    """Per-system ``log S^s``, -inf for an empty system."""
+    return np.array(
+        [math.log(v) if (v := moment(family, i, s)) > 0 else -math.inf for i in range(family.nsystems)]
+    )
 
 
 def log_moment_stats(family: RIFSFamily, s: float) -> tuple[float, float]:
     """Mean and variance of ``log S^s`` under the selection weights."""
     if s < 0:
         raise ParameterError("moment exponent s must be >= 0")
-    vals = np.array(
-        [math.log(v) if (v := moment(family, i, s)) > 0 else -math.inf for i in range(family.nsystems)]
-    )
+    vals = log_moments(family, s)
     w = np.asarray(family.weights)
     mean = float(np.dot(w, vals))
     var = float(np.dot(w, (vals - mean) ** 2)) if math.isfinite(mean) else math.nan
@@ -228,17 +242,8 @@ def dimension(family: RIFSFamily, model: str, tol: float = 1e-10) -> float:
             raise PreconditionError(f"homogeneous model needs E[log S^0] > 0, got E[log S^0] = {els0}")
         objective = lambda s: log_moment_stats(family, s)[0]
 
-    lo = 0.0
     hi = math.log(max(family.n_max, 2)) / math.log(1.0 / family.c_max) + 1.0
-    for _ in range(200):
-        if hi - lo <= min(tol, ROOT_TOL):
-            break
-        mid = 0.5 * (lo + hi)
-        if objective(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_decreasing(objective, 0.0, hi, min(tol, ROOT_TOL))
 
 
 def validate(family: RIFSFamily, model: str, gap_epsilon_frac: float = 0.01) -> ConditionsReport:

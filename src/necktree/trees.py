@@ -18,17 +18,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from math import exp, log
+from math import exp, inf, log
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import streams
-from .errors import ConfigError, HorizonError, ParameterError, UnsupportedModelError
-from .rifs import RIFSFamily
+from .errors import ConfigError, HorizonError, ParameterError, PreconditionError, UnsupportedModelError
+from .rifs import HOMOGENEOUS, RECURSIVE, RIFSFamily
 
-HOMOGENEOUS = "homogeneous"
-RECURSIVE = "recursive"
 V_VARIABLE = "v_variable"
 NECK_BLOCK = "neck_block"
 _KINDS = (HOMOGENEOUS, RECURSIVE, V_VARIABLE, NECK_BLOCK)
@@ -256,28 +254,51 @@ def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
     return Realization(family=family, model=model, seed=seed)
 
 
-# ---- level codings and stopping sets --------------------------------------
+# ---- tree walks -------------------------------------------------------------
+
+
+def walk(
+    r: Realization, max_depth: float = inf, log_stop: float = -inf
+) -> Iterator[tuple[int, float, list[tuple[int, int]]]]:
+    """Depth-first pre-order walk of the tree, children in order 1..n.
+
+    Yields ``(depth, log_ratio, letters)`` for every node reached.  A node is
+    expanded, and its state derived, only while ``depth < max_depth`` and
+    ``log_ratio > log_stop``.  ``letters`` is one list updated in place; copy
+    it to keep it.  The stack is explicit, so the interpreter's recursion
+    limit does not bound the depth.
+    """
+    systems = r.family.systems
+    letters: list[tuple[int, int]] = []
+    # frames[d] is the expanded ancestor at depth d: [state, system, maps, log ratio, next child]
+    frames: list[list] = []
+    depth, log_ratio = 0, 0.0
+    while True:
+        yield depth, log_ratio, letters
+        if depth < max_depth and log_ratio > log_stop:
+            state = r._child_state(frames[-1][0], letters[-1][1]) if frames else r._root_state
+            si = r._sys_of_state(state)
+            frames.append([state, si, systems[si].maps, log_ratio, 0])
+        while frames and frames[-1][4] == len(frames[-1][2]):
+            frames.pop()
+        if not frames:
+            return
+        top = frames[-1]
+        j = top[4]
+        top[4] = j + 1
+        depth = len(frames)
+        del letters[depth - 1 :]
+        letters.append((top[1], j + 1))
+        log_ratio = top[3] + log(top[2][j].ratio)
 
 
 def coding_level(r: Realization, k: int) -> Iterator[Coding]:
     """Stream all live codings at level ``k`` in depth-first address order."""
     if k < 0:
         raise ParameterError("level must be >= 0")
-    systems = r.family.systems
-    letters: list[tuple[int, int]] = []
-
-    def rec(state, log_ratio: float, depth: int) -> Iterator[Coding]:
+    for depth, log_ratio, letters in walk(r, max_depth=k):
         if depth == k:
             yield Coding(tuple(letters), log_ratio)
-            return
-        si = r._sys_of_state(state)
-        sysm = systems[si]
-        for j in range(1, sysm.nmaps + 1):
-            letters.append((si, j))
-            yield from rec(r._child_state(state, j), log_ratio + log(sysm.maps[j - 1].ratio), depth + 1)
-            letters.pop()
-
-    yield from rec(r._root_state, 0.0, 0)
 
 
 def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
@@ -285,26 +306,17 @@ def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
 
     Every streamed coding has ratio <= epsilon while its parent ratio is
     above epsilon; every infinite live branch passes through exactly one.
+    Codings come in depth-first address order.  A family with a map of
+    ratio 1 has branches that never shrink, so it is refused.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must lie in (0, 1)")
+    if r.family.c_max >= 1.0:
+        raise PreconditionError("stopping sets need all contraction ratios < 1")
     log_eps = log(epsilon)
-    systems = r.family.systems
-    letters: list[tuple[int, int]] = []
-
-    def rec(state, log_ratio: float) -> Iterator[Coding]:
-        si = r._sys_of_state(state)
-        sysm = systems[si]
-        for j in range(1, sysm.nmaps + 1):
-            child_log = log_ratio + log(sysm.maps[j - 1].ratio)
-            letters.append((si, j))
-            if child_log <= log_eps:
-                yield Coding(tuple(letters), child_log)
-            else:
-                yield from rec(r._child_state(state, j), child_log)
-            letters.pop()
-
-    yield from rec(r._root_state, 0.0)
+    for _, log_ratio, letters in walk(r, log_stop=log_eps):
+        if log_ratio <= log_eps:
+            yield Coding(tuple(letters), log_ratio)
 
 
 # ---- necks -----------------------------------------------------------------

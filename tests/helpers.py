@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, equicontractive_family
-from necktree.trees import Realization, coding_level
+from necktree.trees import Realization
 
 
 def worked_family() -> RIFSFamily:
@@ -25,6 +25,17 @@ def worked_family_geometric() -> RIFSFamily:
             IFS(maps=(m(0.0), m(1 / 3), m(2 / 3)), label="B"),
         ),
         weights=(0.5, 0.5),
+    )
+
+
+def deep_thin_family() -> RIFSFamily:
+    """Narrow and deep: a single-map 0.9-ratio system at weight 0.999, else a fork."""
+    return RIFSFamily(
+        systems=(
+            IFS(maps=(SimilarityMap(0.9),), label="thin"),
+            IFS(maps=(SimilarityMap(0.5), SimilarityMap(0.3)), label="fork"),
+        ),
+        weights=(0.999, 0.001),
     )
 
 
@@ -55,21 +66,37 @@ def random_family(rng: np.random.Generator, max_maps: int = 3) -> RIFSFamily:
     return RIFSFamily(systems=tuple(systems), weights=tuple(w / w.sum()), ambient_dim=1)
 
 
+def oracle_children(r: Realization, nodes: list) -> list:
+    """Children of (address, letters, log_ratio) nodes, in address order.
+
+    Labels are read only through ``Realization.label_of``, independently of
+    the tree walker.
+    """
+    out = []
+    for addr, letters, logr in nodes:
+        si = r.label_of(addr)
+        for j, m in enumerate(r.family.systems[si].maps, start=1):
+            out.append((addr + (j,), letters + ((si, j),), logr + math.log(m.ratio)))
+    return out
+
+
+def oracle_levels(r: Realization, kmax: int) -> list:
+    """Breadth-first levels 0..kmax as lists of (address, letters, log_ratio)."""
+    levels = [[((), (), 0.0)]]
+    for _ in range(kmax):
+        levels.append(oracle_children(r, levels[-1]))
+    return levels
+
+
 def brute_force_stopping(r: Realization, epsilon: float, max_depth: int) -> set:
-    """Stopping-set letters by exhaustive level enumeration (independent path)."""
+    """Stopping-set letters by breadth-first enumeration (independent path)."""
+    log_eps = math.log(epsilon)
     out = set()
-    alive = {(): 1.0}  # codings whose subtree may still contain stopping elements
-    for k in range(1, max_depth + 1):
-        next_alive = {}
-        for coding in coding_level(r, k):
-            parent = coding.letters[:-1]
-            if parent not in alive:
-                continue  # below an already-stopped coding
-            if coding.ratio <= epsilon:
-                out.add(coding.letters)
-            else:
-                next_alive[coding.letters] = coding.ratio
-        alive = next_alive
+    alive = [((), (), 0.0)]  # nodes whose subtree may still contain stopping elements
+    for _ in range(max_depth):
+        children = oracle_children(r, alive)
+        out.update(letters for _, letters, logr in children if logr <= log_eps)
+        alive = [c for c in children if c[2] > log_eps]
         if not alive:
             break
     return out

@@ -6,7 +6,10 @@ import sys
 import pytest
 
 from necktree.cli import EXIT_CONFIG, EXIT_RESOURCE, EXIT_USAGE, parse_depths, run
+from necktree.config import family_to_dict
 from necktree.errors import ConfigError
+
+from helpers import deep_thin_family
 
 WORKED_FAMILY = {
     "ambient_dim": 1,
@@ -176,6 +179,37 @@ def test_exit_codes(configs, tmp_path):
         "levelsum", "--family", str(fam2), "--model", str(model2),
         "--gauge", str(power_gauge), "--depths", "1:14:1", "--budget", "50",
     ]) == EXIT_RESOURCE
+
+
+def test_h1_gauge_with_underflowing_plateau_is_a_config_error(tmp_path):
+    # auto beta on this family is about 2.4e-4, so log r0 is about -11507
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"systems": [
+        {"weight": 0.45, "maps": [{"ratio": 0.5}, {"ratio": 0.3}]},
+        {"weight": 0.1, "maps": [{"ratio": 0.3}, {"ratio": 0.25}, {"ratio": 0.2}]},
+        {"weight": 0.45, "maps": [{"ratio": 0.45}, {"ratio": 0.35}]},
+    ]}))
+    gauge = tmp_path / "gauge.json"
+    gauge.write_text(json.dumps({"s": "auto", "family": {"h1": {"beta": "auto"}}}))
+    assert run([
+        "levelsum", "--family", str(fam), "--model", "recursive",
+        "--gauge", str(gauge), "--depths", "1,3",
+    ]) == EXIT_CONFIG
+
+
+def test_levelsum_deep_thin_tree(tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps(family_to_dict(deep_thin_family())))
+    gauge = tmp_path / "gauge.json"
+    gauge.write_text(json.dumps({"s": 0.5, "family": "power"}))
+    assert 1500 > sys.getrecursionlimit()
+    assert run([
+        "levelsum", "--family", str(fam), "--model", "recursive",
+        "--gauge", str(gauge), "--depths", "1,1500",
+    ]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["1", "1500"]
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
 
 def test_console_entry_point_runs():

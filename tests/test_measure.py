@@ -207,6 +207,16 @@ def test_section_monotone_in_caps():
     assert v_min0 <= v_min1 + 1e-12 <= v_min2 + 2e-12
 
 
+def test_section_argmin_limit_drops_only_the_section():
+    r = sample(REC, 5, worked_family())
+    g = power(0.6)
+    full = section_infimum(r, g, 1, 5)
+    assert full.argmin_section is not None
+    limited = section_infimum(r, g, 1, 5, argmin_limit=20)
+    assert limited.argmin_section is None
+    assert limited.value_log == full.value_log
+
+
 def test_section_budget():
     fam = worked_family()
     r = sample(HOM, 5, fam)

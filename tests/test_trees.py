@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from necktree.errors import HorizonError, ParameterError, UnsupportedModelError
+from necktree.errors import HorizonError, ParameterError, PreconditionError, UnsupportedModelError
 from necktree.geometry import percolation_preset
 from necktree.rifs import equicontractive_family, log_moment_stats
 from necktree.trees import (
@@ -192,6 +192,19 @@ def test_stopping_set_domain():
     r = sample(HOM, 0, worked_family())
     with pytest.raises(ParameterError):
         list(stopping_set(r, 1.0))
+
+
+def test_stopping_set_refuses_ratio_one():
+    from necktree.rifs import IFS, RIFSFamily, SimilarityMap
+
+    # the all-ones branch never shrinks, so the walk would never end
+    fam = RIFSFamily(
+        systems=(IFS(maps=(SimilarityMap(1.0), SimilarityMap(0.5)), label="bad"),),
+        weights=(1.0,),
+    )
+    for model in (HOM, REC):
+        with pytest.raises(PreconditionError):
+            list(stopping_set(sample(model, 0, fam), 0.1))
 
 
 # ---- level-sum identity -------------------------------------------------------
