@@ -7,6 +7,7 @@ identical inputs give byte-identical files regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -165,7 +166,9 @@ def _drift_rows(report: measure.DriftReport) -> tuple[list[str], list[list[float
     return columns, rows
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and reused by later runs in the process."""
     p = _Parser(prog="necktree", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

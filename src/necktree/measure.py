@@ -31,6 +31,7 @@ from .trees import (
     Realization,
     sample,
     stopping_set,
+    vv_tables,
     walk,
 )
 
@@ -219,32 +220,44 @@ def _vv_count_log_sums(r: Realization, h: GaugeFunction, kmax: int) -> np.ndarra
     """Log level sums for a v_variable tree over a single-ratio family.
 
     Live-node counts per buffer are tracked in log-space; the shared ratio
-    makes every level-k coding carry the same gauge value.
+    makes every level-k coding carry the same gauge value.  Each level folds
+    the parents' counts into every buffer with ``np.logaddexp`` in (parent
+    buffer, map) order, the order of a scalar loop over the tree's edges, so
+    results do not depend on the chunking of ``vv_tables``.
     """
     ct = r.family.uniform_ratio
     if ct is None:
         raise UnsupportedModelError("v_variable count path needs one global ratio")
-    logct = math.log(ct)
-    v = r.model.v
-    nmaps = [s.nmaps for s in r.family.systems]
-    level0, buf0 = r._root_state
-    log_counts = np.full(v + 1, -np.inf)
-    log_counts[buf0] = 0.0
-    out = np.empty(kmax)
-    for k in range(1, kmax + 1):
-        abs_level = level0 + k - 1
-        nxt = np.full(v + 1, -np.inf)
-        for b in range(1, v + 1):
-            if log_counts[b] == -np.inf:
-                continue
-            si = r._vv_label(abs_level, b)
-            for j in range(1, nmaps[si] + 1):
-                bb = r._vv_assign(abs_level, b, j)
-                nxt[bb] = np.logaddexp(nxt[bb], log_counts[b])
-        log_counts = nxt
-        total = float(np.logaddexp.reduce(log_counts))
-        out[k - 1] = total + h.eval_log(k * logct)
-    return out
+    log_counts = np.full(r.model.v + 1, -np.inf)  # slot 0 is no buffer and stays -inf
+    log_counts[r._root_state[1]] = 0.0
+    totals = []
+    for table in vv_tables(r, kmax):
+        counts = np.empty((len(table), log_counts.size))
+        for k, src in enumerate(_vv_sources(table)):
+            log_counts = np.logaddexp.reduce(log_counts[src], axis=0)
+            counts[k] = log_counts
+        totals.append(np.logaddexp.reduce(counts, axis=1))
+    return np.concatenate(totals) + h.eval_log(np.arange(1, kmax + 1) * math.log(ct))
+
+
+def _vv_sources(table: np.ndarray) -> np.ndarray:
+    """Edge rounds ``src[k, t, c]`` of a ``vv_children`` table.
+
+    ``src[k, t, c]`` is the parent buffer of the t-th edge into buffer c at
+    level k, ranking edges in (parent buffer, map) order, and 0 (whose count
+    is -inf) where c has fewer than t + 1 edges.
+    """
+    n, nbuf, nmax = table.shape
+    edges = table.reshape(n, -1)  # a level's edges in (parent buffer, map) order
+    k, e = np.nonzero(edges)
+    key = k * nbuf + edges[k, e]  # (level, child)
+    order = np.argsort(key, kind="stable")
+    key, e = key[order], e[order]
+    idx = np.arange(key.size)
+    rank = idx - np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, idx, 0))
+    src = np.zeros((n, int(rank.max(initial=0)) + 1, nbuf), dtype=np.int32)
+    src[key // nbuf, rank, key % nbuf] = e // nmax
+    return src
 
 
 class _LogSumAcc:

@@ -51,13 +51,22 @@ def fold(state: int, counter: int) -> int:
     return mix64((int(state) + ((int(counter) + 1) * GOLDEN)) & MASK64)
 
 
-def fold_array(state: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorized ``fold`` over a uint64 counter array."""
+def fold_array(state: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Vectorized ``fold`` over a counter array.
+
+    ``state`` is one integer, or a uint64 array broadcast against
+    ``counters``; either way entry i equals ``fold(state[i], counters[i])``
+    after broadcasting, wrapping modulo 2**64 as ``fold`` does.
+    """
     c = counters.astype(np.uint64, copy=False)
-    x = np.uint64(state & MASK64) + (c + np.uint64(1)) * _U_GOLDEN
-    x = (x ^ (x >> _U30)) * _U_M1
-    x = (x ^ (x >> _U27)) * _U_M2
-    return x ^ (x >> _U31)
+    s = state if isinstance(state, np.ndarray) else np.uint64(int(state) & MASK64)
+    x = s + (c + np.uint64(1)) * _U_GOLDEN
+    x ^= x >> _U30
+    x *= _U_M1
+    x ^= x >> _U27
+    x *= _U_M2
+    x ^= x >> _U31
+    return x
 
 
 def u01(state: int) -> float:

@@ -32,6 +32,8 @@ NECK_BLOCK = "neck_block"
 _KINDS = (HOMOGENEOUS, RECURSIVE, V_VARIABLE, NECK_BLOCK)
 
 NECK_SEARCH_HORIZON = 10**6
+# Entries of one chunk of V-variable tables (levels x (V + 1) buffers x maps).
+VV_TABLE_ENTRIES = 2**12
 
 Address = tuple[int, ...]
 
@@ -181,6 +183,29 @@ class Realization:
         u = streams.u01(streams.fold(streams.fold(streams.fold(self._ha, level), buf), j))
         return 1 + int(u * self.model.v)
 
+    def vv_children(self, level0: int, n: int) -> np.ndarray:
+        """Child buffers of absolute levels ``level0 .. level0 + n - 1`` (v_variable).
+
+        Returns an int32 table ``[k, b, j - 1]``: the buffer that map j of the
+        node reading buffer b draws at level ``level0 + k``, the same value as
+        ``_vv_assign``.  It is 0 where that map does not exist, because buffer
+        b's system (``_vv_label``) has fewer than j maps, and on row b = 0,
+        which is no buffer.  Labels and assignments of the whole table are
+        drawn in one vectorized pass; draws do not depend on visit order.
+        """
+        v = self.model.v
+        nmaps = np.array([s.nmaps for s in self.family.systems])
+        levels = np.arange(level0, level0 + n, dtype=np.uint64)[:, None]
+        bufs = np.arange(1, v + 1, dtype=np.uint64)
+        js = np.arange(1, self.family.n_max + 1)
+        u = streams.u01_array(streams.fold_array(streams.fold_array(self._hl, levels), bufs))
+        labels = np.searchsorted(np.asarray(self._cumw), u, side="right")
+        states = streams.fold_array(streams.fold_array(self._ha, levels), bufs)[:, :, None]
+        u = streams.u01_array(streams.fold_array(states, js))
+        table = np.zeros((n, v + 1, js.size), dtype=np.int32)
+        table[:, 1:] = np.where(js <= nmaps[labels][:, :, None], 1 + (u * v).astype(np.int32), 0)
+        return table
+
     # ---- generic walker state -------------------------------------------
     # state = (absolute level, aux); aux is a buffer for v_variable, a path
     # hash for recursive, and None for level-driven models.
@@ -322,37 +347,46 @@ def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
 # ---- necks -----------------------------------------------------------------
 
 
-def _vv_reachable(r: Realization, up_to_level: int) -> Iterator[tuple[int, frozenset]]:
-    """Yield (relative level, reachable buffer set) for a v_variable tree."""
-    level0, buf0 = r._root_state
-    reach = frozenset([buf0])
-    for rel in range(1, up_to_level + 1):
-        abs_level = level0 + rel - 1
-        nxt = set()
-        for b in reach:
-            si = r._vv_label(abs_level, b)
-            for j in range(1, r.family.systems[si].nmaps + 1):
-                nxt.add(r._vv_assign(abs_level, b, j))
-        reach = frozenset(nxt)
-        yield rel, reach
+def vv_tables(r: Realization, n: int) -> Iterator[np.ndarray]:
+    """``vv_children`` tables of the n levels below the root, in order, in chunks.
+
+    A chunk holds at most ``VV_TABLE_ENTRIES`` entries (one level if a level
+    alone holds more), so a long search never holds more than one small table.
+    """
+    level0 = r._root_state[0]
+    step = max(1, VV_TABLE_ENTRIES // ((r.model.v + 1) * max(1, r.family.n_max)))
+    for start in range(0, n, step):
+        yield r.vv_children(level0 + start, min(step, n - start))
+
+
+def _vv_reachable(r: Realization, up_to_level: int) -> Iterator[tuple[int, int]]:
+    """Yield (relative level, number of reachable buffers) for a v_variable tree."""
+    reach = np.zeros(r.model.v + 1, dtype=bool)
+    reach[r._root_state[1]] = True
+    levels = (children for table in vv_tables(r, up_to_level) for children in table)
+    for rel, children in enumerate(levels, start=1):
+        nxt = np.zeros_like(reach)
+        nxt[children[reach]] = True
+        nxt[0] = False  # where the maps that do not exist point
+        reach = nxt
+        yield rel, int(np.count_nonzero(reach))
 
 
 def neck_list(r: Realization, up_to_level: int) -> NeckList:
-    """All neck levels <= up_to_level, relative to the realization root."""
+    """All neck levels <= up_to_level, relative to the realization root.
+
+    A v_variable level is a neck when the root reaches at most one of its
+    buffers.  The reachable buffers are one boolean vector per level, advanced
+    through ``vv_tables`` chunks, so the search holds one chunk at a time.
+    """
     if up_to_level < 0:
         raise ParameterError("up_to_level must be >= 0")
     kind = r.model.kind
     if kind == HOMOGENEOUS:
         return NeckList(tuple(range(1, up_to_level + 1)))
     if kind == V_VARIABLE:
-        necks = []
-        dead = False
-        for rel, reach in _vv_reachable(r, up_to_level):
-            if dead or len(reach) <= 1:
-                necks.append(rel)
-            if not reach:
-                dead = True  # extinct tree: the neck condition holds vacuously
-        return NeckList(tuple(necks))
+        # an extinct tree reaches no buffer: the neck condition holds vacuously
+        return NeckList(tuple(rel for rel, count in _vv_reachable(r, up_to_level) if count <= 1))
     if kind == NECK_BLOCK:
         necks = []
         b, off = r._block_of(r.offset)
@@ -378,8 +412,8 @@ def first_neck(r: Realization, horizon: int = NECK_SEARCH_HORIZON) -> int:
         b, off = r._block_of(r.offset)
         return r.model.templates[r._template_of(b)].length - off
     if kind == V_VARIABLE:
-        for rel, reach in _vv_reachable(r, horizon):
-            if len(reach) <= 1:
+        for rel, count in _vv_reachable(r, horizon):
+            if count <= 1:
                 return rel
         raise HorizonError(f"no neck found within {horizon} levels")
     raise UnsupportedModelError("recursive trees have no necks (probability zero)")

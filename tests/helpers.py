@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 
+from necktree.errors import UnsupportedModelError
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, equicontractive_family
 from necktree.trees import Realization
 
@@ -133,3 +134,61 @@ def min_section_sum_log(r: Realization, h, depth_min: int, depth_cap: int) -> fl
         total = sum(math.exp(h.eval_log(logr)) for _, logr in section)
         best = min(best, total)
     return math.log(best) if best > 0 else -math.inf
+
+
+# ---- scalar V-variable reference ---------------------------------------------
+# The per-buffer, per-map loops the table-driven engine replaced, kept as the
+# bit-identity reference.  Labels are read only through ``_vv_label`` and
+# ``_vv_assign``, one scalar draw at a time.
+
+
+def oracle_vv_count_log_sums(r: Realization, h, kmax: int) -> np.ndarray:
+    """Log level sums for a v_variable tree over a single-ratio family.
+
+    Live-node counts per buffer are tracked in log-space; the shared ratio
+    makes every level-k coding carry the same gauge value.
+    """
+    ct = r.family.uniform_ratio
+    if ct is None:
+        raise UnsupportedModelError("v_variable count path needs one global ratio")
+    logct = math.log(ct)
+    v = r.model.v
+    nmaps = [s.nmaps for s in r.family.systems]
+    level0, buf0 = r._root_state
+    log_counts = np.full(v + 1, -np.inf)
+    log_counts[buf0] = 0.0
+    out = np.empty(kmax)
+    for k in range(1, kmax + 1):
+        abs_level = level0 + k - 1
+        nxt = np.full(v + 1, -np.inf)
+        for b in range(1, v + 1):
+            if log_counts[b] == -np.inf:
+                continue
+            si = r._vv_label(abs_level, b)
+            for j in range(1, nmaps[si] + 1):
+                bb = r._vv_assign(abs_level, b, j)
+                nxt[bb] = np.logaddexp(nxt[bb], log_counts[b])
+        log_counts = nxt
+        total = float(np.logaddexp.reduce(log_counts))
+        out[k - 1] = total + h.eval_log(k * logct)
+    return out
+
+
+def oracle_vv_reachable(r: Realization, up_to_level: int):
+    """Yield (relative level, reachable buffer set) for a v_variable tree."""
+    level0, buf0 = r._root_state
+    reach = frozenset([buf0])
+    for rel in range(1, up_to_level + 1):
+        abs_level = level0 + rel - 1
+        nxt = set()
+        for b in reach:
+            si = r._vv_label(abs_level, b)
+            for j in range(1, r.family.systems[si].nmaps + 1):
+                nxt.add(r._vv_assign(abs_level, b, j))
+        reach = frozenset(nxt)
+        yield rel, reach
+
+
+def oracle_vv_necks(r: Realization, up_to_level: int) -> tuple[int, ...]:
+    """Neck levels <= up_to_level: levels reaching at most one buffer."""
+    return tuple(rel for rel, reach in oracle_vv_reachable(r, up_to_level) if len(reach) <= 1)

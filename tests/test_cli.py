@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,20 @@ WORKED_FAMILY = {
         },
     ],
 }
+
+# A child interpreter does not see pytest's ``pythonpath`` setting.
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_in_fresh_process(args: list[str]) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "necktree.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
 
 H1_PLUS = {"s": "auto", "family": {"h1": {"beta": "auto", "gamma": 0.5}}}
 
@@ -213,20 +229,28 @@ def test_levelsum_deep_thin_tree(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "necktree.cli"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_in_fresh_process([])
     assert proc.returncode == EXIT_USAGE  # no subcommand
 
 
 def test_cli_main_module_percolate():
-    proc = subprocess.run(
-        [sys.executable, "-m", "necktree.cli", "percolate", "--p", "0.75"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_in_fresh_process(["percolate", "--p", "0.75"])
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["recursive_supercritical"] is True
+
+
+def test_runs_in_one_process_match_fresh_processes(configs, capsys):
+    _, fam, model, gauge, power_gauge = configs
+    common = ["--family", str(fam), "--model", str(model), "--seed", "7"]
+    levelsum = ["levelsum", *common, "--gauge", str(power_gauge), "--depths", "1:64:log"]
+    drift = ["drift", *common, "--gauge", str(gauge), "--n", "4", "--depths", "10:200:log"]
+    outs = []
+    for args in (levelsum, drift, ["levelsum", "--no-such-flag"], levelsum):
+        code = run(args)
+        outs.append(capsys.readouterr().out)
+        assert code == (EXIT_USAGE if "--no-such-flag" in args else 0)
+    fresh = [run_in_fresh_process(args) for args in (levelsum, drift)]
+    assert [p.returncode for p in fresh] == [0, 0]
+    assert outs[0] == outs[3] == fresh[0].stdout
+    assert outs[1] == fresh[1].stdout

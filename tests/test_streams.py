@@ -39,3 +39,16 @@ def test_mix64_reference_values():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+
+
+def test_fold_array_over_state_arrays_matches_scalar_fold():
+    # states near 2**64 make the golden-ratio add wrap
+    states = np.array([0, 1, 2**63, 2**64 - 1, 2**64 - streams.GOLDEN, 12345], dtype=np.uint64)
+    counters = np.array([0, 1, 2**32, 2**64 - 2], dtype=np.uint64)
+    table = streams.fold_array(states[:, None], counters[None, :])
+    assert table.shape == (states.size, counters.size)
+    for i, s in enumerate(states):
+        for j, c in enumerate(counters):
+            assert int(table[i, j]) == streams.fold(int(s), int(c))
+    assert np.array_equal(streams.fold_array(states, counters[1:2]), table[:, 1])
+    assert np.array_equal(streams.fold_array(int(states[3]), counters), table[3])
