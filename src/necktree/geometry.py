@@ -16,7 +16,7 @@ from . import streams
 from .errors import ConfigError, ExtinctionError, GeometryError, ParameterError
 from .measure import NaturalMeasure
 from .rifs import IFS, RIFSFamily, SimilarityMap
-from .trees import Coding, ModelSpec, Realization, stopping_set
+from .trees import Coding, ModelSpec, Realization, stopping_counts
 
 POINT_DIAMETER_TOL = 1e-9
 MAX_SAMPLE_RETRIES = 100
@@ -204,11 +204,6 @@ def box_count_points(points: np.ndarray, scales: Sequence[float]) -> np.ndarray:
         cells = np.floor(pts / delta).astype(np.int64)
         counts[i] = np.unique(cells, axis=0).shape[0]
     return counts
-
-
-def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
-    """Stopping-set sizes per scale, the exact cover counts of the construction."""
-    return np.array([sum(1 for _ in stopping_set(r, eps)) for eps in scales], dtype=np.int64)
 
 
 def box_dimension(

@@ -26,13 +26,14 @@ from .gauges import GaugeFunction
 from .rifs import HOMOGENEOUS, RIFSFamily, log_moment_stats, log_moments, validate
 from .trees import (
     V_VARIABLE,
+    Chunk,
     Coding,
     ModelSpec,
     Realization,
+    levels,
     sample,
     stopping_set,
     vv_tables,
-    walk,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -269,14 +270,17 @@ class _LogSumAcc:
         self.m = -math.inf
         self.acc = 0.0
 
-    def add(self, x: float) -> None:
-        if x == -math.inf:
-            return
-        if x > self.m:
-            self.acc = self.acc * math.exp(self.m - x) + 1.0 if self.acc else 1.0
-            self.m = x
-        else:
-            self.acc += math.exp(x - self.m)
+    def extend(self, xs: list[float]) -> None:
+        m, acc = self.m, self.acc
+        for x in xs:
+            if x == -math.inf:
+                continue
+            if x > m:
+                acc = acc * math.exp(m - x) + 1.0 if acc else 1.0
+                m = x
+            else:
+                acc += math.exp(x - m)
+        self.m, self.acc = m, acc
 
     def value(self) -> float:
         return self.m + math.log(self.acc) if self.acc > 0 else -math.inf
@@ -285,15 +289,21 @@ class _LogSumAcc:
 def _stream_log_sums(
     r: Realization, h: GaugeFunction, depths: Sequence[int], node_budget: int
 ) -> np.ndarray:
-    """Log level sums at the requested depths by a single depth-first pass."""
+    """Log level sums at the requested depths by one walk over level chunks.
+
+    Each depth's values are accumulated in address order, one gauge
+    evaluation per chunk.
+    """
     accs = {d: _LogSumAcc() for d in depths}
     visited = 0
-    for depth, log_ratio, _ in walk(r, max_depth=max(depths)):
-        visited += 1
+    for chunk in levels(r, max_depth=max(depths)):
+        visited += len(chunk)
         if visited > node_budget:
-            raise ResourceError(f"node budget {node_budget} exceeded while streaming level {depth}")
-        if depth in accs:
-            accs[depth].add(h.eval_log(log_ratio))
+            raise ResourceError(
+                f"node budget {node_budget} exceeded while streaming level {chunk.depth}"
+            )
+        if chunk.depth in accs:
+            accs[chunk.depth].extend(h.eval_log(chunk.log_ratio).tolist())
     return np.array([accs[d].value() for d in depths])
 
 
@@ -575,38 +585,79 @@ def section_infimum(
     """
     if depth_min < 0 or depth_cap < depth_min:
         raise ParameterError("need 0 <= depth_min <= depth_cap")
-    # stack[d + 1] is the open node at depth d: [own value, address or None,
-    # child values or None at depth_cap, child section]; stack[0] collects the root.
-    stack: list[list] = [[None, None, [], []]]
+    # open_[d] is the open chunk at depth d; a chunk closes once the walk
+    # returns to its depth or shallower, when all its descendants have been seen.
+    open_: list[_OpenChunk] = []
+
+    def close_to(depth: int) -> None:
+        while open_ and open_[-1].chunk.depth >= depth:
+            done = open_.pop()
+            open_[-1].take(done.chunk, *done.finish(h, depth_min, depth_cap, track))
+
     visited = 0
-    for depth, log_ratio, letters in walk(r, max_depth=depth_cap):
-        visited += 1
+    for chunk in levels(r, max_depth=depth_cap):
+        visited += len(chunk)
         if visited > node_budget:
-            raise ResourceError(f"node budget {node_budget} exceeded at depth {depth}")
-        _close_sections(stack, depth, depth_min)
-        address = tuple(j for _, j in letters) if visited <= argmin_limit else None
-        parts = None if depth == depth_cap else []
-        stack.append([h.eval_log(log_ratio), address, parts, []])
-    _close_sections(stack, 0, depth_min)
-    (val,), section = stack[0][2], stack[0][3]
-    argmin = tuple(section) if visited <= argmin_limit else None
+            raise ResourceError(f"node budget {node_budget} exceeded at depth {chunk.depth}")
+        # sections are dropped for good once the tree outgrows argmin_limit
+        track = visited <= argmin_limit
+        close_to(chunk.depth)
+        open_.append(_OpenChunk(chunk, open_[-1] if open_ else None, track))
+    close_to(1)
+    (val,), sections = open_[0].finish(h, depth_min, depth_cap, track)
+    argmin = tuple(sections[0]) if track else None
     return SectionValue(value_log=val, depth_min=depth_min, argmin_section=argmin)
 
 
-def _close_sections(stack: list[list], depth: int, depth_min: int) -> None:
-    """Finish the open nodes at ``depth`` or deeper, passing each value to its parent."""
-    while len(stack) > depth + 1:
-        own, address, parts, section = stack.pop()
-        parent = stack[-1]
-        if parts is not None:
-            child_sum = _logsumexp(parts)
-            if len(stack) <= depth_min or child_sum <= own:
-                parent[2].append(child_sum)
-                parent[3].extend(section)
-                continue
-        parent[2].append(own)
-        if address is not None:
-            parent[3].append(address)
+class _OpenChunk:
+    """A chunk of the section DP whose descendants are still being walked.
+
+    ``parts[i]`` collects node i's children's values, in address order;
+    while sections are tracked, ``sections[i]`` collects their sections and
+    ``addresses[i]`` is node i's address.
+    """
+
+    __slots__ = ("chunk", "parts", "sections", "addresses")
+
+    def __init__(self, chunk: Chunk, parent: Optional["_OpenChunk"], track: bool) -> None:
+        n = len(chunk)
+        self.chunk = chunk
+        self.parts: list[list[float]] = [[] for _ in range(n)]
+        self.sections = self.addresses = None
+        if track:
+            self.sections = [[] for _ in range(n)]
+            self.addresses = [()] if parent is None else [
+                parent.addresses[p] + (j,) for p, j in zip(chunk.parent.tolist(), chunk.j.tolist())
+            ]
+
+    def take(self, child: Chunk, values: list[float], sections: Optional[list]) -> None:
+        """Collect the values and sections of the nodes of a child chunk."""
+        parents = child.parent.tolist()
+        for p, v in zip(parents, values):
+            self.parts[p].append(v)
+        if sections is not None:
+            for p, s in zip(parents, sections):
+                self.sections[p].extend(s)
+
+    def finish(self, h: GaugeFunction, depth_min: int, depth_cap: int, track: bool):
+        """Each node's value and, while tracked, section (else None).
+
+        A node at ``depth_cap`` is its own section; one shallower than
+        ``depth_min`` takes its children's; any other takes the cheaper of
+        the two, its children's on a tie.
+        """
+        own = h.eval_log(self.chunk.log_ratio).tolist()
+        if self.chunk.depth == depth_cap:
+            return own, [[a] for a in self.addresses] if track else None
+        recurse = self.chunk.depth < depth_min
+        values, chosen = [], []
+        for i, o in enumerate(own):
+            child_sum = _logsumexp(self.parts[i])
+            mine = not recurse and o < child_sum
+            values.append(o if mine else child_sum)
+            if track:
+                chosen.append([self.addresses[i]] if mine else self.sections[i])
+        return values, chosen if track else None
 
 
 def _logsumexp(parts: list[float]) -> float:

@@ -12,13 +12,17 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-_U_GOLDEN = np.uint64(GOLDEN)
-_U_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_U_M2 = np.uint64(0x94D049BB133111EB)
-_U30 = np.uint64(30)
-_U27 = np.uint64(27)
-_U31 = np.uint64(31)
-_U11 = np.uint64(11)
+# Mixer constants are 0-d arrays, not numpy scalars: arithmetic that involves
+# an array runs as a ufunc, which wraps modulo 2**64 without the overflow
+# warning of numpy's scalar arithmetic, and dispatches faster.
+_U_GOLDEN = np.array(GOLDEN, dtype=np.uint64)
+_U_M1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
+_U_M2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
+_U1 = np.array(1, dtype=np.uint64)
+_U30 = np.array(30, dtype=np.uint64)
+_U27 = np.array(27, dtype=np.uint64)
+_U31 = np.array(31, dtype=np.uint64)
+_U11 = np.array(11, dtype=np.uint64)
 _INV53 = float(2.0**-53)
 
 # Stream tags keep unrelated draw families disjoint.  Values are arbitrary
@@ -51,16 +55,17 @@ def fold(state: int, counter: int) -> int:
     return mix64((int(state) + ((int(counter) + 1) * GOLDEN)) & MASK64)
 
 
-def fold_array(state: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
+def fold_array(state: int | np.ndarray, counters: int | np.ndarray) -> np.ndarray:
     """Vectorized ``fold`` over a counter array.
 
     ``state`` is one integer, or a uint64 array broadcast against
     ``counters``; either way entry i equals ``fold(state[i], counters[i])``
-    after broadcasting, wrapping modulo 2**64 as ``fold`` does.
+    after broadcasting, wrapping modulo 2**64 as ``fold`` does.  Scalar and
+    0-d counters are accepted too.
     """
-    c = counters.astype(np.uint64, copy=False)
-    s = state if isinstance(state, np.ndarray) else np.uint64(int(state) & MASK64)
-    x = s + (c + np.uint64(1)) * _U_GOLDEN
+    c = np.asarray(counters).astype(np.uint64, copy=False)
+    s = state if isinstance(state, np.ndarray) else np.array(int(state) & MASK64, dtype=np.uint64)
+    x = s + (c + _U1) * _U_GOLDEN
     x ^= x >> _U30
     x *= _U_M1
     x ^= x >> _U27

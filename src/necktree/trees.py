@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from math import exp, inf, log
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ _KINDS = (HOMOGENEOUS, RECURSIVE, V_VARIABLE, NECK_BLOCK)
 NECK_SEARCH_HORIZON = 10**6
 # Entries of one chunk of V-variable tables (levels x (V + 1) buffers x maps).
 VV_TABLE_ENTRIES = 2**12
+# Nodes of one chunk of a tree level handed out by ``levels``.
+FRONTIER_NODES = 2**14
 
 Address = tuple[int, ...]
 
@@ -107,11 +109,16 @@ class Realization:
         seed = int(self.seed) & streams.MASK64
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "_cumw", list(self.family.cum_weights))
+        object.__setattr__(self, "_cumw_array", np.asarray(self._cumw))
         kind = self.model.kind
         if kind == HOMOGENEOUS:
             object.__setattr__(self, "_h", streams.fold(seed, streams.TAG_HOMOGENEOUS))
         elif kind == RECURSIVE:
             object.__setattr__(self, "_h", streams.fold(seed, streams.TAG_RECURSIVE))
+            # counters of one node's draws in ``expand``: its label, then children 1..n_max
+            counters = np.arange(self.family.n_max + 1, dtype=np.uint64)
+            counters[0] = streams.TAG_LABEL_DRAW
+            object.__setattr__(self, "_node_counters", counters)
         elif kind == V_VARIABLE:
             if self.model.v < 1:
                 raise ParameterError("v_variable needs V >= 1")
@@ -199,7 +206,7 @@ class Realization:
         bufs = np.arange(1, v + 1, dtype=np.uint64)
         js = np.arange(1, self.family.n_max + 1)
         u = streams.u01_array(streams.fold_array(streams.fold_array(self._hl, levels), bufs))
-        labels = np.searchsorted(np.asarray(self._cumw), u, side="right")
+        labels = self._cumw_array.searchsorted(u, side="right")
         states = streams.fold_array(streams.fold_array(self._ha, levels), bufs)[:, :, None]
         u = streams.u01_array(streams.fold_array(states, js))
         table = np.zeros((n, v + 1, js.size), dtype=np.int32)
@@ -241,6 +248,26 @@ class Realization:
             return self._pick(streams.u01(streams.fold(aux, streams.TAG_LABEL_DRAW)))
         return self._sys_at_level(level)
 
+    def expand(self, level: int, aux: Optional[np.ndarray], n: int):
+        """Labels of n nodes at absolute ``level`` and the states of their children.
+
+        The vectorized ``_sys_of_state`` and ``_child_state``: ``systems[i]``
+        labels the node in state ``(level, aux[i])``, and ``children[i, j - 1]``
+        is the state of its child j, for every j up to ``n_max`` whether or not
+        the node's system has map j.  ``aux`` and ``children`` are None for
+        level-driven models.  Returns ``(systems, children)``.
+        """
+        kind = self.model.kind
+        if kind == RECURSIVE:
+            states = streams.fold_array(aux[:, None], self._node_counters)
+            u, children = streams.u01_array(states[:, 0]), states[:, 1:]
+        elif kind == V_VARIABLE:
+            u = streams.u01_array(streams.fold_array(streams.fold(self._hl, level), aux))
+            children = self.vv_children(level, 1)[0][aux]
+        else:
+            return np.full(n, self._sys_at_level(level)), None
+        return self._cumw_array.searchsorted(u, side="right"), children
+
     # ---- public API ------------------------------------------------------
 
     def label_of(self, address: Sequence[int]) -> int:
@@ -262,8 +289,7 @@ class Realization:
         if kind == HOMOGENEOUS:
             counters = np.arange(self.offset, self.offset + depth, dtype=np.uint64)
             u = streams.u01_array(streams.fold_array(self._h, counters))
-            cw = np.asarray(self._cumw)
-            return np.searchsorted(cw, u, side="right").astype(np.int64)
+            return self._cumw_array.searchsorted(u, side="right").astype(np.int64)
         if kind == NECK_BLOCK:
             return np.array(
                 [self._sys_at_level(self.offset + k) for k in range(depth)], dtype=np.int64
@@ -282,48 +308,100 @@ def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
 # ---- tree walks -------------------------------------------------------------
 
 
-def walk(
-    r: Realization, max_depth: float = inf, log_stop: float = -inf
-) -> Iterator[tuple[int, float, list[tuple[int, int]]]]:
-    """Depth-first pre-order walk of the tree, children in order 1..n.
+@dataclass(frozen=True, eq=False, slots=True)
+class Chunk:
+    """Up to ``FRONTIER_NODES`` nodes of one tree level, in address order.
 
-    Yields ``(depth, log_ratio, letters)`` for every node reached.  A node is
-    expanded, and its state derived, only while ``depth < max_depth`` and
-    ``log_ratio > log_stop``.  ``letters`` is one list updated in place; copy
-    it to keep it.  The stack is explicit, so the interpreter's recursion
-    limit does not bound the depth.
+    Node i has log ratio ``log_ratio[i]`` and walker state ``aux[i]`` (None
+    for level-driven models).  Its last letter is ``(sys[i], j[i])``: it is
+    child ``j[i]`` of node ``parent[i]`` of the chunk ``up``, whose system is
+    ``sys[i]``.  The root chunk (depth 0) has no letters and no ``up``.
+    """
+
+    depth: int
+    log_ratio: np.ndarray
+    sys: np.ndarray
+    j: np.ndarray
+    parent: np.ndarray
+    aux: Optional[np.ndarray]
+    up: Optional["Chunk"]
+
+    def __len__(self) -> int:
+        return self.log_ratio.size
+
+    def codings(self, index: np.ndarray) -> list[Coding]:
+        """Codings of the nodes ``index``, in the order given, read up the ``up`` links."""
+        log_ratio = self.log_ratio[index].tolist()
+        sys = np.empty((index.size, self.depth), dtype=np.int64)
+        j = np.empty_like(sys)
+        chunk = self
+        for d in range(self.depth - 1, -1, -1):
+            sys[:, d] = chunk.sys[index]
+            j[:, d] = chunk.j[index]
+            index = chunk.parent[index]
+            chunk = chunk.up
+        return [Coding(tuple(zip(s, jj)), lr) for s, jj, lr in zip(sys.tolist(), j.tolist(), log_ratio)]
+
+
+def levels(r: Realization, max_depth: float = inf, log_stop: float = -inf) -> Iterator[Chunk]:
+    """Walk the tree a level at a time, in chunks of at most ``FRONTIER_NODES`` nodes.
+
+    A node is expanded only while ``depth < max_depth`` and ``log_ratio >
+    log_stop``; the children of a chunk's expanded nodes form the next level's
+    chunks.  Chunks come depth-first over chunks from an explicit stack, so
+    memory stays O(depth x chunk), and the chunks of each depth come in
+    address order.  Labels and child states of a whole chunk are drawn in one
+    vectorized pass; counter-based draws do not depend on visit order.
     """
     systems = r.family.systems
-    letters: list[tuple[int, int]] = []
-    # frames[d] is the expanded ancestor at depth d: [state, system, maps, log ratio, next child]
-    frames: list[list] = []
-    depth, log_ratio = 0, 0.0
-    while True:
-        yield depth, log_ratio, letters
-        if depth < max_depth and log_ratio > log_stop:
-            state = r._child_state(frames[-1][0], letters[-1][1]) if frames else r._root_state
-            si = r._sys_of_state(state)
-            frames.append([state, si, systems[si].maps, log_ratio, 0])
-        while frames and frames[-1][4] == len(frames[-1][2]):
-            frames.pop()
-        if not frames:
-            return
-        top = frames[-1]
-        j = top[4]
-        top[4] = j + 1
-        depth = len(frames)
-        del letters[depth - 1 :]
-        letters.append((top[1], j + 1))
-        log_ratio = top[3] + log(top[2][j].ratio)
+    nmaps = np.array([s.nmaps for s in systems])
+    slots = np.arange(max(1, r.family.n_max))
+    log_c = np.zeros((len(systems), slots.size))
+    for i, sysm in enumerate(systems):
+        log_c[i, : sysm.nmaps] = [log(m.ratio) for m in sysm.maps]
+    level0, aux0 = r._root_state
+    none = np.zeros(0, dtype=np.int64)
+    aux = None if aux0 is None else np.array([aux0], dtype=np.uint64)
+    stack = [Chunk(0, np.zeros(1), none, none, none, aux, None)]
+    while stack:
+        chunk = stack.pop()
+        yield chunk
+        if chunk.depth >= max_depth:
+            continue
+        live = (chunk.log_ratio > log_stop).nonzero()[0]
+        aux = None if chunk.aux is None else chunk.aux[live]
+        sys, children = r.expand(level0 + chunk.depth, aux, live.size)
+        node, k = (slots < nmaps[sys][:, None]).nonzero()  # children in address order
+        if not node.size:
+            continue
+        parent, sys, j = live[node], sys[node], k + 1
+        log_ratio = chunk.log_ratio[parent] + log_c[sys, k]
+        aux = None if children is None else children[node, k]
+        size = FRONTIER_NODES
+        if node.size <= size:  # whole arrays: views would double the objects a level keeps
+            stack.append(Chunk(chunk.depth + 1, log_ratio, sys, j, parent, aux, chunk))
+            continue
+        for s in reversed(range(0, node.size, size)):
+            part = slice(s, s + size)
+            stack.append(Chunk(chunk.depth + 1, log_ratio[part], sys[part], j[part], parent[part],
+                               None if aux is None else aux[part], chunk))
 
 
 def coding_level(r: Realization, k: int) -> Iterator[Coding]:
-    """Stream all live codings at level ``k`` in depth-first address order."""
+    """Stream all live codings at level ``k`` in address order."""
     if k < 0:
         raise ParameterError("level must be >= 0")
-    for depth, log_ratio, letters in walk(r, max_depth=k):
-        if depth == k:
-            yield Coding(tuple(letters), log_ratio)
+    for chunk in levels(r, max_depth=k):
+        if chunk.depth == k:
+            yield from chunk.codings(np.arange(len(chunk)))
+
+
+def _log_epsilon(r: Realization, epsilon: float) -> float:
+    if not 0.0 < epsilon < 1.0:
+        raise ParameterError("epsilon must lie in (0, 1)")
+    if r.family.c_max >= 1.0:
+        raise PreconditionError("stopping sets need all contraction ratios < 1")
+    return log(epsilon)
 
 
 def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
@@ -331,17 +409,40 @@ def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
 
     Every streamed coding has ratio <= epsilon while its parent ratio is
     above epsilon; every infinite live branch passes through exactly one.
-    Codings come in depth-first address order.  A family with a map of
-    ratio 1 has branches that never shrink, so it is refused.
+    Codings come in address order, which is depth-first order.  A family with
+    a map of ratio 1 has branches that never shrink, so it is refused.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError("epsilon must lie in (0, 1)")
-    if r.family.c_max >= 1.0:
-        raise PreconditionError("stopping sets need all contraction ratios < 1")
-    log_eps = log(epsilon)
-    for _, log_ratio, letters in walk(r, log_stop=log_eps):
-        if log_ratio <= log_eps:
-            yield Coding(tuple(letters), log_ratio)
+    log_eps = _log_epsilon(r, epsilon)
+    found: list[Coding] = []
+    for chunk in levels(r, log_stop=log_eps):
+        stopped = (chunk.log_ratio <= log_eps).nonzero()[0]
+        if stopped.size:
+            found.extend(chunk.codings(stopped))
+    # letters order addresses: siblings share their parent's system
+    found.sort(key=lambda c: c.letters)
+    yield from found
+
+
+def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
+    """Stopping-set sizes per scale, the exact cover counts of the construction.
+
+    Entry i equals the length of ``stopping_set(r, scales[i])``.  One walk to
+    the smallest scale counts every node for each scale epsilon with
+    ``log_ratio <= log epsilon < parent log_ratio``.
+    """
+    log_eps = np.array([_log_epsilon(r, e) for e in scales], dtype=float)
+    if not log_eps.size:
+        return np.zeros(0, dtype=np.int64)
+    grid = np.sort(log_eps)  # not np.unique, whose first call imports numpy.ma (1 MiB)
+    # a node counts for grid indices [first >= log_ratio, first >= parent log_ratio)
+    delta = np.zeros(grid.size + 1, dtype=np.int64)
+    for chunk in levels(r, log_stop=grid[0]):
+        if chunk.up is None:
+            continue
+        first = np.searchsorted(grid, chunk.log_ratio)
+        past = np.searchsorted(grid, chunk.up.log_ratio[chunk.parent])
+        delta += np.bincount(first, minlength=delta.size) - np.bincount(past, minlength=delta.size)
+    return np.cumsum(delta)[np.searchsorted(grid, log_eps)]
 
 
 # ---- necks -----------------------------------------------------------------

@@ -3,12 +3,16 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from math import inf, log
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from necktree.errors import UnsupportedModelError
+from necktree.errors import ParameterError, PreconditionError, ResourceError, UnsupportedModelError
+from necktree.gauges import GaugeFunction
+from necktree.measure import SectionValue, _logsumexp
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, equicontractive_family
-from necktree.trees import Realization
+from necktree.trees import Coding, Realization
 
 
 def worked_family() -> RIFSFamily:
@@ -192,3 +196,148 @@ def oracle_vv_reachable(r: Realization, up_to_level: int):
 def oracle_vv_necks(r: Realization, up_to_level: int) -> tuple[int, ...]:
     """Neck levels <= up_to_level: levels reaching at most one buffer."""
     return tuple(rel for rel, reach in oracle_vv_reachable(r, up_to_level) if len(reach) <= 1)
+
+
+# ---- depth-first walker reference ---------------------------------------------
+# The one-node-per-step pre-order walker and its consumers that the level
+# walker replaced, kept verbatim (names aside) as the bit-identity reference.
+
+
+def oracle_walk(
+    r: Realization, max_depth: float = inf, log_stop: float = -inf
+) -> Iterator[tuple[int, float, list[tuple[int, int]]]]:
+    """Depth-first pre-order walk of the tree, children in order 1..n.
+
+    Yields ``(depth, log_ratio, letters)`` for every node reached.  A node is
+    expanded, and its state derived, only while ``depth < max_depth`` and
+    ``log_ratio > log_stop``.  ``letters`` is one list updated in place; copy
+    it to keep it.  The stack is explicit, so the interpreter's recursion
+    limit does not bound the depth.
+    """
+    systems = r.family.systems
+    letters: list[tuple[int, int]] = []
+    # frames[d] is the expanded ancestor at depth d: [state, system, maps, log ratio, next child]
+    frames: list[list] = []
+    depth, log_ratio = 0, 0.0
+    while True:
+        yield depth, log_ratio, letters
+        if depth < max_depth and log_ratio > log_stop:
+            state = r._child_state(frames[-1][0], letters[-1][1]) if frames else r._root_state
+            si = r._sys_of_state(state)
+            frames.append([state, si, systems[si].maps, log_ratio, 0])
+        while frames and frames[-1][4] == len(frames[-1][2]):
+            frames.pop()
+        if not frames:
+            return
+        top = frames[-1]
+        j = top[4]
+        top[4] = j + 1
+        depth = len(frames)
+        del letters[depth - 1 :]
+        letters.append((top[1], j + 1))
+        log_ratio = top[3] + log(top[2][j].ratio)
+
+
+def oracle_stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
+    """Stream the antichain of codings first reaching ratio <= epsilon.
+
+    Every streamed coding has ratio <= epsilon while its parent ratio is
+    above epsilon; every infinite live branch passes through exactly one.
+    Codings come in depth-first address order.  A family with a map of
+    ratio 1 has branches that never shrink, so it is refused.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ParameterError("epsilon must lie in (0, 1)")
+    if r.family.c_max >= 1.0:
+        raise PreconditionError("stopping sets need all contraction ratios < 1")
+    log_eps = log(epsilon)
+    for _, log_ratio, letters in oracle_walk(r, log_stop=log_eps):
+        if log_ratio <= log_eps:
+            yield Coding(tuple(letters), log_ratio)
+
+
+class OracleLogSumAcc:
+    """Streaming log-sum-exp accumulator."""
+
+    __slots__ = ("m", "acc")
+
+    def __init__(self) -> None:
+        self.m = -math.inf
+        self.acc = 0.0
+
+    def add(self, x: float) -> None:
+        if x == -math.inf:
+            return
+        if x > self.m:
+            self.acc = self.acc * math.exp(self.m - x) + 1.0 if self.acc else 1.0
+            self.m = x
+        else:
+            self.acc += math.exp(x - self.m)
+
+    def value(self) -> float:
+        return self.m + math.log(self.acc) if self.acc > 0 else -math.inf
+
+
+def oracle_stream_log_sums(
+    r: Realization, h: GaugeFunction, depths: Sequence[int], node_budget: int
+) -> np.ndarray:
+    """Log level sums at the requested depths by a single depth-first pass."""
+    accs = {d: OracleLogSumAcc() for d in depths}
+    visited = 0
+    for depth, log_ratio, _ in oracle_walk(r, max_depth=max(depths)):
+        visited += 1
+        if visited > node_budget:
+            raise ResourceError(f"node budget {node_budget} exceeded while streaming level {depth}")
+        if depth in accs:
+            accs[depth].add(h.eval_log(log_ratio))
+    return np.array([accs[d].value() for d in depths])
+
+
+def oracle_section_infimum(
+    r: Realization,
+    h: GaugeFunction,
+    depth_min: int,
+    depth_cap: int,
+    node_budget: int = 10**6,
+    argmin_limit: int = 10**4,
+) -> SectionValue:
+    """Infimum of gauge sums over sections, on the depth-capped tree.
+
+    Bottom-up dynamic program: leaves at ``depth_cap`` are forced into the
+    section; a node of depth >= ``depth_min`` may replace its subtree;
+    shallower nodes must recurse.  Extinct subtrees contribute zero.
+    """
+    if depth_min < 0 or depth_cap < depth_min:
+        raise ParameterError("need 0 <= depth_min <= depth_cap")
+    # stack[d + 1] is the open node at depth d: [own value, address or None,
+    # child values or None at depth_cap, child section]; stack[0] collects the root.
+    stack: list[list] = [[None, None, [], []]]
+    visited = 0
+    for depth, log_ratio, letters in oracle_walk(r, max_depth=depth_cap):
+        visited += 1
+        if visited > node_budget:
+            raise ResourceError(f"node budget {node_budget} exceeded at depth {depth}")
+        oracle_close_sections(stack, depth, depth_min)
+        address = tuple(j for _, j in letters) if visited <= argmin_limit else None
+        parts = None if depth == depth_cap else []
+        stack.append([h.eval_log(log_ratio), address, parts, []])
+    oracle_close_sections(stack, 0, depth_min)
+    (val,), section = stack[0][2], stack[0][3]
+    argmin = tuple(section) if visited <= argmin_limit else None
+    return SectionValue(value_log=val, depth_min=depth_min, argmin_section=argmin)
+
+
+def oracle_close_sections(stack: list[list], depth: int, depth_min: int) -> None:
+    """Finish the open nodes at ``depth`` or deeper, passing each value to its parent."""
+    while len(stack) > depth + 1:
+        own, address, parts, section = stack.pop()
+        parent = stack[-1]
+        if parts is not None:
+            child_sum = _logsumexp(parts)
+            if len(stack) <= depth_min or child_sum <= own:
+                parent[2].append(child_sum)
+                parent[3].extend(section)
+                continue
+        parent[2].append(own)
+        if address is not None:
+            parent[3].append(address)

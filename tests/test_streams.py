@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from necktree import streams
@@ -52,3 +54,16 @@ def test_fold_array_over_state_arrays_matches_scalar_fold():
             assert int(table[i, j]) == streams.fold(int(s), int(c))
     assert np.array_equal(streams.fold_array(states, counters[1:2]), table[:, 1])
     assert np.array_equal(streams.fold_array(int(states[3]), counters), table[3])
+
+
+def test_fold_array_scalar_shapes_match_fold_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state, counter in [(5, 3), (2**64 - 1, 2**64 - 2), (streams.GOLDEN, 0)]:
+            want = streams.fold(state, counter)
+            assert int(streams.fold_array(state, np.uint64(counter))) == want
+            assert int(streams.fold_array(state, np.array(counter, dtype=np.uint64))) == want
+            one = streams.fold_array(
+                np.array([state], dtype=np.uint64), np.array(counter, dtype=np.uint64)
+            )
+            assert one.shape == (1,) and int(one[0]) == want
