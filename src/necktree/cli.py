@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -54,14 +54,7 @@ class RunManifest:
     finished: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "spec_hashes": self.spec_hashes,
-            "master_seed": self.master_seed,
-            "tool_version": self.tool_version,
-            "started": self.started,
-            "finished": self.finished,
-        }
+        return asdict(self)
 
 
 def _now() -> str:
@@ -83,8 +76,9 @@ def parse_depths(text: str) -> list[int]:
             raise ConfigError("depths: need 1 <= a <= b")
         if parts[2] == "log":
             num = max(2, round(LOG_POINTS_PER_DECADE * np.log10(b / a)) + 1)
-            grid = np.unique(np.rint(np.geomspace(a, b, num)).astype(int))
-            return [int(d) for d in grid]
+            grid = np.sort(np.rint(np.geomspace(a, b, num)).astype(int))
+            # not np.unique, whose first call imports numpy.ma
+            return [int(d) for d in grid[np.concatenate(([True], grid[1:] != grid[:-1]))]]
         step = int(parts[2])
         if step < 1:
             raise ConfigError("depths: step must be >= 1")

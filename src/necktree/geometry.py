@@ -12,7 +12,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import streams
+from . import streams, trees
 from .errors import ConfigError, ExtinctionError, GeometryError, ParameterError
 from .measure import NaturalMeasure
 from .rifs import IFS, RIFSFamily, SimilarityMap
@@ -33,14 +33,6 @@ class Affine:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.ratio * (self.matrix @ x) + self.translation
 
-    def then_inner(self, other: "Affine") -> "Affine":
-        """Composition self o other (other applied first)."""
-        return Affine(
-            ratio=self.ratio * other.ratio,
-            matrix=self.matrix @ other.matrix,
-            translation=self.ratio * (self.matrix @ other.translation) + self.translation,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Cylinder:
@@ -52,48 +44,74 @@ class Cylinder:
     diameter: float
 
 
-def _affine_of(m: SimilarityMap, dim: int) -> Affine:
-    q = m.isometry if m.isometry is not None else np.eye(dim)
-    b = m.translation if m.translation is not None else np.zeros(dim)
-    if q.shape != (dim, dim) or b.shape != (dim,):
-        raise ConfigError(f"map geometry does not match ambient dimension {dim}")
-    return Affine(ratio=m.ratio, matrix=q, translation=b)
+def _maps(family: RIFSFamily) -> list[np.ndarray]:
+    """Arrays ratio, isometry, translation with map j of system i at [i, j]; j = 0 is the identity."""
+    dim = family.ambient_dim
+    shape = (family.nsystems, family.n_max + 1)
+    ratio, translation = np.ones(shape), np.zeros(shape + (dim,))
+    isometry = np.broadcast_to(np.eye(dim), shape + (dim, dim)).copy()
+    for i, sysm in enumerate(family.systems):
+        for j, m in enumerate(sysm.maps, start=1):
+            q = m.isometry if m.isometry is not None else np.eye(dim)
+            b = m.translation if m.translation is not None else np.zeros(dim)
+            if q.shape != (dim, dim) or b.shape != (dim,):
+                raise ConfigError(f"map geometry does not match ambient dimension {dim}")
+            ratio[i, j], isometry[i, j], translation[i, j] = m.ratio, q, b
+    return [ratio, isometry, translation]
 
 
-def _identity(dim: int) -> Affine:
-    return Affine(ratio=1.0, matrix=np.eye(dim), translation=np.zeros(dim))
+def _then(acc: list, maps: list, rows: np.ndarray, sys: np.ndarray, j: np.ndarray) -> None:
+    """Compose rows ``rows`` of ``acc``, in place, with maps ``j`` of systems ``sys`` applied first.
+
+    Each row repeats the arithmetic of composing two ``Affine``s, so it is
+    bit-identical to composing one coding at a time.
+    """
+    ratio, matrix, translation = (a[rows] for a in acc)
+    r, q, b = (t[sys, j] for t in maps)
+    acc[0][rows], acc[1][rows] = ratio * r, matrix @ q
+    acc[2][rows] = ratio[:, None] * (matrix @ b[:, :, None])[:, :, 0] + translation
+
+
+def _apply(acc: list, x: np.ndarray) -> np.ndarray:
+    """Row-wise ``Affine.apply``."""
+    ratio, matrix, translation = acc
+    return ratio[..., None] * (matrix @ x) + translation
+
+
+def _cylinders(family: RIFSFamily, codings: Sequence[Coding]) -> tuple[list, np.ndarray, np.ndarray]:
+    """Row k: the similarity composed from ``codings[k]``, its cylinder's center and diameter."""
+    maps = _maps(family)
+    acc = [t[0, np.zeros(len(codings), dtype=np.intp)] for t in maps]  # identity rows
+    for k in range(max(map(len, codings), default=0)):
+        rows = np.array([i for i, c in enumerate(codings) if len(c) > k])
+        sys, j = np.array([codings[i].letters[k] for i in rows]).T
+        _then(acc, maps, rows, sys, j)
+    dim = family.ambient_dim
+    return acc, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim)
 
 
 def require_geometry(family: RIFSFamily) -> None:
     """Reject families whose maps do not keep the seed cube inside itself."""
     dim = family.ambient_dim
+    maps = _maps(family)
     corners = np.array(np.meshgrid(*([[0.0, 1.0]] * dim), indexing="ij")).reshape(dim, -1).T
-    for sysm in family.systems:
-        for j, m in enumerate(sysm.maps, start=1):
-            aff = _affine_of(m, dim)
-            img = np.array([aff.apply(c) for c in corners])
-            if img.min() < -1e-12 or img.max() > 1 + 1e-12:
-                raise ConfigError(
-                    f"map {j} of system {sysm.label!r} does not map the unit cube into itself"
-                )
+    images = np.stack([_apply(maps, c) for c in corners])  # [corner, i, j, axis]
+    outside = ((images < -1e-12) | (images > 1 + 1e-12)).any(axis=(0, 3))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise ConfigError(
+            f"map {j} of system {family.systems[i].label!r} does not map the unit cube into itself"
+        )
 
 
 def compose(family: RIFSFamily, coding: Coding) -> Cylinder:
     """Compose the coding's maps left to right and return the cylinder."""
-    dim = family.ambient_dim
-    acc = _identity(dim)
     for si, j in coding.letters:
-        sysm = family.systems[si]
-        if not 1 <= j <= sysm.nmaps:
+        if not 1 <= j <= family.systems[si].nmaps:
             raise ParameterError(f"coding letter ({si}, {j}) has no matching map")
-        acc = acc.then_inner(_affine_of(sysm.maps[j - 1], dim))
-    seed_center = np.full(dim, 0.5)
-    return Cylinder(
-        coding=coding,
-        affine=acc,
-        center=acc.apply(seed_center),
-        diameter=acc.ratio * math.sqrt(dim),
-    )
+    (ratio, matrix, translation), center, diameter = _cylinders(family, [coding])
+    affine = Affine(ratio=float(ratio[0]), matrix=matrix[0], translation=translation[0])
+    return Cylinder(coding=coding, affine=affine, center=center[0], diameter=float(diameter[0]))
 
 
 def uosc_audit_1d(family: RIFSFamily) -> None:
@@ -104,15 +122,12 @@ def uosc_audit_1d(family: RIFSFamily) -> None:
     """
     if family.ambient_dim != 1:
         raise GeometryError("interval audit only applies to ambient dimension 1")
-    for sysm in family.systems:
-        spans = []
-        for m in sysm.maps:
-            a = _affine_of(m, 1)
-            x0, x1 = float(a.apply(np.zeros(1))[0]), float(a.apply(np.ones(1))[0])
-            spans.append((min(x0, x1), max(x0, x1)))
-        if any(lo < -1e-12 or hi > 1 + 1e-12 for lo, hi in spans):
+    maps = _maps(family)
+    lo, hi = np.sort([_apply(maps, np.zeros(1)), _apply(maps, np.ones(1))], axis=0)[..., 0].tolist()
+    for i, sysm in enumerate(family.systems):
+        spans = sorted(zip(lo[i][1 : sysm.nmaps + 1], hi[i][1 : sysm.nmaps + 1]))
+        if any(a < -1e-12 or b > 1 + 1e-12 for a, b in spans):
             raise GeometryError(f"system {sysm.label!r} maps outside the unit interval")
-        spans.sort()
         for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
             if lo2 < hi1 - 1e-12:
                 raise GeometryError(f"system {sysm.label!r} has overlapping map images")
@@ -130,39 +145,41 @@ def sample_points(
 
     Each point descends choosing uniformly among live children until the
     cylinder diameter drops below ``diameter_tol``; extinct branches retry
-    from the root a bounded number of times.
+    from the root, up to ``max_retries`` descents per point.  Point i's child
+    at step s of descent a is drawn from ``fold(fold(fold(base, i), a), s)``.
+    Points descend together a level per step, in blocks of at most
+    ``trees.FRONTIER_NODES``, with labels and child states from ``Realization.expand``.
     """
     family = r.family
     require_geometry(family)
+    maps, nmaps = _maps(family), np.array([s.nmaps for s in family.systems])
+    level0, aux0 = r._root_state
     dim = family.ambient_dim
     base = streams.fold(int(seed) & streams.MASK64, streams.TAG_POINT)
-    seed_center = np.full(dim, 0.5)
     out = np.empty((n, dim))
-    for i in range(n):
-        point = None
+    for start in range(0, n, trees.FRONTIER_NODES):
+        todo = np.arange(start, min(n, start + trees.FRONTIER_NODES))
         for attempt in range(max_retries):
-            stream = streams.fold(streams.fold(base, i), attempt)
-            state = r._root_state
-            acc = _identity(dim)
-            step = 0
-            alive = True
-            while acc.ratio * math.sqrt(dim) > diameter_tol:
-                si = r._sys_of_state(state)
-                sysm = family.systems[si]
-                if sysm.nmaps == 0:
-                    alive = False
-                    break
-                u = streams.u01(streams.fold(stream, step))
-                j = 1 + int(u * sysm.nmaps)
-                acc = acc.then_inner(_affine_of(sysm.maps[j - 1], dim))
-                state = r._child_state(state, j)
-                step += 1
-            if alive:
-                point = acc.apply(seed_center)
+            if not todo.size:
                 break
-        if point is None:
-            raise ExtinctionError(f"point {i}: all {max_retries} descents hit extinct branches")
-        out[i] = point
+            stream = streams.fold_array(streams.fold_array(base, todo), attempt)
+            acc = [t[0, np.zeros(todo.size, dtype=np.intp)] for t in maps]  # identity rows
+            aux = None if aux0 is None else np.full(todo.size, aux0, dtype=np.uint64)
+            live, extinct, step = np.arange(todo.size), np.zeros(todo.size, dtype=bool), 0
+            while live.size:  # the rows still descending, which ``aux`` follows
+                sys, children = r.expand(level0 + step, aux, live.size)
+                big = acc[0][live] * math.sqrt(dim) > diameter_tol
+                extinct[live[big & (nmaps[sys] == 0)]] = True
+                go = (big & (nmaps[sys] > 0)).nonzero()[0]
+                u = streams.u01_array(streams.fold_array(stream[live[go]], step))
+                j = 1 + (u * nmaps[sys[go]]).astype(np.intp)
+                _then(acc, maps, live[go], sys[go], j)
+                aux = None if children is None else children[go, j - 1]
+                live, step = live[go], step + 1
+            out[todo[~extinct]] = _apply([a[~extinct] for a in acc], np.full(dim, 0.5))
+            todo = todo[extinct]
+        if todo.size:
+            raise ExtinctionError(f"point {todo[0]}: all {max_retries} descents hit extinct branches")
     return out
 
 
@@ -172,7 +189,8 @@ def sample_points(
 
 def _check_scales(scales: Sequence[float]) -> np.ndarray:
     s = np.asarray([float(x) for x in scales], dtype=float)
-    if np.unique(s).size < 6:
+    grid = np.sort(s)  # not np.unique, whose first call imports numpy.ma
+    if s.size < 6 or 1 + np.count_nonzero(grid[1:] != grid[:-1]) < 6:
         raise ParameterError("box dimension needs at least 6 distinct scales")
     if np.any(s <= 0) or np.any(s >= 1):
         raise ParameterError("scales must lie in (0, 1)")

@@ -56,8 +56,6 @@ class LevelSumSeries:
 
     depths: tuple[int, ...]
     log_sums: np.ndarray
-    envelope_plus: Optional[np.ndarray] = None
-    envelope_minus: Optional[np.ndarray] = None
     seed: int = 0
     model_kind: str = ""
     gauge: str = ""
@@ -706,19 +704,16 @@ def mass_distribution_check(
     max_count = 0
     sup_ratio = 0.0
     for eps in eps_list:
-        cyls = []
-        for coding in stopping_set(r, eps):
-            cyl = geometry.compose(family, coding)
-            cyls.append((cyl, nu.mass(coding)))
-        if not cyls:
+        codings = list(stopping_set(r, eps))
+        if not codings:
             continue
+        _, cent, diam = geometry._cylinders(family, codings)
+        masses = np.array([nu.mass(c) for c in codings])
         if d == 1:
-            lo = np.array([c.center[0] - c.diameter / 2 for c, _ in cyls])
+            lo = cent[:, 0] - diam / 2
             order = np.argsort(lo)
-            lo = lo[order]
-            hi = np.array([c.center[0] + c.diameter / 2 for c, _ in cyls])[order]
-            masses = np.array([m for _, m in cyls])[order]
-            prefix = np.concatenate(([0.0], np.cumsum(masses)))
+            lo, hi = lo[order], (cent[:, 0] + diam / 2)[order]
+            prefix = np.concatenate(([0.0], np.cumsum(masses[order])))
             for z in centers[:, 0]:
                 a, b = z - eps, z + eps
                 iright = int(np.searchsorted(lo, b + 1e-12, side="right"))
@@ -729,9 +724,6 @@ def mass_distribution_check(
                 ratio = mass / math.exp(h.eval_log(math.log(2 * eps)))
                 sup_ratio = max(sup_ratio, ratio)
         else:
-            cent = np.stack([c.center for c, _ in cyls])
-            diam = np.array([c.diameter for c, _ in cyls])
-            masses = np.array([m for _, m in cyls])
             for z in centers:
                 dist = np.linalg.norm(cent - z, axis=1)
                 meets = dist <= eps + diam / 2 + 1e-12

@@ -78,9 +78,6 @@ class Coding:
         return len(self.letters)
 
 
-EMPTY_CODING = Coding(letters=(), log_ratio=0.0)
-
-
 @dataclass(frozen=True)
 class NeckList:
     """Strictly increasing neck levels, relative to the realization root."""
@@ -279,9 +276,6 @@ class Realization:
                 raise ParameterError(f"address entries must lie in [1, {n}], got {v}")
             state = self._child_state(state, v)
         return self._sys_of_state(state)
-
-    def system_of(self, address: Sequence[int]):
-        return self.family.systems[self.label_of(address)]
 
     def level_systems(self, depth: int) -> np.ndarray:
         """System indices for levels 0..depth-1 (level-driven models only)."""

@@ -8,9 +8,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from necktree.errors import ParameterError, PreconditionError, ResourceError, UnsupportedModelError
+from necktree import streams
+from necktree.errors import (
+    ConfigError,
+    ExtinctionError,
+    ParameterError,
+    PreconditionError,
+    ResourceError,
+    UnsupportedModelError,
+)
 from necktree.gauges import GaugeFunction
-from necktree.measure import SectionValue, _logsumexp
+from necktree.geometry import MAX_SAMPLE_RETRIES, POINT_DIAMETER_TOL, Affine, Cylinder, require_geometry
+from necktree.measure import NaturalMeasure, SectionValue, _logsumexp
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, equicontractive_family
 from necktree.trees import Coding, Realization
 
@@ -341,3 +350,96 @@ def oracle_close_sections(stack: list[list], depth: int, depth_min: int) -> None
         parent[2].append(own)
         if address is not None:
             parent[3].append(address)
+
+
+# ---- one-letter-at-a-time geometry reference -------------------------------
+# The per-letter ``Affine`` composition and the per-point scalar descent that
+# the row-wise array composition replaced, kept verbatim (names aside) as the
+# bit-identity reference.
+
+
+def oracle_then_inner(self: Affine, other: Affine) -> Affine:
+    """Composition self o other (other applied first)."""
+    return Affine(
+        ratio=self.ratio * other.ratio,
+        matrix=self.matrix @ other.matrix,
+        translation=self.ratio * (self.matrix @ other.translation) + self.translation,
+    )
+
+
+def oracle_affine_of(m: SimilarityMap, dim: int) -> Affine:
+    q = m.isometry if m.isometry is not None else np.eye(dim)
+    b = m.translation if m.translation is not None else np.zeros(dim)
+    if q.shape != (dim, dim) or b.shape != (dim,):
+        raise ConfigError(f"map geometry does not match ambient dimension {dim}")
+    return Affine(ratio=m.ratio, matrix=q, translation=b)
+
+
+def oracle_identity(dim: int) -> Affine:
+    return Affine(ratio=1.0, matrix=np.eye(dim), translation=np.zeros(dim))
+
+
+def oracle_compose(family: RIFSFamily, coding: Coding) -> Cylinder:
+    """Compose the coding's maps left to right and return the cylinder."""
+    dim = family.ambient_dim
+    acc = oracle_identity(dim)
+    for si, j in coding.letters:
+        sysm = family.systems[si]
+        if not 1 <= j <= sysm.nmaps:
+            raise ParameterError(f"coding letter ({si}, {j}) has no matching map")
+        acc = oracle_then_inner(acc, oracle_affine_of(sysm.maps[j - 1], dim))
+    seed_center = np.full(dim, 0.5)
+    return Cylinder(
+        coding=coding,
+        affine=acc,
+        center=acc.apply(seed_center),
+        diameter=acc.ratio * math.sqrt(dim),
+    )
+
+
+def oracle_sample_points(
+    r: Realization,
+    nu: NaturalMeasure,
+    n: int,
+    seed: int,
+    diameter_tol: float = POINT_DIAMETER_TOL,
+    max_retries: int = MAX_SAMPLE_RETRIES,
+) -> np.ndarray:
+    """Sample n attractor points by mass-proportional descent of the tree.
+
+    Each point descends choosing uniformly among live children until the
+    cylinder diameter drops below ``diameter_tol``; extinct branches retry
+    from the root a bounded number of times.
+    """
+    family = r.family
+    require_geometry(family)
+    dim = family.ambient_dim
+    base = streams.fold(int(seed) & streams.MASK64, streams.TAG_POINT)
+    seed_center = np.full(dim, 0.5)
+    out = np.empty((n, dim))
+    for i in range(n):
+        point = None
+        for attempt in range(max_retries):
+            stream = streams.fold(streams.fold(base, i), attempt)
+            state = r._root_state
+            acc = oracle_identity(dim)
+            step = 0
+            alive = True
+            while acc.ratio * math.sqrt(dim) > diameter_tol:
+                si = r._sys_of_state(state)
+                sysm = family.systems[si]
+                if sysm.nmaps == 0:
+                    alive = False
+                    break
+                u = streams.u01(streams.fold(stream, step))
+                j = 1 + int(u * sysm.nmaps)
+                acc = oracle_then_inner(acc, oracle_affine_of(sysm.maps[j - 1], dim))
+                state = r._child_state(state, j)
+                step += 1
+            if alive:
+                point = acc.apply(seed_center)
+                break
+        if point is None:
+            raise ExtinctionError(f"point {i}: all {max_retries} descents hit extinct branches")
+        out[i] = point
+    return out

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -40,10 +41,12 @@ WORKED_FAMILY = {
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_in_fresh_process(args: list[str]) -> subprocess.CompletedProcess:
+def run_in_fresh_process(args: list[str], code: Optional[str] = None) -> subprocess.CompletedProcess:
+    """Run ``python -m necktree.cli args``, or ``python -c code args``, in a new interpreter."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    entry = ["-m", "necktree.cli"] if code is None else ["-c", code]
     return subprocess.run(
-        [sys.executable, "-m", "necktree.cli", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -254,3 +257,27 @@ def test_runs_in_one_process_match_fresh_processes(configs, capsys):
     assert [p.returncode for p in fresh] == [0, 0]
     assert outs[0] == outs[3] == fresh[0].stdout
     assert outs[1] == fresh[1].stdout
+
+
+NUMPY_MA_PROBE = """
+import json, sys
+from necktree.cli import parse_depths
+from necktree.geometry import box_dimension
+from necktree.rifs import equicontractive_family
+from necktree.trees import ModelSpec, sample
+
+grid = parse_depths(sys.argv[1])
+r = sample(ModelSpec(kind="homogeneous"), 0, equicontractive_family([2], 0.5, [1.0]))
+slope, _ = box_dimension(r, [2.0**-k for k in range(2, 9)])
+print(json.dumps([grid, slope, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_depth_grids_and_box_scales_do_not_import_numpy_ma():
+    # np.unique's first call imports numpy.ma, about 1 MiB
+    proc = run_in_fresh_process(["100:10000:log"], code=NUMPY_MA_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    grid, slope, imported = json.loads(proc.stdout)
+    assert grid == [100, 133, 178, 237, 316, 422, 562, 750, 1000, 1334, 1778, 2371, 3162, 4217, 5623, 7499, 10000]
+    assert slope == pytest.approx(1.0, abs=1e-9)
+    assert imported is False

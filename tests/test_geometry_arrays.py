@@ -1,0 +1,229 @@
+"""Row-wise composition of similarities against the one-letter-at-a-time oracle,
+and geometry in ambient dimension 2."""
+import math
+import tracemalloc
+from dataclasses import replace
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from necktree import geometry, trees
+from necktree.errors import ExtinctionError, GeometryError, ParameterError
+from necktree.gauges import power
+from necktree.geometry import compose, percolation_preset, require_geometry, sample_points
+from necktree.measure import mass_distribution_check, natural_measure
+from necktree.rifs import IFS, RIFSFamily, SimilarityMap, dimension
+from necktree.trees import BlockTemplate, Coding, ModelSpec, coding_level, sample, stopping_set
+
+from helpers import oracle_compose, oracle_sample_points
+
+HOM = ModelSpec(kind="homogeneous")
+
+
+def _normalized(ws):
+    total = sum(ws)
+    return tuple(w / total for w in ws)
+
+
+@st.composite
+def cube_maps(draw, dim: int):
+    """A similarity keeping the unit cube inside itself, mostly with a non-identity isometry."""
+    ratio = draw(st.floats(0.15, 0.45 / math.sqrt(dim)))
+    isometry = None
+    if draw(st.booleans()) or draw(st.booleans()):
+        entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim * dim, max_size=dim * dim))
+        isometry = np.linalg.qr(np.reshape(entries, (dim, dim)))[0]
+    q = np.eye(dim) if isometry is None else isometry
+    # the image of the cube lies within half a diagonal of the image of its center
+    half = ratio * math.sqrt(dim) / 2
+    where = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim)))
+    center = half + where * (1 - 2 * half)
+    return SimilarityMap(ratio, isometry=isometry, translation=center - ratio * (q @ np.full(dim, 0.5)))
+
+
+@st.composite
+def families(draw):
+    """1-3 systems of 0-3 maps in ambient dimension 1-3; the first system has a map."""
+    dim = draw(st.integers(1, 3))
+    n_sys = draw(st.integers(1, 3))
+    systems = [
+        IFS(maps=tuple(draw(st.lists(cube_maps(dim), min_size=int(i == 0), max_size=3))), label=f"s{i}")
+        for i in range(n_sys)
+    ]
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=n_sys, max_size=n_sys))
+    return RIFSFamily(systems=tuple(systems), weights=_normalized(weights), ambient_dim=dim)
+
+
+@st.composite
+def models(draw, n_sys: int):
+    kind = draw(st.sampled_from(["homogeneous", "recursive", "v_variable", "neck_block"]))
+    if kind == "v_variable":
+        return ModelSpec(kind=kind, v=draw(st.integers(1, 3)))
+    if kind == "neck_block":
+        dist = st.lists(st.floats(0.05, 1.0), min_size=n_sys, max_size=n_sys).map(_normalized)
+        templates = draw(st.lists(
+            st.builds(BlockTemplate, levels=st.lists(dist, min_size=1, max_size=3).map(tuple),
+                      weight=st.floats(0.1, 1.0)),
+            min_size=1, max_size=2,
+        ))
+        return ModelSpec(kind=kind, templates=tuple(templates))
+    return ModelSpec(kind=kind)
+
+
+@st.composite
+def realizations(draw):
+    fam = draw(families())
+    r = sample(draw(models(fam.nsystems)), draw(st.integers(0, 2**64 - 1)), fam)
+    return replace(r, offset=draw(st.integers(0, 3)))
+
+
+def _bytes(cyl) -> tuple:
+    a = cyl.affine
+    return tuple(np.asarray(x).tobytes() for x in (a.ratio, a.matrix, a.translation, cyl.center, cyl.diameter))
+
+
+def _points_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).tobytes()
+    except ExtinctionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(
+    realizations(),
+    st.floats(0.05, 0.5),
+    st.integers(0, 24),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([1e-2, 1e-4, 1e-9]),
+    st.integers(1, 5),
+    st.integers(1, 7),
+)
+def test_array_composition_matches_one_letter_at_a_time(r, epsilon, n, seed, tol, retries, frontier):
+    fam = r.family
+    codings = [Coding((), 0.0), *stopping_set(r, epsilon)]  # words of mixed lengths
+    (ratio, matrix, translation), center, diameter = geometry._cylinders(fam, codings)
+    for k, coding in enumerate(codings):
+        want = _bytes(oracle_compose(fam, coding))
+        assert _bytes(compose(fam, coding)) == want
+        rows = (ratio[k], matrix[k], translation[k], center[k], diameter[k])
+        assert tuple(x.tobytes() for x in rows) == want
+    nu = natural_measure(r)
+    # blocks of 1-7 points make every sample split into several blocks
+    with patch.object(trees, "FRONTIER_NODES", frontier):
+        got = _points_or_error(sample_points, r, nu, n, seed, diameter_tol=tol, max_retries=retries)
+    assert got == _points_or_error(oracle_sample_points, r, nu, n, seed, diameter_tol=tol, max_retries=retries)
+
+
+def test_extinction_names_the_first_failing_point_across_blocks():
+    fam, model = percolation_preset(0.9)
+    r = sample(model, 7, fam)
+    nu = natural_measure(r)
+    with pytest.raises(ExtinctionError) as want:
+        oracle_sample_points(r, nu, 60, 2, max_retries=3)
+    assert str(want.value) == "point 48: all 3 descents hit extinct branches"
+    for frontier in (1, 5, 16, 64):
+        with patch.object(trees, "FRONTIER_NODES", frontier), pytest.raises(ExtinctionError) as got:
+            sample_points(r, nu, 60, 2, max_retries=3)
+        assert str(got.value) == str(want.value)
+
+
+def test_compose_refuses_a_letter_without_a_map():
+    fam = quarter_turn_family()
+    for letters in (((0, 5),), ((0, 1), (0, 0))):
+        with pytest.raises(ParameterError, match=r"coding letter \(0, [05]\) has no matching map"):
+            compose(fam, Coding(letters, 0.0))
+
+
+def test_wide_sample_stays_in_bounded_memory():
+    fam, model = percolation_preset(0.9)
+    r = sample(model, 0, fam)
+    tracemalloc.start()
+    try:
+        points = sample_points(r, natural_measure(r), 2**17, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 8
+    assert points.shape == (2**17, 1)
+    assert np.all((points >= 0) & (points <= 1))
+
+
+# ---- ambient dimension 2 ------------------------------------------------------
+
+THIRD = 1 / 3
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+CORNERS = ((0.0, 0.0), (2 / 3, 0.0), (2 / 3, 2 / 3), (0.0, 2 / 3))
+
+
+def quarter_turn_family() -> RIFSFamily:
+    """Four ratio-1/3 maps; map k turns by k quarter turns into the square at corner k."""
+    maps = []
+    for k, corner in enumerate(CORNERS):
+        q = np.linalg.matrix_power(QUARTER_TURN, k)
+        image = THIRD * (q @ np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]))
+        maps.append(SimilarityMap(THIRD, isometry=q, translation=np.array(corner) - image.min(axis=1)))
+    return RIFSFamily(systems=(IFS(maps=tuple(maps), label="turns"),), weights=(1.0,), ambient_dim=2)
+
+
+def _square(cyl) -> np.ndarray:
+    """[[x_lo, y_lo], [x_hi, y_hi]] of the image of the unit square."""
+    corners = np.array([cyl.affine.apply(np.array(c, dtype=float)) for c in ((0, 0), (1, 0), (0, 1), (1, 1))])
+    return np.array([corners.min(axis=0), corners.max(axis=0)])
+
+
+def test_quarter_turn_family_keeps_the_square():
+    fam = quarter_turn_family()
+    require_geometry(fam)
+    for j, corner in enumerate(CORNERS, start=1):
+        cyl = compose(fam, Coding(((0, j),), math.log(THIRD)))
+        assert _square(cyl) == pytest.approx(np.array([corner, np.add(corner, THIRD)]), abs=1e-12)
+
+
+def test_quarter_turn_composition_order_and_nesting():
+    fam = quarter_turn_family()
+    r = sample(HOM, 0, fam)
+    x = np.array([0.2, 0.7])
+    f = [fam.systems[0].maps[j] for j in range(4)]
+    # f_2 o f_3: the second letter is applied first
+    cyl = compose(fam, Coding(((0, 2), (0, 3)), 2 * math.log(THIRD)))
+    inner = THIRD * (f[2].isometry @ x) + f[2].translation
+    assert cyl.affine.apply(x) == pytest.approx(THIRD * (f[1].isometry @ inner) + f[1].translation, abs=1e-12)
+    parents = {c.letters: compose(fam, c) for c in coding_level(r, 2)}
+    children = list(coding_level(r, 3))
+    assert len(children) == 64
+    for child in children:
+        pc, cc = parents[child.letters[:-1]], compose(fam, child)
+        assert cc.diameter == pytest.approx(pc.diameter / 3, rel=1e-12)
+        assert cc.diameter == pytest.approx(math.sqrt(2) / 27, rel=1e-12)
+        outer, inner = _square(pc), _square(cc)
+        assert np.all(inner[0] >= outer[0] - 1e-12) and np.all(inner[1] <= outer[1] + 1e-12)
+
+
+def test_quarter_turn_points_fill_the_square():
+    fam = quarter_turn_family()
+    r = sample(HOM, 5, fam)
+    points = sample_points(r, natural_measure(r), 4000, seed=11)
+    assert points.shape == (4000, 2)
+    assert np.all((points >= -1e-9) & (points <= 1 + 1e-9))
+    # the natural measure gives each corner square a quarter of the mass
+    quadrant = (points[:, 0] > 0.5).astype(int) + 2 * (points[:, 1] > 0.5)
+    assert np.all(np.abs(np.bincount(quadrant, minlength=4) / 4000 - 0.25) < 0.03)
+
+
+def test_quarter_turn_mass_distribution_check():
+    fam = quarter_turn_family()
+    r = sample(HOM, 2, fam)
+    nu = natural_measure(r)
+    s = dimension(fam, "homogeneous")
+    assert s == pytest.approx(math.log(4) / math.log(3), abs=1e-9)
+    with pytest.raises(GeometryError, match="declare UOSC"):
+        mass_distribution_check(r, power(s), nu, 20, [0.1, 0.01])
+    report = mass_distribution_check(r, power(s), nu, 20, [0.1, 0.01], seed=1, assume_uosc=True)
+    assert report.neighbor_bound == 144.0
+    assert report.neighbor_ok
+    assert 0 < report.max_neighbor_count <= report.neighbor_bound
+    assert 0 < report.sup_mass_ratio < math.inf
