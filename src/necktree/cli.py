@@ -271,14 +271,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
 
     if cmd == "validate":
         report = validate(family, solver_model(model_spec.kind))
-        print(json.dumps({
-            "n_bound_ok": report.n_bound_ok,
-            "ratio_bounds_ok": report.ratio_bounds_ok,
-            "recursive_supercritical": report.recursive_supercritical,
-            "homogeneous_supercritical": report.homogeneous_supercritical,
-            "almost_deterministic_at": report.almost_deterministic_at,
-            "gap": report.gap,
-        }, indent=2, sort_keys=True))
+        print(json.dumps(asdict(report), indent=2, sort_keys=True))
         return EXIT_OK
 
     if cmd == "dim":
@@ -322,8 +315,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
 
     if cmd == "render":
         r = trees.sample(model_spec, seed, family)
-        nu = measure.natural_measure(r)
-        points = geometry.sample_points(r, nu, ns.n, seed)
+        points = geometry.sample_points(r, n=ns.n, seed=seed)
         manifest.finished = _now()
         if ns.pgm:
             counts = geometry.rasterize(points, ns.width, ns.height)

@@ -13,8 +13,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import streams, trees
-from .errors import ConfigError, ExtinctionError, GeometryError, ParameterError
-from .measure import NaturalMeasure
+from .errors import ConfigError, ExtinctionError, GeometryError, ParameterError, PreconditionError
 from .rifs import IFS, RIFSFamily, SimilarityMap
 from .trees import Coding, ModelSpec, Realization, stopping_counts
 
@@ -135,7 +134,6 @@ def uosc_audit_1d(family: RIFSFamily) -> None:
 
 def sample_points(
     r: Realization,
-    nu: NaturalMeasure,
     n: int,
     seed: int,
     diameter_tol: float = POINT_DIAMETER_TOL,
@@ -149,8 +147,11 @@ def sample_points(
     at step s of descent a is drawn from ``fold(fold(fold(base, i), a), s)``.
     Points descend together a level per step, in blocks of at most
     ``trees.FRONTIER_NODES``, with labels and child states from ``Realization.expand``.
+    A family with a map of ratio 1 has branches that never shrink, so it is refused.
     """
     family = r.family
+    if family.c_max >= 1.0:
+        raise PreconditionError("point sampling needs all contraction ratios < 1")
     require_geometry(family)
     maps, nmaps = _maps(family), np.array([s.nmaps for s in family.systems])
     level0, aux0 = r._root_state

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import streams
+from . import geometry, streams
 from .errors import (
     GeometryError,
     ParameterError,
@@ -33,7 +33,7 @@ from .trees import (
     levels,
     sample,
     stopping_set,
-    vv_tables,
+    vv_log_counts,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -218,45 +218,14 @@ def _closed_form_log_sums(r: Realization, h: GaugeFunction, kmax: int) -> np.nda
 def _vv_count_log_sums(r: Realization, h: GaugeFunction, kmax: int) -> np.ndarray:
     """Log level sums for a v_variable tree over a single-ratio family.
 
-    Live-node counts per buffer are tracked in log-space; the shared ratio
-    makes every level-k coding carry the same gauge value.  Each level folds
-    the parents' counts into every buffer with ``np.logaddexp`` in (parent
-    buffer, map) order, the order of a scalar loop over the tree's edges, so
-    results do not depend on the chunking of ``vv_tables``.
+    A level's log sum adds up the ``vv_log_counts`` of its buffers; the
+    shared ratio makes every level-k coding carry the same gauge value.
     """
     ct = r.family.uniform_ratio
     if ct is None:
         raise UnsupportedModelError("v_variable count path needs one global ratio")
-    log_counts = np.full(r.model.v + 1, -np.inf)  # slot 0 is no buffer and stays -inf
-    log_counts[r._root_state[1]] = 0.0
-    totals = []
-    for table in vv_tables(r, kmax):
-        counts = np.empty((len(table), log_counts.size))
-        for k, src in enumerate(_vv_sources(table)):
-            log_counts = np.logaddexp.reduce(log_counts[src], axis=0)
-            counts[k] = log_counts
-        totals.append(np.logaddexp.reduce(counts, axis=1))
+    totals = [np.logaddexp.reduce(counts, axis=1) for counts in vv_log_counts(r, kmax)]
     return np.concatenate(totals) + h.eval_log(np.arange(1, kmax + 1) * math.log(ct))
-
-
-def _vv_sources(table: np.ndarray) -> np.ndarray:
-    """Edge rounds ``src[k, t, c]`` of a ``vv_children`` table.
-
-    ``src[k, t, c]`` is the parent buffer of the t-th edge into buffer c at
-    level k, ranking edges in (parent buffer, map) order, and 0 (whose count
-    is -inf) where c has fewer than t + 1 edges.
-    """
-    n, nbuf, nmax = table.shape
-    edges = table.reshape(n, -1)  # a level's edges in (parent buffer, map) order
-    k, e = np.nonzero(edges)
-    key = k * nbuf + edges[k, e]  # (level, child)
-    order = np.argsort(key, kind="stable")
-    key, e = key[order], e[order]
-    idx = np.arange(key.size)
-    rank = idx - np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, idx, 0))
-    src = np.zeros((n, int(rank.max(initial=0)) + 1, nbuf), dtype=np.int32)
-    src[key // nbuf, rank, key % nbuf] = e // nmax
-    return src
 
 
 class _LogSumAcc:
@@ -681,13 +650,12 @@ def mass_distribution_check(
 ) -> MassDistributionReport:
     """Ball-mass versus gauge check plus the stopping-set neighbor bound.
 
-    Centers are sampled from ``nu``; for each epsilon the stopping-set
-    cylinders meeting each ball B(z, eps) are counted (bounded by
-    (4/c_min)^d under the separation condition) and their total mass is
-    compared against h(2 eps).
+    Centers are drawn by ``geometry.sample_points``, whose descent splits
+    mass equally among live children as ``nu`` does; for each epsilon the
+    stopping-set cylinders meeting each ball B(z, eps) are counted (bounded
+    by (4/c_min)^d under the separation condition) and their total ``nu``
+    mass is compared against h(2 eps).
     """
-    from . import geometry
-
     family = r.family
     d = family.ambient_dim
     geometry.require_geometry(family)
@@ -699,7 +667,7 @@ def mass_distribution_check(
     if not eps_list or any(not 0 < e < 1 for e in eps_list):
         raise ParameterError("epsilon grid must lie in (0, 1)")
 
-    centers = geometry.sample_points(r, nu, n_balls, seed)
+    centers = geometry.sample_points(r, n=n_balls, seed=seed)
     bound = (4.0 / family.c_min) ** d
     max_count = 0
     sup_ratio = 0.0
@@ -709,6 +677,7 @@ def mass_distribution_check(
             continue
         _, cent, diam = geometry._cylinders(family, codings)
         masses = np.array([nu.mass(c) for c in codings])
+        h_2eps = math.exp(h.eval_log(math.log(2 * eps)))
         if d == 1:
             lo = cent[:, 0] - diam / 2
             order = np.argsort(lo)
@@ -721,7 +690,7 @@ def mass_distribution_check(
                 count = max(iright - ileft, 0)
                 mass = prefix[iright] - prefix[ileft]
                 max_count = max(max_count, count)
-                ratio = mass / math.exp(h.eval_log(math.log(2 * eps)))
+                ratio = mass / h_2eps
                 sup_ratio = max(sup_ratio, ratio)
         else:
             for z in centers:
@@ -729,7 +698,7 @@ def mass_distribution_check(
                 meets = dist <= eps + diam / 2 + 1e-12
                 count = int(np.sum(meets))
                 max_count = max(max_count, count)
-                ratio = float(np.sum(masses[meets])) / math.exp(h.eval_log(math.log(2 * eps)))
+                ratio = float(np.sum(masses[meets])) / h_2eps
                 sup_ratio = max(sup_ratio, ratio)
     return MassDistributionReport(
         n_balls=n_balls,

@@ -442,76 +442,78 @@ def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
 # ---- necks -----------------------------------------------------------------
 
 
-def vv_tables(r: Realization, n: int) -> Iterator[np.ndarray]:
-    """``vv_children`` tables of the n levels below the root, in order, in chunks.
+def vv_log_counts(r: Realization, n: int) -> Iterator[np.ndarray]:
+    """Per-buffer log counts of the codings at levels 1..n below the root, in chunks.
 
-    A chunk holds at most ``VV_TABLE_ENTRIES`` entries (one level if a level
-    alone holds more), so a long search never holds more than one small table.
+    Each chunk is a ``[k, V + 1]`` array over k consecutive levels: entry
+    ``[i, b]`` is the log of the number of codings at that level whose node
+    reads buffer b, -inf where none does (so b is reachable exactly when it is
+    finite), and -inf in column 0, which is no buffer.  A level adds each
+    parent's log count into its children's buffers with one ordered scatter
+    over its ``vv_children`` table in (parent buffer, map) order, the order of
+    a scalar loop over the tree's edges, so results do not depend on the
+    chunking.  A chunk's table holds at most ``VV_TABLE_ENTRIES`` entries (one
+    level if a level alone holds more), so a long search holds one small table.
     """
-    level0 = r._root_state[0]
-    step = max(1, VV_TABLE_ENTRIES // ((r.model.v + 1) * max(1, r.family.n_max)))
+    v, n_max = r.model.v, r.family.n_max
+    level0, buf0 = r._root_state
+    log_counts = np.full(v + 1, -np.inf)
+    log_counts[buf0] = 0.0
+    parent = np.repeat(np.arange(v + 1), n_max)
+    step = max(1, VV_TABLE_ENTRIES // ((v + 1) * n_max))
     for start in range(0, n, step):
-        yield r.vv_children(level0 + start, min(step, n - start))
+        table = r.vv_children(level0 + start, min(step, n - start))
+        counts = np.full((len(table), v + 1), -np.inf)
+        for row, children in zip(counts, table):
+            np.logaddexp.at(row, children.ravel(), log_counts[parent])
+            row[0] = -np.inf  # where the maps that do not exist point
+            log_counts = row
+        yield counts
 
 
-def _vv_reachable(r: Realization, up_to_level: int) -> Iterator[tuple[int, int]]:
-    """Yield (relative level, number of reachable buffers) for a v_variable tree."""
-    reach = np.zeros(r.model.v + 1, dtype=bool)
-    reach[r._root_state[1]] = True
-    levels = (children for table in vv_tables(r, up_to_level) for children in table)
-    for rel, children in enumerate(levels, start=1):
-        nxt = np.zeros_like(reach)
-        nxt[children[reach]] = True
-        nxt[0] = False  # where the maps that do not exist point
-        reach = nxt
-        yield rel, int(np.count_nonzero(reach))
+def _necks(r: Realization, horizon: int) -> Iterator[int]:
+    """Neck levels <= horizon, relative to the realization root, in increasing order.
+
+    A v_variable level is a neck when the root reaches at most one of its
+    buffers; an extinct tree reaches none, so the condition holds vacuously.
+    """
+    kind = r.model.kind
+    if kind == HOMOGENEOUS:
+        yield from range(1, horizon + 1)
+    elif kind == V_VARIABLE:
+        start = 1
+        for counts in vv_log_counts(r, horizon):
+            reached = np.count_nonzero(counts > -np.inf, axis=1)
+            yield from (start + (reached <= 1).nonzero()[0]).tolist()
+            start += len(counts)
+    elif kind == NECK_BLOCK:
+        b, off = r._block_of(r.offset)
+        rel = -off
+        while True:
+            rel += r.model.templates[r._template_of(b)].length
+            if rel > horizon:
+                return
+            yield rel
+            b += 1
+    else:
+        raise UnsupportedModelError("recursive trees have no necks (probability zero)")
 
 
 def neck_list(r: Realization, up_to_level: int) -> NeckList:
     """All neck levels <= up_to_level, relative to the realization root.
 
-    A v_variable level is a neck when the root reaches at most one of its
-    buffers.  The reachable buffers are one boolean vector per level, advanced
-    through ``vv_tables`` chunks, so the search holds one chunk at a time.
+    The v_variable search holds one ``vv_log_counts`` chunk at a time.
     """
     if up_to_level < 0:
         raise ParameterError("up_to_level must be >= 0")
-    kind = r.model.kind
-    if kind == HOMOGENEOUS:
-        return NeckList(tuple(range(1, up_to_level + 1)))
-    if kind == V_VARIABLE:
-        # an extinct tree reaches no buffer: the neck condition holds vacuously
-        return NeckList(tuple(rel for rel, count in _vv_reachable(r, up_to_level) if count <= 1))
-    if kind == NECK_BLOCK:
-        necks = []
-        b, off = r._block_of(r.offset)
-        level_end = r.offset - off + r.model.templates[r._template_of(b)].length
-        while True:
-            rel = level_end - r.offset
-            if rel > up_to_level:
-                break
-            if rel >= 1:
-                necks.append(rel)
-            b += 1
-            level_end += r.model.templates[r._template_of(b)].length
-        return NeckList(tuple(necks))
-    raise UnsupportedModelError("recursive trees have no necks (probability zero)")
+    return NeckList(tuple(_necks(r, up_to_level)))
 
 
 def first_neck(r: Realization, horizon: int = NECK_SEARCH_HORIZON) -> int:
-    """Smallest neck level, searching up to ``horizon`` levels."""
-    kind = r.model.kind
-    if kind == HOMOGENEOUS:
-        return 1
-    if kind == NECK_BLOCK:
-        b, off = r._block_of(r.offset)
-        return r.model.templates[r._template_of(b)].length - off
-    if kind == V_VARIABLE:
-        for rel, count in _vv_reachable(r, horizon):
-            if count <= 1:
-                return rel
-        raise HorizonError(f"no neck found within {horizon} levels")
-    raise UnsupportedModelError("recursive trees have no necks (probability zero)")
+    """Smallest neck level; raises ``HorizonError`` when none lies within ``horizon`` levels."""
+    for rel in _necks(r, horizon):
+        return rel
+    raise HorizonError(f"no neck found within {horizon} levels")
 
 
 def neck_shift(r: Realization, horizon: int = NECK_SEARCH_HORIZON) -> Realization:

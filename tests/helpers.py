@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import signal
+from contextlib import contextmanager
 from itertools import product
 from math import inf, log
 from typing import Iterator, Sequence
@@ -22,6 +24,22 @@ from necktree.geometry import MAX_SAMPLE_RETRIES, POINT_DIAMETER_TOL, Affine, Cy
 from necktree.measure import NaturalMeasure, SectionValue, _logsumexp
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, equicontractive_family
 from necktree.trees import Coding, Realization
+
+
+@contextmanager
+def time_limit(seconds: int) -> Iterator[None]:
+    """Raise ``TimeoutError`` in the body once it has run ``seconds``, so a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def worked_family() -> RIFSFamily:

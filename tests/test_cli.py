@@ -12,7 +12,7 @@ from necktree.cli import EXIT_CONFIG, EXIT_RESOURCE, EXIT_USAGE, parse_depths, r
 from necktree.config import family_to_dict
 from necktree.errors import ConfigError
 
-from helpers import deep_thin_family
+from helpers import deep_thin_family, time_limit
 
 WORKED_FAMILY = {
     "ambient_dim": 1,
@@ -180,6 +180,20 @@ def test_render_csv_and_pgm(configs):
         "--pgm", "--width", "64", "--height", "8",
     ]) == 0
     assert img.read_bytes().startswith(b"P5\n")
+
+
+def test_render_refuses_a_map_that_never_shrinks(tmp_path):
+    fam = tmp_path / "identity.json"
+    fam.write_text(json.dumps({
+        "ambient_dim": 1,
+        "systems": [{"label": "I", "weight": 1.0, "maps": [{"ratio": 1.0, "translation": [0.0]}]}],
+    }))
+    with time_limit(10):
+        code = run([
+            "render", "--family", str(fam), "--model", "homogeneous",
+            "--n", "4", "--out", str(tmp_path / "pts.csv"),
+        ])
+    assert code == EXIT_CONFIG
 
 
 def test_exit_codes(configs, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from necktree.errors import ConfigError, ExtinctionError, GeometryError, ParameterError
+from necktree.errors import ConfigError, ExtinctionError, GeometryError, ParameterError, PreconditionError
 from necktree.geometry import (
     box_dimension,
     box_dimension_from_counts,
@@ -17,11 +17,10 @@ from necktree.geometry import (
     stopping_counts,
     uosc_audit_1d,
 )
-from necktree.measure import natural_measure
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, dimension, validate
 from necktree.trees import Coding, ModelSpec, sample
 
-from helpers import worked_family
+from helpers import time_limit, worked_family
 
 HOM = ModelSpec(kind="homogeneous")
 
@@ -135,7 +134,7 @@ def test_containment_rejection_names_map():
 def test_sample_points_uniform_on_interval():
     fam = halves_family()
     r = sample(HOM, 0, fam)
-    pts = sample_points(r, natural_measure(r), 10_000, seed=42)
+    pts = sample_points(r, 10_000, seed=42)
     stat = sstats.kstest(pts[:, 0], "uniform").statistic
     assert stat <= 0.02
     assert np.all((pts >= -1e-9) & (pts <= 1 + 1e-9))
@@ -147,16 +146,15 @@ def test_sample_points_singleton_attractor():
         weights=(1.0,),
     )
     r = sample(HOM, 1, fam)
-    pts = sample_points(r, natural_measure(r), 50, seed=0)
+    pts = sample_points(r, 50, seed=0)
     assert np.all(np.abs(pts) <= 1e-8)
 
 
 def test_sample_points_reproducible():
     fam, model = percolation_preset(0.8)
     r = sample(model, 7, fam)
-    nu = natural_measure(r)
-    a = sample_points(r, nu, 64, seed=5)
-    b = sample_points(r, nu, 64, seed=5)
+    a = sample_points(r, 64, seed=5)
+    b = sample_points(r, 64, seed=5)
     assert np.array_equal(a, b)
 
 
@@ -164,7 +162,17 @@ def test_sample_points_extinction():
     fam, model = percolation_preset(0.2)  # subcritical: dies almost surely
     r = sample(model, 3, fam)
     with pytest.raises(ExtinctionError):
-        sample_points(r, natural_measure(r), 4, seed=0, max_retries=20)
+        sample_points(r, 4, seed=0, max_retries=20)
+
+
+def test_sample_points_refuses_a_map_that_never_shrinks():
+    fam = RIFSFamily(
+        systems=(IFS(maps=(SimilarityMap(1.0, translation=np.zeros(1)),), label="identity"),),
+        weights=(1.0,),
+    )
+    r = sample(HOM, 0, fam)
+    with time_limit(10), pytest.raises(PreconditionError, match="ratios < 1"):
+        sample_points(r, 4, seed=0)
 
 
 # ---- box dimension -----------------------------------------------------------------
@@ -210,7 +218,7 @@ def test_box_dimension_exact_self_similar_cantor():
 def test_box_dimension_from_points():
     fam = halves_family()
     r = sample(HOM, 0, fam)
-    pts = sample_points(r, natural_measure(r), 20_000, seed=9)
+    pts = sample_points(r, 20_000, seed=9)
     slope, _ = box_dimension(pts, [2.0**-k for k in range(2, 9)])
     assert slope == pytest.approx(1.0, abs=0.05)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from necktree import geometry, trees
 from necktree.errors import ExtinctionError, GeometryError, ParameterError
-from necktree.gauges import power
+from necktree.gauges import GaugeFunction, power
 from necktree.geometry import compose, percolation_preset, require_geometry, sample_points
 from necktree.measure import mass_distribution_check, natural_measure
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, dimension
@@ -114,7 +114,7 @@ def test_array_composition_matches_one_letter_at_a_time(r, epsilon, n, seed, tol
     nu = natural_measure(r)
     # blocks of 1-7 points make every sample split into several blocks
     with patch.object(trees, "FRONTIER_NODES", frontier):
-        got = _points_or_error(sample_points, r, nu, n, seed, diameter_tol=tol, max_retries=retries)
+        got = _points_or_error(sample_points, r, n, seed, diameter_tol=tol, max_retries=retries)
     assert got == _points_or_error(oracle_sample_points, r, nu, n, seed, diameter_tol=tol, max_retries=retries)
 
 
@@ -127,7 +127,7 @@ def test_extinction_names_the_first_failing_point_across_blocks():
     assert str(want.value) == "point 48: all 3 descents hit extinct branches"
     for frontier in (1, 5, 16, 64):
         with patch.object(trees, "FRONTIER_NODES", frontier), pytest.raises(ExtinctionError) as got:
-            sample_points(r, nu, 60, 2, max_retries=3)
+            sample_points(r, 60, 2, max_retries=3)
         assert str(got.value) == str(want.value)
 
 
@@ -138,12 +138,26 @@ def test_compose_refuses_a_letter_without_a_map():
             compose(fam, Coding(letters, 0.0))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mass_check_evaluates_the_gauge_once_per_epsilon(dim):
+    if dim == 1:
+        halves = (SimilarityMap(0.5, translation=np.zeros(1)), SimilarityMap(0.5, translation=np.array([0.5])))
+        fam = RIFSFamily(systems=(IFS(maps=halves, label="halves"),), weights=(1.0,))
+    else:
+        fam = quarter_turn_family()
+    r = sample(ModelSpec(kind="homogeneous"), 1, fam)
+    h, epsilons = power(1.0), [0.1, 0.03, 0.01]
+    with patch.object(GaugeFunction, "eval_log", autospec=True, side_effect=GaugeFunction.eval_log) as spy:
+        mass_distribution_check(r, h, natural_measure(r), 20, epsilons, seed=1, assume_uosc=True)
+    assert spy.call_count == len(epsilons)
+
+
 def test_wide_sample_stays_in_bounded_memory():
     fam, model = percolation_preset(0.9)
     r = sample(model, 0, fam)
     tracemalloc.start()
     try:
-        points = sample_points(r, natural_measure(r), 2**17, seed=3)
+        points = sample_points(r, 2**17, seed=3)
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -206,7 +220,7 @@ def test_quarter_turn_composition_order_and_nesting():
 def test_quarter_turn_points_fill_the_square():
     fam = quarter_turn_family()
     r = sample(HOM, 5, fam)
-    points = sample_points(r, natural_measure(r), 4000, seed=11)
+    points = sample_points(r, 4000, seed=11)
     assert points.shape == (4000, 2)
     assert np.all((points >= -1e-9) & (points <= 1 + 1e-9))
     # the natural measure gives each corner square a quarter of the mass

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from necktree.errors import HorizonError, ParameterError, PreconditionError, UnsupportedModelError
@@ -13,6 +15,7 @@ from necktree.trees import (
     ModelSpec,
     Realization,
     coding_level,
+    first_neck,
     neck_list,
     neck_shift,
     sample,
@@ -248,6 +251,41 @@ def test_neck_block_boundaries_by_construction():
     # labels inside a block follow the template distribution support
     tpl_first = r.level_systems(necks[0])
     assert len(tpl_first) in (2, 3)
+
+
+@settings(max_examples=80)
+@given(
+    model=st.sampled_from((HOM, REC, vv(3), block_model())),
+    seed=st.integers(0, 2**64 - 1),
+    offset=st.integers(0, 3),
+    horizon=st.integers(0, 12),
+)
+def test_first_neck_is_the_first_listed_neck(model, seed, offset, horizon):
+    r = Realization(family=worked_family(), model=model, seed=seed, offset=offset)
+    if model.kind == "recursive":
+        for search in (neck_list, first_neck):
+            with pytest.raises(UnsupportedModelError):
+                search(r, horizon)
+        return
+    necks = neck_list(r, horizon).necks
+    if necks:
+        assert first_neck(r, horizon) == necks[0]
+    else:
+        with pytest.raises(HorizonError):
+            first_neck(r, horizon)
+
+
+def test_first_neck_refuses_a_neck_past_the_horizon():
+    fam = worked_family()
+    r = sample(HOM, 8, fam)
+    assert first_neck(r, horizon=1) == 1
+    with pytest.raises(HorizonError):
+        first_neck(r, horizon=0)
+    r = sample(block_model(), 21, fam)
+    n1 = neck_list(r, 30).necks[0]
+    assert first_neck(r, horizon=n1) == n1
+    with pytest.raises(HorizonError):
+        first_neck(r, horizon=n1 - 1)
 
 
 def test_neck_shift_homogeneous_drops_first_level():

@@ -14,7 +14,7 @@ from necktree.measure import _vv_count_log_sums
 from necktree.rifs import equicontractive_family
 from necktree.trees import ModelSpec, Realization, first_neck, neck_list
 
-from helpers import oracle_vv_count_log_sums, oracle_vv_necks, worked_family
+from helpers import oracle_vv_count_log_sums, oracle_vv_necks, oracle_vv_reachable, worked_family
 
 GAUGES = (power(0.7), loglog_power(0.8, 0.5), h1(0.7, 0.3, 0.5))
 
@@ -49,6 +49,16 @@ def test_engine_matches_scalar_loops(r, depth, entries, gauge):
                 first_neck(r, horizon=depth)
     assert got.tobytes() == oracle_vv_count_log_sums(r, gauge, depth).tobytes()
     assert necks == oracle_vv_necks(r, depth)
+
+
+@settings(max_examples=60)
+@given(r=vv_realizations(), depth=st.integers(1, 60), entries=st.integers(1, 400))
+def test_finite_log_counts_are_the_reachable_buffers(r, depth, entries):
+    with mock.patch.object(trees, "VV_TABLE_ENTRIES", entries):
+        counts = np.concatenate(list(trees.vv_log_counts(r, depth)))
+    assert counts.shape == (depth, r.model.v + 1)
+    reached = [frozenset((row > -np.inf).nonzero()[0].tolist()) for row in counts]
+    assert reached == [reach for _, reach in oracle_vv_reachable(r, depth)]
 
 
 def test_engine_matches_scalar_loops_across_default_chunk():
