@@ -81,9 +81,12 @@ def _cylinders(family: RIFSFamily, codings: Sequence[Coding]) -> tuple[list, np.
     """Row k: the similarity composed from ``codings[k]``, its cylinder's center and diameter."""
     maps = _maps(family)
     acc = [t[0, np.zeros(len(codings), dtype=np.intp)] for t in maps]  # identity rows
-    for k in range(max(map(len, codings), default=0)):
-        rows = np.array([i for i, c in enumerate(codings) if len(c) > k])
-        sys, j = np.array([codings[i].letters[k] for i in rows]).T
+    lengths = np.array([len(c.letters) for c in codings], dtype=np.intp)
+    letters = np.array([a for c in codings for a in c.letters], dtype=np.intp).reshape(-1, 2)
+    first = np.cumsum(lengths) - lengths  # row of each coding's first letter in ``letters``
+    for k in range(lengths.max(initial=0)):
+        rows = (lengths > k).nonzero()[0]
+        sys, j = letters[first[rows] + k].T
         _then(acc, maps, rows, sys, j)
     dim = family.ambient_dim
     return acc, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim)

@@ -4,18 +4,21 @@ The gauged level sum  sum_{e at level k} h(c_e)  is the workhorse: its
 liminf tracks the gauged Hausdorff measure and its limsup the packing
 pre-measure, up to constants.  Everything here runs in log-space and, for
 homogeneous equicontractive families, in O(k) per depth via the product
-form of the level sum.
+form of the level sum.  A drift ensemble does its path-independent work
+(the fast path's tables and, over one ratio, its gauge term) once per chunk
+of paths, not once per path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import geometry, streams
 from .errors import (
+    ExtinctionError,
     GeometryError,
     ParameterError,
     PreconditionError,
@@ -23,8 +26,9 @@ from .errors import (
     UnsupportedModelError,
 )
 from .gauges import GaugeFunction
-from .rifs import HOMOGENEOUS, RIFSFamily, log_moment_stats, log_moments, validate
+from .rifs import HOMOGENEOUS, RIFSFamily, _almost_deterministic_at, log_moment_stats, log_moments
 from .trees import (
+    NECK_BLOCK,
     V_VARIABLE,
     Chunk,
     Coding,
@@ -81,13 +85,17 @@ class NaturalMeasure:
 
     realization: Realization
 
+    def __post_init__(self) -> None:
+        # log map count per system, +inf for a 0-map system
+        logn = [math.log(s.nmaps) if s.nmaps else math.inf for s in self.realization.family.systems]
+        object.__setattr__(self, "_logn", logn)
+
     def log_mass(self, coding: Coding) -> float:
         total = 0.0
         for si, _ in coding.letters:
-            n = self.realization.family.systems[si].nmaps
-            if n == 0:
-                raise ParameterError("coding passes through an extinct node")
-            total -= math.log(n)
+            total -= self._logn[si]
+        if total == -math.inf:
+            raise ParameterError("coding passes through an extinct node")
         return total
 
     def mass(self, coding: Coding) -> float:
@@ -191,41 +199,38 @@ def lil_envelope(variance: float, depths: Sequence[int]) -> tuple[np.ndarray, np
     return plus, -plus
 
 
-def _level_tables(family: RIFSFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Per-system (log map count, log common ratio) lookup tables."""
-    logn = np.array(
-        [math.log(s.nmaps) if s.nmaps > 0 else -math.inf for s in family.systems]
-    )
-    logc = np.zeros(len(family.systems))
-    for i, s in enumerate(family.systems):
-        if s.nmaps > 0:
-            r = s.common_ratio
-            if r is None:
-                raise UnsupportedModelError("closed-form level sums need equicontractive systems")
-            logc[i] = math.log(r)
-    return logn, logc
+def _fast_log_sums(
+    family: RIFSFamily, model: ModelSpec, h: GaugeFunction, kmax: int
+) -> Optional[Callable[[Realization], np.ndarray]]:
+    """The fast path's log level sums at levels 1..kmax of a realization, or None.
 
-
-def _closed_form_log_sums(r: Realization, h: GaugeFunction, kmax: int) -> np.ndarray:
-    """Log level sums at levels 1..kmax for level-driven equicontractive trees."""
-    logn, logc = _level_tables(r.family)
-    sysidx = r.level_systems(kmax)
-    cum_n = np.cumsum(logn[sysidx])
-    cum_c = np.cumsum(logc[sysidx])
-    return cum_n + h.eval_log(cum_c)
-
-
-def _vv_count_log_sums(r: Realization, h: GaugeFunction, kmax: int) -> np.ndarray:
-    """Log level sums for a v_variable tree over a single-ratio family.
-
-    A level's log sum adds up the ``vv_log_counts`` of its buffers; the
-    shared ratio makes every level-k coding carry the same gauge value.
+    Level-driven equicontractive trees use the product form
+    cumsum(log N) + h(cumsum(log c)); v_variable trees over one ratio c add up
+    the ``vv_log_counts`` of each level's buffers.  What does not depend on
+    the realization is computed here, once: the per-system tables and, when
+    every level-k coding has the ratio c^k, the gauge term.  On the product
+    form that term has the bits of the per-path cumsum up to the first
+    extinct level, past which the sum is -inf either way.
     """
-    ct = r.family.uniform_ratio
-    if ct is None:
-        raise UnsupportedModelError("v_variable count path needs one global ratio")
-    totals = [np.logaddexp.reduce(counts, axis=1) for counts in vv_log_counts(r, kmax)]
-    return np.concatenate(totals) + h.eval_log(np.arange(1, kmax + 1) * math.log(ct))
+    c = family.uniform_ratio
+    if model.kind in (HOMOGENEOUS, NECK_BLOCK) and family.is_equicontractive():
+        logn = np.array([math.log(s.nmaps) if s.nmaps else -math.inf for s in family.systems])
+        if c is not None:
+            gauge = h.eval_log(np.cumsum(np.full(kmax, math.log(c))))
+            return lambda r: np.cumsum(logn[r.level_systems(kmax)]) + gauge
+        logc = np.array([math.log(s.common_ratio) if s.nmaps else 0.0 for s in family.systems])
+
+        def closed_form(r: Realization) -> np.ndarray:
+            sysidx = r.level_systems(kmax)
+            return np.cumsum(logn[sysidx]) + h.eval_log(np.cumsum(logc[sysidx]))
+
+        return closed_form
+    if model.kind == V_VARIABLE and c is not None:
+        gauge = h.eval_log(np.arange(1, kmax + 1) * math.log(c))
+        return lambda r: np.concatenate(
+            [np.logaddexp.reduce(counts, axis=1) for counts in vv_log_counts(r, kmax)]
+        ) + gauge
+    return None
 
 
 class _LogSumAcc:
@@ -276,11 +281,8 @@ def _stream_log_sums(
 
 def _all_level_log_sums(r: Realization, h: GaugeFunction, kmax: int) -> Optional[np.ndarray]:
     """Fast-path log sums at every level 1..kmax, or None when unavailable."""
-    if r.is_level_driven() and r.family.is_equicontractive():
-        return _closed_form_log_sums(r, h, kmax)
-    if r.model.kind == V_VARIABLE and r.family.uniform_ratio is not None:
-        return _vv_count_log_sums(r, h, kmax)
-    return None
+    sums = _fast_log_sums(r.family, r.model, h, kmax)
+    return None if sums is None else sums(r)
 
 
 def level_sums(
@@ -319,12 +321,20 @@ def packing_level_limsup(
     depths = _check_depths(depths)
     full = _all_level_log_sums(r, h, depths[-1])
     if full is not None:
-        runmax = np.maximum.accumulate(full)
-        vals = runmax[np.asarray(depths) - 1]
+        vals = _running_at(np.maximum, full, np.asarray(depths) - 1)
     else:
         vals = np.maximum.accumulate(_stream_log_sums(r, h, depths, node_budget))
     series = _series(r, h, depths, vals)
     return replace(series, kind="running_max")
+
+
+def _running_at(extremum: np.ufunc, full: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``extremum.accumulate(full)[idx]`` for increasing ``idx`` ending at the last level.
+
+    Each stretch between grid points is reduced once, then the stretches are
+    accumulated; min and max are exact, so the bits are the same.
+    """
+    return extremum.accumulate(extremum.reduceat(full, np.concatenate(([0], idx[:-1] + 1))))
 
 
 def _check_depths(depths: Sequence[int]) -> tuple[int, ...]:
@@ -353,29 +363,17 @@ def ensemble_seeds(master_seed: int, n: int) -> list[int]:
 
 
 def _path_stats(
-    family: RIFSFamily,
-    model: ModelSpec,
-    h: GaugeFunction,
-    path_seed: int,
-    depths: tuple[int, ...],
+    full: np.ndarray, start: float, idx: np.ndarray, path_seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
-    """Per-path grid values, running min/max, and increment accumulators."""
-    r = sample(model, path_seed, family)
-    kmax = depths[-1]
-    full = _all_level_log_sums(r, h, kmax)
-    if full is None:
-        raise UnsupportedModelError(
-            "drift experiments need a closed-form level-sum path "
-            "(level-driven equicontractive, or v_variable with one ratio)"
-        )
-    idx = np.asarray(depths) - 1
-    runmin = np.minimum.accumulate(full)
-    runmax = np.maximum.accumulate(full)
-    incs = np.diff(np.concatenate(([h.eval_log(0.0)], full)))
+    """Grid values, running min/max, and increment accumulators of one path's level sums."""
+    if full[-1] == -math.inf:
+        level = int(np.argmax(full == -math.inf)) + 1
+        raise ExtinctionError(f"drift path with seed {path_seed} dies out at level {level}")
+    incs = np.diff(np.concatenate(([start], full)))
     return (
         full[idx],
-        runmin[idx],
-        runmax[idx],
+        _running_at(np.minimum, full, idx),
+        _running_at(np.maximum, full, idx),
         float(np.sum(incs)),
         float(np.sum(incs * incs)),
         incs.size,
@@ -383,8 +381,16 @@ def _path_stats(
 
 
 def _drift_chunk(args) -> list:
+    """Path statistics of a chunk of seeds, with the path-independent work done once."""
     family, model, h, seeds, depths = args
-    return [_path_stats(family, model, h, s, depths) for s in seeds]
+    sums = _fast_log_sums(family, model, h, depths[-1])
+    if sums is None:
+        raise UnsupportedModelError(
+            "drift experiments need a closed-form level-sum path "
+            "(level-driven equicontractive, or v_variable with one ratio)"
+        )
+    start, idx = h.eval_log(0.0), np.asarray(depths) - 1
+    return [_path_stats(sums(sample(model, s, family)), start, idx, s) for s in seeds]
 
 
 def drift_experiment(
@@ -403,14 +409,18 @@ def drift_experiment(
     envelopes around the median, liminf/limsup estimates (median -/+
     envelope), medians of the running extrema, and the fractions of paths
     whose running extrema crossed the thresholds.
+
+    Each chunk of paths builds the fast path's tables and, over one ratio,
+    its gauge term once; a path then draws its labels or buffer counts and
+    reads its running extrema at the grid depths only.
+    A path whose level sums reach -inf (its tree dies out) raises
+    ``ExtinctionError`` naming its seed.
     """
     if model.kind not in (HOMOGENEOUS, V_VARIABLE):
         raise PreconditionError("drift experiments support homogeneous or v_variable models")
-    report = validate(family, HOMOGENEOUS)
-    if report.almost_deterministic_at is not None:
-        raise PreconditionError(
-            f"family is almost deterministic at s = {report.almost_deterministic_at}; drift is null"
-        )
+    s_bar = _almost_deterministic_at(family)
+    if s_bar is not None:
+        raise PreconditionError(f"family is almost deterministic at s = {s_bar}; drift is null")
     depths = _check_depths(depths)
     if n_realizations < 1:
         raise ParameterError("need at least one realization")

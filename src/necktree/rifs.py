@@ -246,6 +246,18 @@ def dimension(family: RIFSFamily, model: str, tol: float = 1e-10) -> float:
     return bisect_decreasing(objective, 0.0, hi, min(tol, ROOT_TOL))
 
 
+def _almost_deterministic_at(family: RIFSFamily) -> Optional[float]:
+    """The common root of S^s = 1 of all positive-weight systems (to ``ASSERT_TOL``), or None."""
+    active = [(w, s) for w, s in zip(family.weights, family.systems) if w > 0]
+    roots = [_moment_root(s) for _, s in active]
+    if any(r is None for r in roots) or not (0.0 < family.c_min and family.c_max < 1.0):
+        return None
+    s_bar = float(np.dot([w for w, _ in active], roots)) / sum(w for w, _ in active)
+    if all(abs(sum(m.ratio**s_bar for m in sys.maps) - 1.0) <= ASSERT_TOL for _, sys in active):
+        return s_bar
+    return None
+
+
 def validate(family: RIFSFamily, model: str, gap_epsilon_frac: float = 0.01) -> ConditionsReport:
     """Check the standing assumptions and locate the degeneracy witnesses.
 
@@ -262,16 +274,7 @@ def validate(family: RIFSFamily, model: str, gap_epsilon_frac: float = 0.01) -> 
     recursive_super = _mean_s0(family) > 1.0
     homogeneous_super = _mean_log_s0(family) > 0.0
 
-    almost_det: Optional[float] = None
-    active = [(w, s) for w, s in zip(family.weights, family.systems) if w > 0]
-    roots = [_moment_root(s) for _, s in active]
-    if all(r is not None for r in roots) and ratio_bounds_ok:
-        s_bar = float(np.dot(
-            [w for w, _ in active],
-            roots,
-        )) / sum(w for w, _ in active)
-        if all(abs(sum(m.ratio**s_bar for m in sys.maps) - 1.0) <= ASSERT_TOL for _, sys in active):
-            almost_det = s_bar
+    almost_det = _almost_deterministic_at(family)
 
     gap: Optional[tuple[float, float, float]] = None
     supercritical = recursive_super if model == RECURSIVE else homogeneous_super

@@ -283,15 +283,17 @@ class Realization:
         if kind == HOMOGENEOUS:
             counters = np.arange(self.offset, self.offset + depth, dtype=np.uint64)
             u = streams.u01_array(streams.fold_array(self._h, counters))
-            return self._cumw_array.searchsorted(u, side="right").astype(np.int64)
+            # entries of the cumulative weights <= u, as searchsorted(side="right")
+            # counts them: they never decrease and the last one, 1.0, exceeds u
+            out = np.zeros(depth, dtype=np.int64)
+            for c in self._cumw_array[:-1]:
+                out += u >= c
+            return out
         if kind == NECK_BLOCK:
             return np.array(
                 [self._sys_at_level(self.offset + k) for k in range(depth)], dtype=np.int64
             )
         raise UnsupportedModelError(f"{kind} model has no per-level label sequence")
-
-    def is_level_driven(self) -> bool:
-        return self.model.kind in (HOMOGENEOUS, NECK_BLOCK)
 
 
 def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:

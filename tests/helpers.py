@@ -21,9 +21,27 @@ from necktree.errors import (
 )
 from necktree.gauges import GaugeFunction
 from necktree.geometry import MAX_SAMPLE_RETRIES, POINT_DIAMETER_TOL, Affine, Cylinder, require_geometry
-from necktree.measure import NaturalMeasure, SectionValue, _logsumexp
-from necktree.rifs import IFS, RIFSFamily, SimilarityMap, equicontractive_family
-from necktree.trees import Coding, Realization
+from necktree.measure import (
+    DEFAULT_THRESHOLDS,
+    DriftReport,
+    NaturalMeasure,
+    SectionValue,
+    _check_depths,
+    _chunk,
+    _logsumexp,
+    ensemble_seeds,
+    lil_envelope,
+)
+from necktree.rifs import (
+    HOMOGENEOUS,
+    IFS,
+    RIFSFamily,
+    SimilarityMap,
+    equicontractive_family,
+    log_moment_stats,
+    validate,
+)
+from necktree.trees import V_VARIABLE, Coding, ModelSpec, Realization, sample, vv_log_counts
 
 
 @contextmanager
@@ -461,3 +479,155 @@ def oracle_sample_points(
             raise ExtinctionError(f"point {i}: all {max_retries} descents hit extinct branches")
         out[i] = point
     return out
+
+
+# ---- per-path drift reference --------------------------------------------------
+# The drift ensemble as it ran before its path-independent work was hoisted
+# out of the per-path loop: per-path tables and gauge term, full-length running
+# extrema, labels by ``searchsorted``, and a ``validate`` call for the
+# almost-deterministic check.  Kept as the bit-identity reference.
+
+
+def oracle_level_systems(r: Realization, depth: int) -> np.ndarray:
+    """Homogeneous level labels by ``searchsorted`` over the cumulative weights."""
+    counters = np.arange(r.offset, r.offset + depth, dtype=np.uint64)
+    u = streams.u01_array(streams.fold_array(r._h, counters))
+    return r._cumw_array.searchsorted(u, side="right").astype(np.int64)
+
+
+def oracle_level_tables(family: RIFSFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Per-system (log map count, log common ratio) lookup tables."""
+    logn = np.array(
+        [math.log(s.nmaps) if s.nmaps > 0 else -math.inf for s in family.systems]
+    )
+    logc = np.zeros(len(family.systems))
+    for i, s in enumerate(family.systems):
+        if s.nmaps > 0:
+            r = s.common_ratio
+            if r is None:
+                raise UnsupportedModelError("closed-form level sums need equicontractive systems")
+            logc[i] = math.log(r)
+    return logn, logc
+
+
+def oracle_all_level_log_sums(r: Realization, h: GaugeFunction, kmax: int):
+    """Fast-path log sums at every level 1..kmax, or None when unavailable."""
+    if r.model.kind == HOMOGENEOUS and r.family.is_equicontractive():
+        logn, logc = oracle_level_tables(r.family)
+        sysidx = oracle_level_systems(r, kmax)
+        cum_n = np.cumsum(logn[sysidx])
+        cum_c = np.cumsum(logc[sysidx])
+        return cum_n + h.eval_log(cum_c)
+    if r.model.kind == V_VARIABLE and r.family.uniform_ratio is not None:
+        ct = r.family.uniform_ratio
+        totals = [np.logaddexp.reduce(counts, axis=1) for counts in vv_log_counts(r, kmax)]
+        return np.concatenate(totals) + h.eval_log(np.arange(1, kmax + 1) * math.log(ct))
+    return None
+
+
+def oracle_path_stats(
+    family: RIFSFamily,
+    model: ModelSpec,
+    h: GaugeFunction,
+    path_seed: int,
+    depths: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
+    """Per-path grid values, running min/max, and increment accumulators."""
+    r = sample(model, path_seed, family)
+    kmax = depths[-1]
+    full = oracle_all_level_log_sums(r, h, kmax)
+    if full is None:
+        raise UnsupportedModelError(
+            "drift experiments need a closed-form level-sum path "
+            "(level-driven equicontractive, or v_variable with one ratio)"
+        )
+    idx = np.asarray(depths) - 1
+    runmin = np.minimum.accumulate(full)
+    runmax = np.maximum.accumulate(full)
+    incs = np.diff(np.concatenate(([h.eval_log(0.0)], full)))
+    return (
+        full[idx],
+        runmin[idx],
+        runmax[idx],
+        float(np.sum(incs)),
+        float(np.sum(incs * incs)),
+        incs.size,
+    )
+
+
+def oracle_drift_chunk(args) -> list:
+    family, model, h, seeds, depths = args
+    return [oracle_path_stats(family, model, h, s, depths) for s in seeds]
+
+
+def oracle_drift_experiment(
+    family: RIFSFamily,
+    model: ModelSpec,
+    h: GaugeFunction,
+    n_realizations: int,
+    depths: Sequence[int],
+    seed: int,
+    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
+    workers: int = 1,
+) -> DriftReport:
+    """Ensemble of independent level-sum paths with LIL envelope context."""
+    if model.kind not in (HOMOGENEOUS, V_VARIABLE):
+        raise PreconditionError("drift experiments support homogeneous or v_variable models")
+    report = validate(family, HOMOGENEOUS)
+    if report.almost_deterministic_at is not None:
+        raise PreconditionError(
+            f"family is almost deterministic at s = {report.almost_deterministic_at}; drift is null"
+        )
+    depths = _check_depths(depths)
+    if n_realizations < 1:
+        raise ParameterError("need at least one realization")
+
+    seeds = ensemble_seeds(seed, n_realizations)
+    chunks = _chunk(seeds, workers)
+    args = [(family, model, h, c, depths) for c in chunks]
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(oracle_drift_chunk, args))
+    else:
+        results = [oracle_drift_chunk(a) for a in args]
+    flat = [stats for chunk in results for stats in chunk]
+
+    vals = np.stack([f[0] for f in flat])
+    runmin = np.stack([f[1] for f in flat])
+    runmax = np.stack([f[2] for f in flat])
+    inc_sum = sum(f[3] for f in flat)
+    inc_sumsq = sum(f[4] for f in flat)
+    inc_n = sum(f[5] for f in flat)
+    inc_mean = inc_sum / inc_n
+    inc_var = max(inc_sumsq / inc_n - inc_mean**2, 0.0)
+
+    _, variance = log_moment_stats(family, h.s)
+    env_plus, env_minus = lil_envelope(variance, depths) if variance > 0 else (
+        np.full(len(depths), np.nan),
+        np.full(len(depths), np.nan),
+    )
+    med = np.median(vals, axis=0)
+    return DriftReport(
+        depths=depths,
+        median=med,
+        q10=np.quantile(vals, 0.1, axis=0),
+        q90=np.quantile(vals, 0.9, axis=0),
+        env_plus=env_plus,
+        env_minus=env_minus,
+        liminf_est=med + env_minus,
+        limsup_est=med + env_plus,
+        runmin_median=np.median(runmin, axis=0),
+        runmax_median=np.median(runmax, axis=0),
+        frac_below=np.mean(runmin <= thresholds[0], axis=0),
+        frac_above=np.mean(runmax >= thresholds[1], axis=0),
+        increment_mean=inc_mean,
+        increment_var=inc_var,
+        n_realizations=n_realizations,
+        seed=seed,
+        thresholds=thresholds,
+        gauge=h.describe(),
+        model_kind=model.kind,
+        variance=variance,
+    )

@@ -1,19 +1,28 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from necktree import rifs
 from necktree.errors import (
+    ExtinctionError,
+    NecktreeError,
     ParameterError,
     PreconditionError,
     ResourceError,
     UnsupportedModelError,
 )
-from necktree.gauges import h1, h1_star, power
+from necktree.gauges import h1, h1_star, loglog_power, power
 from necktree.geometry import percolation_preset
 from necktree.measure import (
+    _all_level_log_sums,
     beta_hat,
     drift_experiment,
+    ensemble_seeds,
     eta_hat,
     level_sums,
     lil_calibration,
@@ -26,7 +35,7 @@ from necktree.measure import (
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, dimension, equicontractive_family
 from necktree.trees import BlockTemplate, Coding, ModelSpec, coding_level, sample
 
-from helpers import min_section_sum_log, random_family, worked_family
+from helpers import min_section_sum_log, oracle_drift_experiment, random_family, worked_family
 
 HOM = ModelSpec(kind="homogeneous")
 REC = ModelSpec(kind="recursive")
@@ -280,6 +289,102 @@ def test_drift_dichotomy_directions_small():
     plus = drift_experiment(fam, HOM, h1(S_HOM, b, gamma=-0.5), 64, depths, seed=11)
     assert minus.liminf_est[-1] < 0
     assert plus.liminf_est[-1] > 0
+
+
+def assert_same_report(got, want):
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+def drift_outcome(fn, *args, **kwargs):
+    """The report, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except NecktreeError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def drift_cases(draw):
+    """Families with uniform or per-system ratios, zero-weight systems and dying (0-map) systems.
+
+    A 0-map system gets a small positive weight: at weight 0 its log moment
+    -inf makes ``log_moment_stats`` warn (0 * -inf) in both implementations.
+    """
+    vv = draw(st.booleans())
+    n_sys = draw(st.integers(2, 4))  # one system alone is almost deterministic
+    counts = draw(st.lists(st.integers(0, 4), min_size=n_sys, max_size=n_sys))
+    counts[0] = max(counts[0], 2)
+    weights = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]), min_size=n_sys, max_size=n_sys))
+    weights = [w if n else 0.02 for n, w in zip(counts, weights)]
+    if sum(weights) == 0:
+        weights[counts.index(max(counts))] = 1.0
+    weights = [w / sum(weights) for w in weights]
+    if vv or draw(st.booleans()):
+        family = equicontractive_family(counts, draw(st.sampled_from([0.2, 0.25, 1 / 3])), weights)
+    else:
+        ratios = draw(st.lists(st.sampled_from([0.2, 0.25, 1 / 3]), min_size=n_sys, max_size=n_sys))
+        family = RIFSFamily(
+            systems=tuple(IFS(tuple(SimilarityMap(c) for _ in range(n))) for n, c in zip(counts, ratios)),
+            weights=tuple(weights),
+        )
+    model = ModelSpec(kind="v_variable", v=draw(st.integers(1, 6))) if vv else HOM
+    s = draw(st.floats(0.3, 1.2))
+    beta, gamma = draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0))
+    gauge = draw(st.sampled_from([
+        power(s), loglog_power(s, beta), h1(s, beta, gamma), h1_star(s, beta, gamma),
+    ]))
+    depths = sorted(draw(st.lists(st.integers(1, 400), min_size=1, max_size=6, unique=True)))
+    if draw(st.booleans()):
+        depths = [1] + [d for d in depths if d > 1]
+    return family, model, gauge, draw(st.integers(1, 8)), depths, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200)
+@given(drift_cases())
+@example((worked_family(), HOM, power(S_HOM), 5, [1], 3))
+@example((worked_family(), VV2, h1(S_HOM, 0.04, 0.5), 5, [7], 3))
+def test_drift_matches_per_path_reference(case):
+    with np.errstate(invalid="ignore"):  # the reference's diff of a dying path's -inf sums
+        want = drift_outcome(oracle_drift_experiment, *case)
+    got = drift_outcome(drift_experiment, *case)
+    if isinstance(want, tuple):
+        assert got == want
+    elif not math.isfinite(want.increment_mean):
+        assert got[0] is ExtinctionError
+    else:
+        assert_same_report(got, want)
+
+
+def test_drift_matches_per_path_reference_with_two_workers():
+    # 70 paths make two chunks of 64, each building its own tables and gauge term
+    for model in (HOM, VV2):
+        case = (worked_family(), model, h1_star(S_HOM, 0.04, 0.5), 70, [1, 10, 100], 5)
+        assert_same_report(drift_experiment(*case, workers=2), oracle_drift_experiment(*case))
+
+
+def test_drift_skips_the_dimension_solve():
+    with mock.patch.object(rifs, "dimension", side_effect=AssertionError("dimension solved")):
+        drift_experiment(worked_family(), HOM, power(S_HOM), 4, [10], seed=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [HOM, VV2])
+def test_drift_raises_on_a_dying_path(model):
+    # the 0-map system kills a homogeneous path with probability 0.1 per level
+    fam = equicontractive_family([3, 0], 1 / 3, [0.9, 0.1])
+    h, depths = power(0.9), [10, 1000]
+    seeds = ensemble_seeds(4, 6)
+    dying = [s for s in seeds if _all_level_log_sums(sample(model, s, fam), h, 1000)[-1] == -math.inf]
+    assert dying
+    with pytest.raises(ExtinctionError, match=f"seed {dying[0]} dies out at level"):
+        drift_experiment(fam, model, h, 6, depths, seed=4)
+    with pytest.raises(ExtinctionError):
+        drift_experiment(fam, model, h, 6, depths, seed=4, workers=2)
 
 
 # ---- packing ----------------------------------------------------------------------

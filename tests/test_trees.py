@@ -22,7 +22,7 @@ from necktree.trees import (
     stopping_set,
 )
 
-from helpers import brute_force_stopping, worked_family
+from helpers import brute_force_stopping, oracle_level_systems, worked_family
 
 HOM = ModelSpec(kind="homogeneous")
 REC = ModelSpec(kind="recursive")
@@ -96,12 +96,23 @@ def test_v_variable_rejects_bad_v():
 
 
 def test_level_systems_matches_label_of():
-    fam = worked_family()
-    for model in (HOM, block_model()):
-        r = sample(model, 5, fam)
-        seq = r.level_systems(12)
-        for k in range(12):
-            assert seq[k] == r.label_of((1,) * k)
+    # the 3-system families put a zero weight first, in the middle and last
+    cases = [(worked_family(), (HOM, block_model()))] + [
+        (equicontractive_family([2, 3, 1], 1 / 3, w), (HOM,))
+        for w in ([0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0])
+    ]
+    for fam, models in cases:
+        zero = [i for i, w in enumerate(fam.weights) if w == 0]
+        for model in models:
+            for offset in range(4):
+                r = Realization(family=fam, model=model, seed=5, offset=offset)
+                seq = r.level_systems(12)
+                for k in range(12):
+                    assert seq[k] == r.label_of((1,) * k)
+                if model is HOM:
+                    long = r.level_systems(3000)
+                    assert long.tobytes() == oracle_level_systems(r, 3000).tobytes()
+                    assert not np.isin(long, zero).any()
 
 
 # ---- coding levels ----------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from necktree import trees
 from necktree.errors import HorizonError
 from necktree.gauges import h1, loglog_power, power
-from necktree.measure import _vv_count_log_sums
+from necktree.measure import _all_level_log_sums
 from necktree.rifs import equicontractive_family
 from necktree.trees import ModelSpec, Realization, first_neck, neck_list
 
@@ -40,7 +40,7 @@ def vv_realizations(draw, max_v: int = 40):
 def test_engine_matches_scalar_loops(r, depth, entries, gauge):
     # Small chunks make every depth cross several chunk boundaries.
     with mock.patch.object(trees, "VV_TABLE_ENTRIES", entries):
-        got = _vv_count_log_sums(r, gauge, depth)
+        got = _all_level_log_sums(r, gauge, depth)
         necks = neck_list(r, depth).necks
         if necks:
             assert first_neck(r, horizon=depth) == necks[0]
@@ -65,7 +65,7 @@ def test_engine_matches_scalar_loops_across_default_chunk():
     r = Realization(family=worked_family(), model=ModelSpec(kind="v_variable", v=40), seed=11, offset=2)
     depth = 200
     assert depth > trees.VV_TABLE_ENTRIES // (41 * 3)
-    got = _vv_count_log_sums(r, GAUGES[2], depth)
+    got = _all_level_log_sums(r, GAUGES[2], depth)
     assert got.tobytes() == oracle_vv_count_log_sums(r, GAUGES[2], depth).tobytes()
     assert neck_list(r, depth).necks == oracle_vv_necks(r, depth)
 
