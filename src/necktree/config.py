@@ -46,30 +46,46 @@ def file_hash(path: Union[str, Path]) -> str:
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     if key not in obj:
         raise ConfigError(f"{where}: missing field {key!r}")
     return obj[key]
 
 
+def _list(raw: Any, where: str) -> list:
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{where}: expected a JSON list, got {type(raw).__name__}")
+    return raw
+
+
+def _number(raw: Any, where: str, cast: type = float) -> Any:
+    """``cast(raw)``, or a ConfigError naming the field."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+
+
 def family_from_dict(obj: dict) -> RIFSFamily:
-    dim = int(obj.get("ambient_dim", 1))
-    systems_raw = _require(obj, "systems", "family config")
+    systems_raw = _list(_require(obj, "systems", "family config"), "family config systems")
+    dim = _number(obj.get("ambient_dim", 1), "family config ambient_dim", int)
     systems = []
     weights = []
     for i, sraw in enumerate(systems_raw):
         where = f"family config system[{i}]"
         maps = []
-        for j, mraw in enumerate(_require(sraw, "maps", where)):
+        for j, mraw in enumerate(_list(_require(sraw, "maps", where), f"{where} maps")):
             ratio = _require(mraw, "ratio", f"{where} map[{j}]")
             maps.append(
                 SimilarityMap(
-                    ratio=float(ratio),
+                    ratio=_number(ratio, f"{where} map[{j}] ratio"),
                     isometry=mraw.get("isometry"),
                     translation=mraw.get("translation"),
                 )
             )
         systems.append(IFS(maps=tuple(maps), label=str(sraw.get("label", f"sys{i}"))))
-        weights.append(float(_require(sraw, "weight", where)))
+        weights.append(_number(_require(sraw, "weight", where), f"{where} weight"))
     return RIFSFamily(systems=tuple(systems), weights=tuple(weights), ambient_dim=dim)
 
 
@@ -92,22 +108,28 @@ def model_from_dict(obj: dict) -> tuple[ModelSpec, Optional[int]]:
     """Parse a model spec; returns (spec, default seed or None)."""
     kind_raw = _require(obj, "model", "model config")
     seed = obj.get("seed")
+    if seed is not None:
+        seed = _number(seed, "model config seed", int)
     if isinstance(kind_raw, str):
         if kind_raw in ("homogeneous", "recursive"):
             return ModelSpec(kind=kind_raw), seed
         raise ConfigError(f"model config: unknown model {kind_raw!r}")
     if isinstance(kind_raw, dict):
         if "v_variable" in kind_raw:
-            return ModelSpec(kind="v_variable", v=int(kind_raw["v_variable"])), seed
+            v = _number(kind_raw["v_variable"], "model config v_variable", int)
+            return ModelSpec(kind="v_variable", v=v), seed
         if "neck_block" in kind_raw:
             spec = kind_raw["neck_block"]
             templates = []
-            for i, traw in enumerate(_require(spec, "templates", "model config neck_block")):
+            templates_raw = _require(spec, "templates", "model config neck_block")
+            for i, traw in enumerate(_list(templates_raw, "model config neck_block templates")):
+                where = f"neck_block template[{i}]"
                 levels = tuple(
-                    tuple(float(p) for p in dist)
-                    for dist in _require(traw, "levels", f"neck_block template[{i}]")
+                    tuple(_number(p, f"{where} levels") for p in _list(dist, f"{where} levels"))
+                    for dist in _list(_require(traw, "levels", where), f"{where} levels")
                 )
-                templates.append(BlockTemplate(levels=levels, weight=float(traw.get("weight", 1.0))))
+                weight = _number(traw.get("weight", 1.0), f"{where} weight")
+                templates.append(BlockTemplate(levels=levels, weight=weight))
             return ModelSpec(kind="neck_block", templates=tuple(templates)), seed
     raise ConfigError("model config: field 'model' is malformed")
 
@@ -125,7 +147,7 @@ def gauge_from_dict(
             raise ConfigError("gauge config: s = 'auto' needs a family")
         s = dimension(family, solver_model(model_kind))
     else:
-        s = float(s_raw)
+        s = _number(s_raw, "gauge config s")
 
     def resolve_beta(raw: Any) -> float:
         if raw == "auto":
@@ -134,7 +156,7 @@ def gauge_from_dict(
             from .measure import beta_hat
 
             return beta_hat(family, s)
-        return float(raw)
+        return _number(raw, "gauge config beta")
 
     if fam_raw == "power":
         return GaugeFunction(s=s, family="power")
@@ -150,6 +172,6 @@ def gauge_from_dict(
                     s=s,
                     family=name,
                     beta=resolve_beta(_require(sub, "beta", "gauge config")),
-                    gamma=float(sub.get("gamma", 0.0)),
+                    gamma=_number(sub.get("gamma", 0.0), "gauge config gamma"),
                 )
     raise ConfigError("gauge config: field 'family' is malformed")

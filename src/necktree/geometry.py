@@ -291,6 +291,8 @@ def export_points_csv(path: str, points: np.ndarray, provenance: str = "") -> No
 
 def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
     """Occupancy counts of unit-square points on a width x height grid."""
+    if width < 1 or height < 1:
+        raise ParameterError("raster width and height must be >= 1")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] > 2:
         raise ParameterError("raster export supports ambient dimension <= 2")

@@ -290,7 +290,6 @@ def level_sums(
     h: GaugeFunction,
     depths: Sequence[int],
     node_budget: int = DEFAULT_NODE_BUDGET,
-    force_stream: bool = False,
 ) -> LevelSumSeries:
     """Gauged level sums at the requested depths.
 
@@ -298,13 +297,10 @@ def level_sums(
     else streams codings depth-first under ``node_budget``.
     """
     depths = _check_depths(depths)
-    if not force_stream:
-        full = _all_level_log_sums(r, h, depths[-1])
-        if full is not None:
-            vals = full[np.asarray(depths) - 1]
-            return _series(r, h, depths, vals)
-    vals = _stream_log_sums(r, h, depths, node_budget)
-    return _series(r, h, depths, vals)
+    full = _all_level_log_sums(r, h, depths[-1])
+    if full is not None:
+        return _series(r, h, depths, full[np.asarray(depths) - 1])
+    return _series(r, h, depths, _stream_log_sums(r, h, depths, node_budget))
 
 
 def packing_level_limsup(
@@ -693,15 +689,12 @@ def mass_distribution_check(
             order = np.argsort(lo)
             lo, hi = lo[order], (cent[:, 0] + diam / 2)[order]
             prefix = np.concatenate(([0.0], np.cumsum(masses[order])))
-            for z in centers[:, 0]:
-                a, b = z - eps, z + eps
-                iright = int(np.searchsorted(lo, b + 1e-12, side="right"))
-                ileft = int(np.searchsorted(hi, a - 1e-12, side="left"))
-                count = max(iright - ileft, 0)
-                mass = prefix[iright] - prefix[ileft]
-                max_count = max(max_count, count)
-                ratio = mass / h_2eps
-                sup_ratio = max(sup_ratio, ratio)
+            z = centers[:, 0]
+            iright = np.searchsorted(lo, z + eps + 1e-12, side="right")
+            ileft = np.searchsorted(hi, z - eps - 1e-12, side="left")
+            max_count = max(max_count, int(np.max(iright - ileft, initial=0)))
+            ratio = (prefix[iright] - prefix[ileft]) / h_2eps
+            sup_ratio = max(sup_ratio, float(np.max(ratio, initial=0.0)))
         else:
             for z in centers:
                 dist = np.linalg.norm(cent - z, axis=1)

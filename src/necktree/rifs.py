@@ -205,6 +205,8 @@ def log_moment_stats(family: RIFSFamily, s: float) -> tuple[float, float]:
         raise ParameterError("moment exponent s must be >= 0")
     vals = log_moments(family, s)
     w = np.asarray(family.weights)
+    if 0.0 in family.weights:  # a zero weight adds an exact 0, even for an empty system's -inf
+        vals[w == 0] = 0.0
     mean = float(np.dot(w, vals))
     var = float(np.dot(w, (vals - mean) ** 2)) if math.isfinite(mean) else math.nan
     return mean, var
@@ -212,17 +214,6 @@ def log_moment_stats(family: RIFSFamily, s: float) -> tuple[float, float]:
 
 def _mean_s0(family: RIFSFamily) -> float:
     return float(sum(w * s.nmaps for w, s in zip(family.weights, family.systems)))
-
-
-def _mean_log_s0(family: RIFSFamily) -> float:
-    total = 0.0
-    for w, s in zip(family.weights, family.systems):
-        if w == 0:
-            continue
-        if s.nmaps == 0:
-            return -math.inf
-        total += w * math.log(s.nmaps)
-    return total
 
 
 def dimension(family: RIFSFamily, model: str, tol: float = 1e-10) -> float:
@@ -237,7 +228,7 @@ def dimension(family: RIFSFamily, model: str, tol: float = 1e-10) -> float:
             raise PreconditionError(f"recursive model needs E[S^0] > 1, got E[S^0] = {es0}")
         objective = lambda s: sum(w * moment(family, i, s) for i, w in enumerate(family.weights)) - 1.0
     else:
-        els0 = _mean_log_s0(family)
+        els0 = log_moment_stats(family, 0.0)[0]
         if not els0 > 0.0:
             raise PreconditionError(f"homogeneous model needs E[log S^0] > 0, got E[log S^0] = {els0}")
         objective = lambda s: log_moment_stats(family, s)[0]
@@ -272,7 +263,7 @@ def validate(family: RIFSFamily, model: str, gap_epsilon_frac: float = 0.01) -> 
     n_bound_ok = family.n_max >= 2
     ratio_bounds_ok = 0.0 < family.c_min and family.c_max < 1.0
     recursive_super = _mean_s0(family) > 1.0
-    homogeneous_super = _mean_log_s0(family) > 0.0
+    homogeneous_super = log_moment_stats(family, 0.0)[0] > 0.0
 
     almost_det = _almost_deterministic_at(family)
 

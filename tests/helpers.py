@@ -20,7 +20,15 @@ from necktree.errors import (
     UnsupportedModelError,
 )
 from necktree.gauges import GaugeFunction
-from necktree.geometry import MAX_SAMPLE_RETRIES, POINT_DIAMETER_TOL, Affine, Cylinder, require_geometry
+from necktree.geometry import (
+    MAX_SAMPLE_RETRIES,
+    POINT_DIAMETER_TOL,
+    Affine,
+    Cylinder,
+    _cylinders,
+    require_geometry,
+    sample_points,
+)
 from necktree.measure import (
     DEFAULT_THRESHOLDS,
     DriftReport,
@@ -41,7 +49,7 @@ from necktree.rifs import (
     log_moment_stats,
     validate,
 )
-from necktree.trees import V_VARIABLE, Coding, ModelSpec, Realization, sample, vv_log_counts
+from necktree.trees import V_VARIABLE, Coding, ModelSpec, Realization, sample, stopping_set, vv_log_counts
 
 
 @contextmanager
@@ -523,6 +531,32 @@ def oracle_all_level_log_sums(r: Realization, h: GaugeFunction, kmax: int):
         totals = [np.logaddexp.reduce(counts, axis=1) for counts in vv_log_counts(r, kmax)]
         return np.concatenate(totals) + h.eval_log(np.arange(1, kmax + 1) * math.log(ct))
     return None
+
+
+def oracle_mass_check_1d(
+    r: Realization, h: GaugeFunction, nu: NaturalMeasure, n_balls: int, eps_list: Sequence[float], seed: int
+) -> tuple[int, float]:
+    """``mass_distribution_check``'s (max_neighbor_count, sup_mass_ratio) in d = 1, one centre at a time."""
+    centers = sample_points(r, n=n_balls, seed=seed)
+    max_count, sup_ratio = 0, 0.0
+    for eps in eps_list:
+        codings = list(stopping_set(r, eps))
+        if not codings:
+            continue
+        _, cent, diam = _cylinders(r.family, codings)
+        masses = np.array([nu.mass(c) for c in codings])
+        h_2eps = math.exp(h.eval_log(math.log(2 * eps)))
+        lo = cent[:, 0] - diam / 2
+        order = np.argsort(lo)
+        lo, hi = lo[order], (cent[:, 0] + diam / 2)[order]
+        prefix = np.concatenate(([0.0], np.cumsum(masses[order])))
+        for z in centers[:, 0]:
+            a, b = z - eps, z + eps
+            iright = int(np.searchsorted(lo, b + 1e-12, side="right"))
+            ileft = int(np.searchsorted(hi, a - 1e-12, side="left"))
+            max_count = max(max_count, max(iright - ileft, 0))
+            sup_ratio = max(sup_ratio, (prefix[iright] - prefix[ileft]) / h_2eps)
+    return max_count, sup_ratio
 
 
 def oracle_path_stats(

@@ -18,6 +18,8 @@ from necktree.geometry import (
     stopping_counts,
 )
 from necktree.measure import (
+    DEFAULT_NODE_BUDGET,
+    _stream_log_sums,
     beta_hat,
     drift_experiment,
     level_sums,
@@ -151,7 +153,7 @@ def test_criterion_05_level_sum_identity():
     for seed in range(100):
         r = sample(HOM, seed, fam)
         a = level_sums(r, g, [1, 5, 9]).log_sums
-        b = level_sums(r, g, [1, 5, 9], force_stream=True).log_sums
+        b = _stream_log_sums(r, g, [1, 5, 9], DEFAULT_NODE_BUDGET)
         worst_stream = max(worst_stream, float(np.max(np.abs(a - b))))
     ok = worst <= 1e-9 and worst_stream <= 1e-9
     _report(5, "level sums equal random-walk closed form (and streamed sums where enumerable)",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -271,6 +272,136 @@ def test_runs_in_one_process_match_fresh_processes(configs, capsys):
     assert [p.returncode for p in fresh] == [0, 0]
     assert outs[0] == outs[3] == fresh[0].stdout
     assert outs[1] == fresh[1].stdout
+
+
+# blake2b-64 digests of each command's data bytes (its --out file, else its
+# stdout) on the ``configs`` fixture.  The CSV and PGM headers carry the tool
+# version, so a version bump changes the table-writing rows.
+PINNED_RUNS = {
+    "validate": (["validate", "--family", "{fam}", "--model", "{model}"], "a73eea6d1ee3723e"),
+    "dim-homogeneous": (["dim", "--family", "{fam}", "--model", "{model}"], "0cfea4039cf6793a"),
+    "dim-recursive": (["dim", "--family", "{fam}", "--model", "recursive"], "edb2952defb96f7c"),
+    "levelsum": ([
+        "levelsum", "--family", "{fam}", "--model", "{model}", "--gauge", "{power}",
+        "--seed", "7", "--depths", "1:64:log", "--out", "{out}",
+    ], "389ead50493d6d68"),
+    "sections": ([
+        "sections", "--family", "{fam}", "--model", "{model}", "--gauge", "{power}",
+        "--seed", "1", "--depth-cap", "3",
+    ], "125aa8141a6b519e"),
+    "drift": ([
+        "drift", "--family", "{fam}", "--model", "{model}", "--gauge", "{h1}",
+        "--seed", "7", "--n", "6", "--depths", "100:800:log", "--out", "{out}",
+    ], "6a17797b7f62eb70"),
+    "pack": ([
+        "pack", "--family", "{fam}", "--model", "{model}", "--gauge", "{h1}",
+        "--seed", "3", "--n", "6", "--depths", "100:400:log", "--thresholds=-5,5",
+        "--out", "{out}",
+    ], "4d7ba7a168eb9786"),
+    "render-csv": ([
+        "render", "--family", "{fam}", "--model", "{model}", "--seed", "2", "--n", "50",
+        "--out", "{out}",
+    ], "5b3196a4fc4cea66"),
+    "render-pgm": ([
+        "render", "--family", "{fam}", "--model", "{model}", "--seed", "2", "--n", "200",
+        "--out", "{out}", "--pgm", "--width", "16", "--height", "4",
+    ], "d11fdc5dfd745f74"),
+    "percolate-dim": (["percolate", "--p", "0.8", "--dim"], "8faf74bd347fa05c"),
+    "percolate-boxdim": ([
+        "percolate", "--p", "0.7", "--boxdim", "--seeds", "3", "--min-scale-exp", "8", "--seed", "5",
+    ], "c6b94a76e507c6bb"),
+    "percolate": (["percolate", "--p", "0.75"], "717a3ef6405d6fab"),
+}
+
+
+def _argv(args: list[str], configs) -> tuple[list[str], Path]:
+    tmp, fam, model, gauge, power_gauge = configs
+    out = tmp / "pinned.out"
+    names = {
+        "fam": fam, "model": model, "h1": gauge, "power": power_gauge, "out": out, "bad": tmp / "bad.json",
+    }
+    return [a.format(**names) for a in args], out
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_command_bytes_are_pinned(name, configs, capsys):
+    args, expected = PINNED_RUNS[name]
+    argv, out = _argv(args, configs)
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    data = out.read_bytes() if "{out}" in args else stdout.encode()
+    assert hashlib.blake2b(data, digest_size=8).hexdigest() == expected
+    if "{out}" in args:
+        assert stdout == ""
+        assert json.loads(Path(str(out) + ".manifest.json").read_text())["command"] == args[0]
+
+
+@pytest.mark.parametrize("args, code, stderr", [
+    ([
+        "levelsum", "--family", "{fam}", "--model", "recursive", "--gauge", "{power}",
+        "--depths", "1:14:1", "--budget", "50",
+    ], EXIT_RESOURCE, "resource error: node budget 50 exceeded while streaming level 4\n"),
+    (
+        ["percolate", "--p", "0.2", "--boxdim", "--seeds", "1", "--min-scale-exp", "10"],
+        EXIT_RESOURCE, "resource error: too many extinct seeds\n",
+    ),
+], ids=["levelsum-budget", "percolate-extinct"])
+def test_error_exit_and_stderr_are_pinned(args, code, stderr, configs, capsys):
+    argv, _ = _argv(args, configs)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+
+
+DRIFT_ARGS = [
+    "drift", "--family", "{fam}", "--model", "{model}", "--gauge", "{h1}", "--n", "2", "--depths", "10,20",
+]
+
+
+@pytest.mark.parametrize("args, bad", [
+    (
+        ["levelsum", "--family", "{fam}", "--model", "{model}", "--gauge", "{power}", "--depths", "a:5:1"],
+        None,
+    ),
+    ([*DRIFT_ARGS, "--thresholds", "x,y"], None),
+    ([*DRIFT_ARGS, "--thresholds", "1,2,3"], None),
+    (
+        ["dim", "--family", "{bad}", "--model", "{model}"],
+        {"systems": [{"weight": 1.0, "maps": [{"ratio": "abc"}]}]},
+    ),
+    (["dim", "--family", "{fam}", "--model", "{bad}"], {"model": {"v_variable": "x"}}),
+    (["dim", "--family", "{fam}", "--model", "{bad}"], {"model": "homogeneous", "seed": "x"}),
+    (
+        ["levelsum", "--family", "{fam}", "--model", "{model}", "--gauge", "{bad}", "--depths", "1,2"],
+        {"s": "x", "family": "power"},
+    ),
+    (["dim", "--family", "{bad}", "--model", "{model}"], [WORKED_FAMILY]),
+    (["dim", "--family", "{bad}", "--model", "{model}"], {"systems": [{"weight": 1.0, "maps": [0.5]}]}),
+    (["dim", "--family", "{bad}", "--model", "{model}"], {"systems": 5}),
+    (
+        ["dim", "--family", "{fam}", "--model", "{bad}"],
+        {"model": {"neck_block": {"templates": [{"levels": [0.5]}]}}},
+    ),
+    (
+        [
+            "render", "--family", "{fam}", "--model", "{model}", "--n", "10", "--out", "{out}",
+            "--pgm", "--width", "0",
+        ],
+        None,
+    ),
+    (["percolate", "--p", "0.7", "--boxdim", "--seeds", "0"], None),
+], ids=[
+    "depths", "thresholds-words", "thresholds-three", "family-ratio", "model-v", "model-seed",
+    "gauge-s", "family-list", "map-number", "systems-number", "levels-number", "raster-width",
+    "percolate-seeds",
+])
+def test_malformed_input_is_a_config_error(args, bad, configs, capsys):
+    (configs[0] / "bad.json").write_text(json.dumps(bad))
+    argv, _ = _argv(args, configs)
+    assert run(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 NUMPY_MA_PROBE = """

@@ -19,7 +19,9 @@ from necktree.errors import (
 from necktree.gauges import h1, h1_star, loglog_power, power
 from necktree.geometry import percolation_preset
 from necktree.measure import (
+    DEFAULT_NODE_BUDGET,
     _all_level_log_sums,
+    _stream_log_sums,
     beta_hat,
     drift_experiment,
     ensemble_seeds,
@@ -35,7 +37,13 @@ from necktree.measure import (
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, dimension, equicontractive_family
 from necktree.trees import BlockTemplate, Coding, ModelSpec, coding_level, sample
 
-from helpers import min_section_sum_log, oracle_drift_experiment, random_family, worked_family
+from helpers import (
+    min_section_sum_log,
+    oracle_drift_experiment,
+    oracle_mass_check_1d,
+    random_family,
+    worked_family,
+)
 
 HOM = ModelSpec(kind="homogeneous")
 REC = ModelSpec(kind="recursive")
@@ -91,7 +99,7 @@ def test_level_sums_stream_matches_closed_form():
     for seed in range(6):
         r = sample(HOM, seed, fam)
         closed = level_sums(r, g, [1, 2, 5, 9]).log_sums
-        streamed = level_sums(r, g, [1, 2, 5, 9], force_stream=True).log_sums
+        streamed = _stream_log_sums(r, g, [1, 2, 5, 9], DEFAULT_NODE_BUDGET)
         assert streamed == pytest.approx(closed, abs=1e-9)
 
 
@@ -121,7 +129,7 @@ def test_level_sums_vv_count_path_matches_stream():
     for seed in (0, 5, 9):
         r = sample(VV2, seed, fam)
         fast = level_sums(r, g, [1, 3, 6, 9]).log_sums
-        slow = level_sums(r, g, [1, 3, 6, 9], force_stream=True).log_sums
+        slow = _stream_log_sums(r, g, [1, 3, 6, 9], DEFAULT_NODE_BUDGET)
         assert slow == pytest.approx(fast, abs=1e-9)
 
 
@@ -133,7 +141,7 @@ def test_level_sums_neck_block_closed_path():
     )
     r = sample(model, 4, fam)
     fast = level_sums(r, power(S_HOM), [1, 2, 6]).log_sums
-    slow = level_sums(r, power(S_HOM), [1, 2, 6], force_stream=True).log_sums
+    slow = _stream_log_sums(r, power(S_HOM), [1, 2, 6], DEFAULT_NODE_BUDGET)
     assert slow == pytest.approx(fast, abs=1e-9)
 
 
@@ -462,6 +470,40 @@ def test_mass_distribution_dyadic_interval():
     assert report.max_neighbor_count <= report.neighbor_bound == 8.0
     assert report.sup_mass_ratio <= 4.0
     assert report.hausdorff_lower_bound >= 0.25
+
+
+def _separated_family(rng: np.random.Generator) -> RIFSFamily:
+    """A 1-D family whose maps of each system have disjoint images in [0, 1]."""
+    systems = []
+    for i in range(int(rng.integers(1, 4))):
+        ratios = rng.uniform(0.15, 0.3, size=int(rng.integers(0 if i else 2, 4)))
+        gap = (1.0 - ratios.sum()) / (ratios.size + 1)
+        starts = gap * np.arange(1, ratios.size + 1) + np.concatenate(([0.0], np.cumsum(ratios)[:-1]))
+        maps = tuple(SimilarityMap(float(c), translation=np.array([t])) for c, t in zip(ratios, starts))
+        systems.append(IFS(maps=maps, label=f"s{i}"))
+    w = rng.uniform(0.1, 1.0, size=len(systems))
+    return RIFSFamily(systems=tuple(systems), weights=tuple(w / w.sum()))
+
+
+def test_mass_check_1d_matches_the_per_centre_loop():
+    rng = np.random.default_rng(11)
+    eps = [0.1, 0.02, 0.005]
+    checked = 0
+    for _ in range(12):
+        fam = _separated_family(rng)
+        for model in (HOM, REC, VV2):
+            for seed, n_balls in ((0, 0), (1, 1), (2, 25)):
+                try:
+                    r = sample(model, seed, fam)
+                    nu = natural_measure(r)
+                    report = mass_distribution_check(r, power(0.6), nu, n_balls, eps, seed=seed)
+                except ExtinctionError:
+                    continue
+                count, ratio = oracle_mass_check_1d(r, power(0.6), nu, n_balls, eps, seed)
+                assert report.max_neighbor_count == count
+                assert report.sup_mass_ratio.hex() == float(ratio).hex()
+                checked += 1
+    assert checked >= 60
 
 
 def test_mass_distribution_needs_geometry():

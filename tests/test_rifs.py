@@ -60,6 +60,17 @@ def test_validate_worked_family_gap():
     assert p0 == pytest.approx(total, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_weight_empty_system_adds_nothing():
+    # 0 * log S^s of an empty system is 0 * -inf; a zero weight must add an exact 0
+    fam = equicontractive_family([3, 0, 2], 1 / 3, [0.5, 0.0, 0.5])
+    without = equicontractive_family([3, 2], 1 / 3, [0.5, 0.5])
+    for s in (0.0, 0.5, S_HOM):
+        assert log_moment_stats(fam, s) == log_moment_stats(without, s)
+    assert dimension(fam, "homogeneous") == dimension(without, "homogeneous") == 0.8154648767854269
+    assert validate(fam, "homogeneous") == validate(without, "homogeneous")
+
+
 def test_validate_ratio_one_flags_bounds():
     fam = RIFSFamily(
         systems=(IFS(maps=(SimilarityMap(1.0), SimilarityMap(0.5)), label="bad"),),

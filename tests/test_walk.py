@@ -95,7 +95,7 @@ def test_walkers_match_label_of_oracle(r, epsilon, s):
 
     h = power(s)
     depths = [1, 2, KMAX]
-    streamed = level_sums(r, h, depths, force_stream=True).log_sums
+    streamed = measure._stream_log_sums(r, h, depths, measure.DEFAULT_NODE_BUDGET)
     for d, got in zip(depths, streamed):
         want = _oracle_log_sum(h, [logr for _, _, logr in expected[d]])
         if want == -math.inf:
@@ -217,15 +217,15 @@ def test_wide_tree_walks_in_bounded_memory():
     r = sample(REC, 0, equicontractive_family([2], 0.5, [1.0]))
     h = power(1.0)
     nodes = 2 ** (WIDE_DEPTH + 1) - 1
-    series, peak = _traced(lambda: level_sums(r, h, [WIDE_DEPTH], force_stream=True))
+    log_sums, peak = _traced(lambda: measure._stream_log_sums(r, h, [WIDE_DEPTH], nodes))
     assert peak < 32
-    assert series.log_sums[0] == pytest.approx(0.0, abs=1e-9)  # 2**18 codings of ratio 2**-18
+    assert log_sums[0] == pytest.approx(0.0, abs=1e-9)  # 2**18 codings of ratio 2**-18
     section, peak = _traced(lambda: section_infimum(r, h, 0, WIDE_DEPTH, node_budget=nodes))
     assert peak < 32
     assert section.value_log == pytest.approx(0.0, abs=1e-9)
     # the budget error comes exactly when the walk passes node_budget nodes
-    level_sums(r, h, [WIDE_DEPTH], node_budget=nodes, force_stream=True)
+    measure._stream_log_sums(r, h, [WIDE_DEPTH], nodes)
     with pytest.raises(ResourceError):
-        level_sums(r, h, [WIDE_DEPTH], node_budget=nodes - 1, force_stream=True)
+        measure._stream_log_sums(r, h, [WIDE_DEPTH], nodes - 1)
     with pytest.raises(ResourceError):
         section_infimum(r, h, 0, WIDE_DEPTH, node_budget=nodes - 1)
