@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__, config, geometry, measure, trees
 from .errors import (
     ConfigError,
+    ExtinctionError,
     NecktreeError,
     ParameterError,
     PreconditionError,
@@ -232,12 +234,13 @@ def _percolate(ns: argparse.Namespace) -> None:
             raise ParameterError("percolate: --seeds must be >= 1")
         scales = [2.0**-k for k in range(2, ns.min_scale_exp + 1)]
         slopes = []
-        for seed in measure.ensemble_seeds(ns.seed, 50 * ns.seeds):
-            counts = geometry.stopping_counts(trees.sample(model, seed, family), scales)
-            if counts[-1] > 0:  # condition on survival
-                slopes.append(geometry.box_dimension_from_counts(scales, counts)[0])
-                if len(slopes) == ns.seeds:
-                    break
+        for seed in itertools.islice(measure.seed_stream(ns.seed), 50 * ns.seeds):
+            try:
+                slopes.append(geometry.box_dimension(trees.sample(model, seed, family), scales)[0])
+            except ExtinctionError:  # condition on survival
+                continue
+            if len(slopes) == ns.seeds:
+                break
         else:
             raise ResourceError("too many extinct seeds")
         print(_fmt(float(np.mean(slopes))))

@@ -77,17 +77,14 @@ def _apply(acc: list, x: np.ndarray) -> np.ndarray:
     return ratio[..., None] * (matrix @ x) + translation
 
 
-def _cylinders(family: RIFSFamily, codings: Sequence[Coding]) -> tuple[list, np.ndarray, np.ndarray]:
-    """Row k: the similarity composed from ``codings[k]``, its cylinder's center and diameter."""
+def _cylinders(family: RIFSFamily, letters: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """Row k: the similarity composed from the letters ``letters[k, i] = (sys, j)`` up to the first
+    ``j == 0``, with its cylinder's center and diameter."""
     maps = _maps(family)
-    acc = [t[0, np.zeros(len(codings), dtype=np.intp)] for t in maps]  # identity rows
-    lengths = np.array([len(c.letters) for c in codings], dtype=np.intp)
-    letters = np.array([a for c in codings for a in c.letters], dtype=np.intp).reshape(-1, 2)
-    first = np.cumsum(lengths) - lengths  # row of each coding's first letter in ``letters``
-    for k in range(lengths.max(initial=0)):
-        rows = (lengths > k).nonzero()[0]
-        sys, j = letters[first[rows] + k].T
-        _then(acc, maps, rows, sys, j)
+    acc = [t[0, np.zeros(len(letters), dtype=np.intp)] for t in maps]  # identity rows
+    for sys, j in letters.transpose(1, 2, 0):  # one letter column at a time
+        rows = (j > 0).nonzero()[0]
+        _then(acc, maps, rows, sys[rows], j[rows])
     dim = family.ambient_dim
     return acc, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim)
 
@@ -111,7 +108,8 @@ def compose(family: RIFSFamily, coding: Coding) -> Cylinder:
     for si, j in coding.letters:
         if not 1 <= j <= family.systems[si].nmaps:
             raise ParameterError(f"coding letter ({si}, {j}) has no matching map")
-    (ratio, matrix, translation), center, diameter = _cylinders(family, [coding])
+    letters = np.array(coding.letters, dtype=np.intp).reshape(1, -1, 2)
+    (ratio, matrix, translation), center, diameter = _cylinders(family, letters)
     affine = Affine(ratio=float(ratio[0]), matrix=matrix[0], translation=translation[0])
     return Cylinder(coding=coding, affine=affine, center=center[0], diameter=float(diameter[0]))
 

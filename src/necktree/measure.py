@@ -10,9 +10,10 @@ of paths, not once per path.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,12 +23,12 @@ from .errors import (
     GeometryError,
     ParameterError,
     PreconditionError,
-    ResourceError,
     UnsupportedModelError,
 )
 from .gauges import GaugeFunction
 from .rifs import HOMOGENEOUS, RIFSFamily, _almost_deterministic_at, log_moment_stats, log_moments
 from .trees import (
+    DEFAULT_NODE_BUDGET,
     NECK_BLOCK,
     V_VARIABLE,
     Chunk,
@@ -35,12 +36,11 @@ from .trees import (
     ModelSpec,
     Realization,
     levels,
+    _stopping_letters,
     sample,
-    stopping_set,
     vv_log_counts,
 )
 
-DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_THRESHOLDS = (-20.0, 20.0)
 # Envelope exit/touch comparisons start this far into the requested horizon
 # (the same last-decade convention used for trend slopes); near the envelope's
@@ -88,15 +88,20 @@ class NaturalMeasure:
     def __post_init__(self) -> None:
         # log map count per system, +inf for a 0-map system
         logn = [math.log(s.nmaps) if s.nmaps else math.inf for s in self.realization.family.systems]
-        object.__setattr__(self, "_logn", logn)
+        object.__setattr__(self, "_logn", np.array(logn))
 
-    def log_mass(self, coding: Coding) -> float:
-        total = 0.0
-        for si, _ in coding.letters:
-            total -= self._logn[si]
-        if total == -math.inf:
+    def log_masses(self, letters: np.ndarray) -> np.ndarray:
+        """Log masses of the codings of a letter array as ``geometry._cylinders`` reads it."""
+        total = np.zeros(len(letters))
+        for sys, j in letters.transpose(1, 2, 0):
+            rows = (j > 0).nonzero()[0]
+            total[rows] -= self._logn[sys[rows]]
+        if np.any(total == -math.inf):
             raise ParameterError("coding passes through an extinct node")
         return total
+
+    def log_mass(self, coding: Coding) -> float:
+        return float(self.log_masses(np.array(coding.letters, dtype=np.intp).reshape(1, -1, 2))[0])
 
     def mass(self, coding: Coding) -> float:
         return math.exp(self.log_mass(coding))
@@ -267,13 +272,7 @@ def _stream_log_sums(
     evaluation per chunk.
     """
     accs = {d: _LogSumAcc() for d in depths}
-    visited = 0
-    for chunk in levels(r, max_depth=max(depths)):
-        visited += len(chunk)
-        if visited > node_budget:
-            raise ResourceError(
-                f"node budget {node_budget} exceeded while streaming level {chunk.depth}"
-            )
+    for chunk in levels(r, max_depth=max(depths), node_budget=node_budget):
         if chunk.depth in accs:
             accs[chunk.depth].extend(h.eval_log(chunk.log_ratio).tolist())
     return np.array([accs[d].value() for d in depths])
@@ -353,9 +352,14 @@ def _series(r: Realization, h: GaugeFunction, depths, vals: np.ndarray) -> Level
 # ensemble experiments
 
 
-def ensemble_seeds(master_seed: int, n: int) -> list[int]:
+def seed_stream(master_seed: int) -> Iterator[int]:
+    """Path seeds ``fold(fold(master_seed, TAG_SUBSTREAM), i)`` for i = 0, 1, ..., derived lazily."""
     h = streams.fold(master_seed, streams.TAG_SUBSTREAM)
-    return [streams.fold(h, i) for i in range(n)]
+    return (streams.fold(h, i) for i in itertools.count())
+
+
+def ensemble_seeds(master_seed: int, n: int) -> list[int]:
+    return list(itertools.islice(seed_stream(master_seed), n))
 
 
 def _path_stats(
@@ -568,10 +572,8 @@ def section_infimum(
             open_[-1].take(done.chunk, *done.finish(h, depth_min, depth_cap, track))
 
     visited = 0
-    for chunk in levels(r, max_depth=depth_cap):
+    for chunk in levels(r, max_depth=depth_cap, node_budget=node_budget):
         visited += len(chunk)
-        if visited > node_budget:
-            raise ResourceError(f"node budget {node_budget} exceeded at depth {chunk.depth}")
         # sections are dropped for good once the tree outgrows argmin_limit
         track = visited <= argmin_limit
         close_to(chunk.depth)
@@ -678,11 +680,11 @@ def mass_distribution_check(
     max_count = 0
     sup_ratio = 0.0
     for eps in eps_list:
-        codings = list(stopping_set(r, eps))
-        if not codings:
+        letters, _ = _stopping_letters(r, eps)
+        if not len(letters):
             continue
-        _, cent, diam = geometry._cylinders(family, codings)
-        masses = np.array([nu.mass(c) for c in codings])
+        _, cent, diam = geometry._cylinders(family, letters)
+        masses = np.array([math.exp(x) for x in nu.log_masses(letters).tolist()])
         h_2eps = math.exp(h.eval_log(math.log(2 * eps)))
         if d == 1:
             lo = cent[:, 0] - diam / 2

@@ -41,16 +41,21 @@ class SimilarityMap:
     def __post_init__(self) -> None:
         if not (0.0 < self.ratio <= 1.0):
             raise ConfigError(f"map ratio must be in (0, 1], got {self.ratio}")
-        if self.isometry is not None:
-            q = np.asarray(self.isometry, dtype=float)
+        try:
+            q = None if self.isometry is None else np.asarray(self.isometry, dtype=float)
+            b = None if self.translation is None else np.asarray(self.translation, dtype=float)
+        except (TypeError, ValueError):
+            given = f"isometry {self.isometry!r}, translation {self.translation!r}"
+            raise ConfigError(f"map geometry must be arrays of numbers ({given})") from None
+        if q is not None:
             if q.ndim != 2 or q.shape[0] != q.shape[1]:
                 raise ConfigError("isometry must be a square matrix")
             err = np.max(np.abs(q.T @ q - np.eye(q.shape[0])))
             if err > STRUCT_TOL:
                 raise ConfigError(f"isometry is not orthogonal (|Q^T Q - I| = {err:.3e})")
             object.__setattr__(self, "isometry", q)
-        if self.translation is not None:
-            object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).ravel())
+        if b is not None:
+            object.__setattr__(self, "translation", b.ravel())
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from math import exp, inf, log
+from math import ceil, exp, inf, log
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import streams
-from .errors import ConfigError, HorizonError, ParameterError, PreconditionError, UnsupportedModelError
+from .errors import (
+    ConfigError, HorizonError, ParameterError, PreconditionError, ResourceError, UnsupportedModelError
+)
 from .rifs import HOMOGENEOUS, RECURSIVE, RIFSFamily
 
 V_VARIABLE = "v_variable"
@@ -32,6 +34,8 @@ NECK_BLOCK = "neck_block"
 _KINDS = (HOMOGENEOUS, RECURSIVE, V_VARIABLE, NECK_BLOCK)
 
 NECK_SEARCH_HORIZON = 10**6
+# Nodes a tree walk may visit before it raises ``ResourceError``.
+DEFAULT_NODE_BUDGET = 10**8
 # Entries of one chunk of V-variable tables (levels x (V + 1) buffers x maps).
 VV_TABLE_ENTRIES = 2**12
 # Nodes of one chunk of a tree level handed out by ``levels``.
@@ -106,7 +110,10 @@ class Realization:
         seed = int(self.seed) & streams.MASK64
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "_cumw", list(self.family.cum_weights))
-        object.__setattr__(self, "_cumw_array", np.asarray(self._cumw))
+        # labels compare raw draws x: u01(x) >= c iff x >= ceil(c 2^53) 2^11, never for c = 1.0
+        thresholds = [ceil(c * 2.0**53) << 11 for c in self._cumw[:-1]]
+        thresholds = np.array([t for t in thresholds if t <= streams.MASK64], dtype=np.uint64)
+        object.__setattr__(self, "_thresholds", thresholds)
         kind = self.model.kind
         if kind == HOMOGENEOUS:
             object.__setattr__(self, "_h", streams.fold(seed, streams.TAG_HOMOGENEOUS))
@@ -202,8 +209,8 @@ class Realization:
         levels = np.arange(level0, level0 + n, dtype=np.uint64)[:, None]
         bufs = np.arange(1, v + 1, dtype=np.uint64)
         js = np.arange(1, self.family.n_max + 1)
-        u = streams.u01_array(streams.fold_array(streams.fold_array(self._hl, levels), bufs))
-        labels = self._cumw_array.searchsorted(u, side="right")
+        x = streams.fold_array(streams.fold_array(self._hl, levels), bufs)
+        labels = self._thresholds.searchsorted(x, side="right")
         states = streams.fold_array(streams.fold_array(self._ha, levels), bufs)[:, :, None]
         u = streams.u01_array(streams.fold_array(states, js))
         table = np.zeros((n, v + 1, js.size), dtype=np.int32)
@@ -257,13 +264,13 @@ class Realization:
         kind = self.model.kind
         if kind == RECURSIVE:
             states = streams.fold_array(aux[:, None], self._node_counters)
-            u, children = streams.u01_array(states[:, 0]), states[:, 1:]
+            x, children = states[:, 0], states[:, 1:]
         elif kind == V_VARIABLE:
-            u = streams.u01_array(streams.fold_array(streams.fold(self._hl, level), aux))
+            x = streams.fold_array(streams.fold(self._hl, level), aux)
             children = self.vv_children(level, 1)[0][aux]
         else:
             return np.full(n, self._sys_at_level(level)), None
-        return self._cumw_array.searchsorted(u, side="right"), children
+        return self._thresholds.searchsorted(x, side="right"), children
 
     # ---- public API ------------------------------------------------------
 
@@ -282,12 +289,11 @@ class Realization:
         kind = self.model.kind
         if kind == HOMOGENEOUS:
             counters = np.arange(self.offset, self.offset + depth, dtype=np.uint64)
-            u = streams.u01_array(streams.fold_array(self._h, counters))
-            # entries of the cumulative weights <= u, as searchsorted(side="right")
-            # counts them: they never decrease and the last one, 1.0, exceeds u
+            x = streams.fold_array(self._h, counters)
+            # thresholds <= x, as ``expand``'s searchsorted(side="right") counts them
             out = np.zeros(depth, dtype=np.int64)
-            for c in self._cumw_array[:-1]:
-                out += u >= c
+            for t in self._thresholds:
+                out += x >= t
             return out
         if kind == NECK_BLOCK:
             return np.array(
@@ -325,21 +331,25 @@ class Chunk:
     def __len__(self) -> int:
         return self.log_ratio.size
 
-    def codings(self, index: np.ndarray) -> list[Coding]:
-        """Codings of the nodes ``index``, in the order given, read up the ``up`` links."""
-        log_ratio = self.log_ratio[index].tolist()
-        sys = np.empty((index.size, self.depth), dtype=np.int64)
-        j = np.empty_like(sys)
+    def letters(self, index: np.ndarray) -> np.ndarray:
+        """Row i: the letters ``(sys, j)`` of the coding of node ``index[i]``, read up the ``up`` links."""
+        out = np.empty((index.size, self.depth, 2), dtype=np.intp)
         chunk = self
         for d in range(self.depth - 1, -1, -1):
-            sys[:, d] = chunk.sys[index]
-            j[:, d] = chunk.j[index]
+            out[:, d, 0], out[:, d, 1] = chunk.sys[index], chunk.j[index]
             index = chunk.parent[index]
             chunk = chunk.up
-        return [Coding(tuple(zip(s, jj)), lr) for s, jj, lr in zip(sys.tolist(), j.tolist(), log_ratio)]
+        return out
+
+    def codings(self, index: np.ndarray) -> list[Coding]:
+        """Codings of the nodes ``index``, in the order given."""
+        sys, j = self.letters(index).transpose(2, 0, 1).tolist()
+        return [Coding(tuple(zip(s, jj)), lr) for s, jj, lr in zip(sys, j, self.log_ratio[index].tolist())]
 
 
-def levels(r: Realization, max_depth: float = inf, log_stop: float = -inf) -> Iterator[Chunk]:
+def levels(
+    r: Realization, max_depth: float = inf, log_stop: float = -inf, node_budget: float = inf
+) -> Iterator[Chunk]:
     """Walk the tree a level at a time, in chunks of at most ``FRONTIER_NODES`` nodes.
 
     A node is expanded only while ``depth < max_depth`` and ``log_ratio >
@@ -347,7 +357,9 @@ def levels(r: Realization, max_depth: float = inf, log_stop: float = -inf) -> It
     chunks.  Chunks come depth-first over chunks from an explicit stack, so
     memory stays O(depth x chunk), and the chunks of each depth come in
     address order.  Labels and child states of a whole chunk are drawn in one
-    vectorized pass; counter-based draws do not depend on visit order.
+    vectorized pass; counter-based draws do not depend on visit order.  The
+    walk raises ``ResourceError`` instead of handing out a chunk that takes it
+    past ``node_budget`` nodes.
     """
     systems = r.family.systems
     nmaps = np.array([s.nmaps for s in systems])
@@ -359,8 +371,12 @@ def levels(r: Realization, max_depth: float = inf, log_stop: float = -inf) -> It
     none = np.zeros(0, dtype=np.int64)
     aux = None if aux0 is None else np.array([aux0], dtype=np.uint64)
     stack = [Chunk(0, np.zeros(1), none, none, none, aux, None)]
+    visited = 0
     while stack:
         chunk = stack.pop()
+        visited += len(chunk)
+        if visited > node_budget:
+            raise ResourceError(f"node budget {node_budget} exceeded while streaming level {chunk.depth}")
         yield chunk
         if chunk.depth >= max_depth:
             continue
@@ -400,6 +416,30 @@ def _log_epsilon(r: Realization, epsilon: float) -> float:
     return log(epsilon)
 
 
+def _stopping_letters(r: Realization, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The codings of ``stopping_set`` in address order: ``[n, width, 2]`` letters and log ratios.
+
+    Row i holds one coding's letters ``(sys, j)`` and then zeros; maps are
+    numbered from 1, so ``j == 0`` marks the end.  No coding is a prefix of
+    another and siblings share their parent's system, so sorting on the ``j``
+    columns alone gives address order.
+    """
+    log_eps = _log_epsilon(r, epsilon)
+    parts = []
+    for chunk in levels(r, log_stop=log_eps):
+        stopped = (chunk.log_ratio <= log_eps).nonzero()[0]
+        if stopped.size:
+            parts.append((chunk.log_ratio[stopped], chunk.letters(stopped)))
+    log_ratio = np.concatenate([np.zeros(0), *(lr for lr, _ in parts)])
+    width = max((w.shape[1] for _, w in parts), default=1)  # lexsort needs a column
+    letters, start = np.zeros((log_ratio.size, width, 2), dtype=np.intp), 0
+    for _, w in parts:
+        letters[start : start + len(w), : w.shape[1]] = w
+        start += len(w)
+    order = np.lexsort(letters[:, ::-1, 1].T)
+    return letters[order], log_ratio[order]
+
+
 def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
     """Stream the antichain of codings first reaching ratio <= epsilon.
 
@@ -408,15 +448,11 @@ def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
     Codings come in address order, which is depth-first order.  A family with
     a map of ratio 1 has branches that never shrink, so it is refused.
     """
-    log_eps = _log_epsilon(r, epsilon)
-    found: list[Coding] = []
-    for chunk in levels(r, log_stop=log_eps):
-        stopped = (chunk.log_ratio <= log_eps).nonzero()[0]
-        if stopped.size:
-            found.extend(chunk.codings(stopped))
-    # letters order addresses: siblings share their parent's system
-    found.sort(key=lambda c: c.letters)
-    yield from found
+    letters, log_ratio = _stopping_letters(r, epsilon)
+    length = np.count_nonzero(letters[:, :, 1], axis=1)
+    sys, j = letters.transpose(2, 0, 1).tolist()
+    for s, jj, k, lr in zip(sys, j, length.tolist(), log_ratio.tolist()):
+        yield Coding(tuple(zip(s[:k], jj[:k])), lr)
 
 
 def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
@@ -424,7 +460,7 @@ def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
 
     Entry i equals the length of ``stopping_set(r, scales[i])``.  One walk to
     the smallest scale counts every node for each scale epsilon with
-    ``log_ratio <= log epsilon < parent log_ratio``.
+    ``log_ratio <= log epsilon < parent log_ratio``, under ``DEFAULT_NODE_BUDGET``.
     """
     log_eps = np.array([_log_epsilon(r, e) for e in scales], dtype=float)
     if not log_eps.size:
@@ -432,7 +468,7 @@ def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
     grid = np.sort(log_eps)  # not np.unique, whose first call imports numpy.ma (1 MiB)
     # a node counts for grid indices [first >= log_ratio, first >= parent log_ratio)
     delta = np.zeros(grid.size + 1, dtype=np.int64)
-    for chunk in levels(r, log_stop=grid[0]):
+    for chunk in levels(r, log_stop=grid[0], node_budget=DEFAULT_NODE_BUDGET):
         if chunk.up is None:
             continue
         first = np.searchsorted(grid, chunk.log_ratio)

@@ -14,6 +14,7 @@ from necktree import streams
 from necktree.errors import (
     ConfigError,
     ExtinctionError,
+    GeometryError,
     ParameterError,
     PreconditionError,
     ResourceError,
@@ -25,13 +26,17 @@ from necktree.geometry import (
     POINT_DIAMETER_TOL,
     Affine,
     Cylinder,
-    _cylinders,
+    _apply,
+    _maps,
+    _then,
     require_geometry,
     sample_points,
+    uosc_audit_1d,
 )
 from necktree.measure import (
     DEFAULT_THRESHOLDS,
     DriftReport,
+    MassDistributionReport,
     NaturalMeasure,
     SectionValue,
     _check_depths,
@@ -49,7 +54,16 @@ from necktree.rifs import (
     log_moment_stats,
     validate,
 )
-from necktree.trees import V_VARIABLE, Coding, ModelSpec, Realization, sample, stopping_set, vv_log_counts
+from necktree.trees import (
+    V_VARIABLE,
+    Coding,
+    ModelSpec,
+    Realization,
+    _log_epsilon,
+    levels,
+    sample,
+    vv_log_counts,
+)
 
 
 @contextmanager
@@ -500,7 +514,7 @@ def oracle_level_systems(r: Realization, depth: int) -> np.ndarray:
     """Homogeneous level labels by ``searchsorted`` over the cumulative weights."""
     counters = np.arange(r.offset, r.offset + depth, dtype=np.uint64)
     u = streams.u01_array(streams.fold_array(r._h, counters))
-    return r._cumw_array.searchsorted(u, side="right").astype(np.int64)
+    return r.family.cum_weights.searchsorted(u, side="right").astype(np.int64)
 
 
 def oracle_level_tables(family: RIFSFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -533,6 +547,130 @@ def oracle_all_level_log_sums(r: Realization, h: GaugeFunction, kmax: int):
     return None
 
 
+# ---- mass check on coding tuples -------------------------------------------------
+# The stopping set sorted as ``Coding`` tuples, the composition that reads the
+# tuples back into arrays, the per-coding log-mass loop and the mass check
+# over them, as they ran before the check read the stopping set as letter
+# arrays; kept verbatim (names aside) as the bit-identity reference.
+
+
+def letter_arrays(codings: Sequence[Coding]) -> np.ndarray:
+    """Row k holds the letters ``(sys, j)`` of ``codings[k]``, then zeros up to the longest coding."""
+    width = max((len(c) for c in codings), default=0)
+    letters = np.zeros((len(codings), width, 2), dtype=np.intp)
+    for k, coding in enumerate(codings):
+        for d, (si, jj) in enumerate(coding.letters):
+            letters[k, d] = si, jj
+    return letters
+
+
+def oracle_chunk_stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
+    """Stream the antichain of codings first reaching ratio <= epsilon.
+
+    Every streamed coding has ratio <= epsilon while its parent ratio is
+    above epsilon; every infinite live branch passes through exactly one.
+    Codings come in address order, which is depth-first order.  A family with
+    a map of ratio 1 has branches that never shrink, so it is refused.
+    """
+    log_eps = _log_epsilon(r, epsilon)
+    found: list[Coding] = []
+    for chunk in levels(r, log_stop=log_eps):
+        stopped = (chunk.log_ratio <= log_eps).nonzero()[0]
+        if stopped.size:
+            found.extend(chunk.codings(stopped))
+    # letters order addresses: siblings share their parent's system
+    found.sort(key=lambda c: c.letters)
+    yield from found
+
+
+def oracle_cylinders(family: RIFSFamily, codings: Sequence[Coding]) -> tuple[list, np.ndarray, np.ndarray]:
+    """Row k: the similarity composed from ``codings[k]``, its cylinder's center and diameter."""
+    maps = _maps(family)
+    acc = [t[0, np.zeros(len(codings), dtype=np.intp)] for t in maps]  # identity rows
+    lengths = np.array([len(c.letters) for c in codings], dtype=np.intp)
+    letters = np.array([a for c in codings for a in c.letters], dtype=np.intp).reshape(-1, 2)
+    first = np.cumsum(lengths) - lengths  # row of each coding's first letter in ``letters``
+    for k in range(lengths.max(initial=0)):
+        rows = (lengths > k).nonzero()[0]
+        sys, j = letters[first[rows] + k].T
+        _then(acc, maps, rows, sys, j)
+    dim = family.ambient_dim
+    return acc, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim)
+
+
+def oracle_log_mass(nu: NaturalMeasure, coding: Coding) -> float:
+    """``NaturalMeasure.log_mass``: minus the log map counts of the coding's systems, one letter at a time."""
+    logn = [math.log(s.nmaps) if s.nmaps else math.inf for s in nu.realization.family.systems]
+    total = 0.0
+    for si, _ in coding.letters:
+        total -= logn[si]
+    if total == -math.inf:
+        raise ParameterError("coding passes through an extinct node")
+    return total
+
+
+def oracle_mass_distribution_check(
+    r: Realization,
+    h: GaugeFunction,
+    nu: NaturalMeasure,
+    n_balls: int,
+    epsilon_grid: Sequence[float],
+    seed: int = 0,
+    assume_uosc: bool = False,
+) -> MassDistributionReport:
+    """Ball-mass versus gauge check plus the stopping-set neighbor bound."""
+    family = r.family
+    d = family.ambient_dim
+    require_geometry(family)
+    if d == 1:
+        uosc_audit_1d(family)
+    elif not assume_uosc:
+        raise GeometryError("declare UOSC explicitly for ambient dimension >= 2")
+    eps_list = tuple(float(e) for e in epsilon_grid)
+    if not eps_list or any(not 0 < e < 1 for e in eps_list):
+        raise ParameterError("epsilon grid must lie in (0, 1)")
+
+    centers = sample_points(r, n=n_balls, seed=seed)
+    bound = (4.0 / family.c_min) ** d
+    max_count = 0
+    sup_ratio = 0.0
+    for eps in eps_list:
+        codings = list(oracle_chunk_stopping_set(r, eps))
+        if not codings:
+            continue
+        _, cent, diam = oracle_cylinders(family, codings)
+        masses = np.array([math.exp(oracle_log_mass(nu, c)) for c in codings])
+        h_2eps = math.exp(h.eval_log(math.log(2 * eps)))
+        if d == 1:
+            lo = cent[:, 0] - diam / 2
+            order = np.argsort(lo)
+            lo, hi = lo[order], (cent[:, 0] + diam / 2)[order]
+            prefix = np.concatenate(([0.0], np.cumsum(masses[order])))
+            z = centers[:, 0]
+            iright = np.searchsorted(lo, z + eps + 1e-12, side="right")
+            ileft = np.searchsorted(hi, z - eps - 1e-12, side="left")
+            max_count = max(max_count, int(np.max(iright - ileft, initial=0)))
+            ratio = (prefix[iright] - prefix[ileft]) / h_2eps
+            sup_ratio = max(sup_ratio, float(np.max(ratio, initial=0.0)))
+        else:
+            for z in centers:
+                dist = np.linalg.norm(cent - z, axis=1)
+                meets = dist <= eps + diam / 2 + 1e-12
+                count = int(np.sum(meets))
+                max_count = max(max_count, count)
+                ratio = float(np.sum(masses[meets])) / h_2eps
+                sup_ratio = max(sup_ratio, ratio)
+    return MassDistributionReport(
+        n_balls=n_balls,
+        epsilons=eps_list,
+        max_neighbor_count=max_count,
+        neighbor_bound=bound,
+        neighbor_ok=max_count <= bound,
+        sup_mass_ratio=sup_ratio,
+        hausdorff_lower_bound=1.0 / sup_ratio if sup_ratio > 0 else math.inf,
+    )
+
+
 def oracle_mass_check_1d(
     r: Realization, h: GaugeFunction, nu: NaturalMeasure, n_balls: int, eps_list: Sequence[float], seed: int
 ) -> tuple[int, float]:
@@ -540,11 +678,11 @@ def oracle_mass_check_1d(
     centers = sample_points(r, n=n_balls, seed=seed)
     max_count, sup_ratio = 0, 0.0
     for eps in eps_list:
-        codings = list(stopping_set(r, eps))
+        codings = list(oracle_chunk_stopping_set(r, eps))
         if not codings:
             continue
-        _, cent, diam = _cylinders(r.family, codings)
-        masses = np.array([nu.mass(c) for c in codings])
+        _, cent, diam = oracle_cylinders(r.family, codings)
+        masses = np.array([math.exp(oracle_log_mass(nu, c)) for c in codings])
         h_2eps = math.exp(h.eval_log(math.log(2 * eps)))
         lo = cent[:, 0] - diam / 2
         order = np.argsort(lo)

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Optional
+from unittest.mock import patch
 
 import pytest
 
+from necktree import streams, trees
 from necktree.cli import EXIT_CONFIG, EXIT_RESOURCE, EXIT_USAGE, parse_depths, run
 from necktree.config import family_to_dict
 from necktree.errors import ConfigError
@@ -402,6 +404,57 @@ def test_malformed_input_is_a_config_error(args, bad, configs, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("geometry_fields", [
+    {"translation": "abc"},
+    {"translation": [0.25, "x"]},
+    {"isometry": [["a"]], "translation": [0.0]},
+    {"isometry": [[1.0, 0.0], [0.0]], "translation": [0.0, 0.0]},
+], ids=["translation-string", "translation-entry", "isometry-entry", "isometry-ragged"])
+def test_non_numeric_map_geometry_is_a_config_error(geometry_fields, tmp_path, capsys):
+    family = {"systems": [{"weight": 1.0, "maps": [{"ratio": 0.5, **geometry_fields}, {"ratio": 0.5}]}]}
+    (tmp_path / "family.json").write_text(json.dumps(family))
+    assert run(["dim", "--family", str(tmp_path / "family.json"), "--model", "homogeneous"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: map geometry must be arrays of numbers") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exp", ["1", "2"])
+def test_percolate_refuses_a_scale_grid_too_short_for_a_slope(exp, capsys):
+    # 1 left no scale at all (an IndexError) and 2 one scale, whose fitted slope meant nothing
+    with time_limit(10):
+        assert run(["percolate", "--p", "0.9", "--boxdim", "--min-scale-exp", exp]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: box dimension needs at least 6 distinct scales\n"
+
+
+def test_percolate_deep_scales_end_at_the_node_budget(capsys):
+    # the default budget of 10^8 nodes takes seconds to use up, so the walk here gets 10^5
+    with time_limit(30), patch.object(trees, "DEFAULT_NODE_BUDGET", 10**5):
+        assert run(["percolate", "--p", "0.9", "--boxdim", "--min-scale-exp", "40"]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: node budget 100000 exceeded while streaming level ")
+    assert err.count("\n") == 1
+
+
+def test_sections_budget_error_names_the_level_streamed(configs, capsys):
+    # section_infimum's default budget of 10^6 nodes runs out on level 29 of this tree
+    _, fam, model, _, power_gauge = configs
+    args = ["sections", "--family", str(fam), "--model", str(model), "--gauge", str(power_gauge),
+            "--seed", "1", "--depth-min", "1", "--depth-cap", "30"]
+    with time_limit(30):
+        assert run(args) == EXIT_RESOURCE
+    assert capsys.readouterr().err == "resource error: node budget 1000000 exceeded while streaming level 29\n"
+
+
+def test_percolate_derives_candidate_seeds_lazily(capsys):
+    args = ["percolate", "--p", "0.7", "--boxdim", "--seeds", "3", "--min-scale-exp", "8"]
+    with patch.object(streams, "fold", wraps=streams.fold) as fold, \
+            patch.object(trees, "sample", wraps=trees.sample) as sample:
+        assert run(args) == 0
+    # one fold for the substream, then one per candidate seed taken and one per sampled tree
+    assert fold.call_count == 1 + 2 * sample.call_count < 50
+    assert capsys.readouterr().err == ""
 
 
 NUMPY_MA_PROBE = """

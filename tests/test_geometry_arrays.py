@@ -18,7 +18,15 @@ from necktree.measure import mass_distribution_check, natural_measure
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, dimension
 from necktree.trees import BlockTemplate, Coding, ModelSpec, coding_level, sample, stopping_set
 
-from helpers import oracle_compose, oracle_sample_points
+from helpers import (
+    letter_arrays,
+    oracle_chunk_stopping_set,
+    oracle_compose,
+    oracle_cylinders,
+    oracle_log_mass,
+    oracle_mass_distribution_check,
+    oracle_sample_points,
+)
 
 HOM = ModelSpec(kind="homogeneous")
 
@@ -74,8 +82,24 @@ def models(draw, n_sys: int):
 
 
 @st.composite
-def realizations(draw):
-    fam = draw(families())
+def separated_families(draw):
+    """1-D families of 1-3 systems whose maps have disjoint images in [0, 1]; the first system has 2 or 3."""
+    systems = []
+    for i in range(draw(st.integers(1, 3))):
+        maps, start = [], 0.0
+        ratios = draw(st.lists(st.floats(0.15, 0.3), min_size=0 if i else 2, max_size=3))
+        gap = (1.0 - sum(ratios)) / (len(ratios) + 1)
+        for c in ratios:
+            maps.append(SimilarityMap(c, translation=np.array([start + gap])))
+            start += gap + c
+        systems.append(IFS(maps=tuple(maps), label=f"s{i}"))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(systems), max_size=len(systems)))
+    return RIFSFamily(systems=tuple(systems), weights=_normalized(weights))
+
+
+@st.composite
+def realizations(draw, families=families()):
+    fam = draw(families)
     r = sample(draw(models(fam.nsystems)), draw(st.integers(0, 2**64 - 1)), fam)
     return replace(r, offset=draw(st.integers(0, 3)))
 
@@ -105,7 +129,7 @@ def _points_or_error(fn, *args, **kwargs):
 def test_array_composition_matches_one_letter_at_a_time(r, epsilon, n, seed, tol, retries, frontier):
     fam = r.family
     codings = [Coding((), 0.0), *stopping_set(r, epsilon)]  # words of mixed lengths
-    (ratio, matrix, translation), center, diameter = geometry._cylinders(fam, codings)
+    (ratio, matrix, translation), center, diameter = geometry._cylinders(fam, letter_arrays(codings))
     for k, coding in enumerate(codings):
         want = _bytes(oracle_compose(fam, coding))
         assert _bytes(compose(fam, coding)) == want
@@ -116,6 +140,48 @@ def test_array_composition_matches_one_letter_at_a_time(r, epsilon, n, seed, tol
     with patch.object(trees, "FRONTIER_NODES", frontier):
         got = _points_or_error(sample_points, r, n, seed, diameter_tol=tol, max_retries=retries)
     assert got == _points_or_error(oracle_sample_points, r, nu, n, seed, diameter_tol=tol, max_retries=retries)
+
+
+def _words(codings) -> list:
+    return [(c.letters, c.log_ratio.hex()) for c in codings]
+
+
+def _rows(cylinders) -> tuple:
+    (ratio, matrix, translation), center, diameter = cylinders
+    return tuple(x.tobytes() for x in (ratio, matrix, translation, center, diameter))
+
+
+def _report_or_error(check, *args, **kwargs):
+    try:
+        return repr(check(*args, **kwargs))
+    except (ExtinctionError, GeometryError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(realizations(), realizations(separated_families())),
+    st.lists(st.floats(0.02, 0.5), min_size=1, max_size=3),
+    st.integers(0, 12),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 7),
+)
+def test_mass_check_on_letter_arrays_matches_coding_tuples(r, epsilons, n_balls, seed, frontier):
+    fam, nu, h = r.family, natural_measure(r), power(0.7)
+    # chunks of 1-7 nodes spread each stopping set over several chunks and depths
+    with patch.object(trees, "FRONTIER_NODES", frontier):
+        for eps in epsilons:
+            want = list(oracle_chunk_stopping_set(r, eps))
+            assert _words(stopping_set(r, eps)) == _words(want)
+            letters, _ = trees._stopping_letters(r, eps)
+            assert _rows(geometry._cylinders(fam, letters)) == _rows(oracle_cylinders(fam, want))
+            masses = [math.exp(x).hex() for x in nu.log_masses(letters).tolist()]
+            assert masses == [math.exp(oracle_log_mass(nu, c)).hex() for c in want]
+            assert [nu.mass(c).hex() for c in want] == masses
+        # d = 1 runs the interval audit whatever assume_uosc says
+        args = (r, h, nu, n_balls, epsilons, seed)
+        got = _report_or_error(mass_distribution_check, *args, assume_uosc=True)
+        assert got == _report_or_error(oracle_mass_distribution_check, *args, assume_uosc=True)
 
 
 def test_extinction_names_the_first_failing_point_across_blocks():

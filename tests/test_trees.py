@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from necktree import streams
 from necktree.errors import HorizonError, ParameterError, PreconditionError, UnsupportedModelError
 from necktree.geometry import percolation_preset
 from necktree.rifs import equicontractive_family, log_moment_stats
@@ -113,6 +115,29 @@ def test_level_systems_matches_label_of():
                     long = r.level_systems(3000)
                     assert long.tobytes() == oracle_level_systems(r, 3000).tobytes()
                     assert not np.isin(long, zero).any()
+
+
+def test_level_labels_switch_at_the_integer_thresholds():
+    # zero weights first, in the middle and last, and cumulative weights that are not dyadic
+    for w in ([0.0, 0.3, 0.7], [0.3, 0.0, 0.7], [0.3, 0.7, 0.0], [0.1, 0.2, 0.7]):
+        fam = equicontractive_family([2, 3, 1], 1 / 3, w)
+        draws = {0, streams.MASK64}
+        for c in fam.cum_weights[:-1]:
+            t = math.ceil(c * 2.0**53) << 11  # the first draw x with u01(x) >= c
+            if t <= streams.MASK64:
+                assert streams.u01(t) >= c
+            if t > 0:
+                assert streams.u01(t - 1) < c
+            draws |= {x for x in (t - 1, t) if 0 <= x <= streams.MASK64}
+        x = np.array(sorted(draws), dtype=np.uint64)
+        want = fam.cum_weights.searchsorted(streams.u01_array(x), side="right").tolist()
+        with patch.object(streams, "fold_array", lambda state, counters: x):
+            assert sample(HOM, 0, fam).level_systems(x.size).tolist() == want
+        # a recursive node's label is its first draw
+        with patch.object(streams, "fold_array", lambda state, counters: np.repeat(x[:, None], 4, axis=1)):
+            labels, _ = sample(REC, 0, fam).expand(0, np.zeros(x.size, dtype=np.uint64), x.size)
+        assert labels.tolist() == want
+        assert not np.isin(want, [i for i, wi in enumerate(w) if wi == 0]).any()
 
 
 # ---- coding levels ----------------------------------------------------------

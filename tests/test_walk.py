@@ -199,6 +199,16 @@ def test_stopping_counts_domain():
         stopping_counts(sample(REC, 0, one), [0.1, 0.2])
 
 
+def test_stopping_counts_stop_at_the_node_budget():
+    r = sample(REC, 0, equicontractive_family([2], 0.5, [1.0]))
+    nodes = 2**11 - 1  # 2^-10 <= 0.0015 < 2^-9: the walk visits every node to depth 10
+    with patch.object(trees, "DEFAULT_NODE_BUDGET", nodes):
+        assert stopping_counts(r, [0.0015]).tolist() == [2**10]
+    with patch.object(trees, "DEFAULT_NODE_BUDGET", nodes - 1), \
+            pytest.raises(ResourceError, match="node budget 2046 exceeded while streaming level 10"):
+        stopping_counts(r, [0.0015])
+
+
 # ---- memory -------------------------------------------------------------------
 
 WIDE_DEPTH = 18  # 2**18 nodes on the last level, 2**19 - 1 in the tree
