@@ -8,6 +8,7 @@ from .rifs import (  # noqa: F401
     ConditionsReport,
     RIFSFamily,
     SimilarityMap,
+    beta_hat,
     dimension,
     equicontractive_family,
     log_moment_stats,
@@ -32,7 +33,6 @@ from .measure import (  # noqa: F401
     LevelSumSeries,
     NaturalMeasure,
     SectionValue,
-    beta_hat,
     drift_experiment,
     level_sums,
     lil_calibration,

@@ -97,11 +97,12 @@ def parse_depths(text: str) -> list[int]:
 def _load_model(arg: str):
     """Model from a file path, or a bare model name for convenience."""
     if arg in ("homogeneous", "recursive"):
-        spec = trees.ModelSpec(kind=arg)
-        blob = json.dumps({"model": arg}, sort_keys=True).encode()
-        return spec, None, config.content_hash(blob)
-    spec, seed = config.model_from_dict(config.load_json(arg))
-    return spec, seed, config.file_hash(arg)
+        obj = {"model": arg}
+        model_hash = config.content_hash(json.dumps(obj, sort_keys=True).encode())
+    else:
+        obj, model_hash = config.load_json(arg), config.file_hash(arg)
+    spec, seed = config.model_from_dict(obj)
+    return spec, seed, model_hash
 
 
 def _inputs(ns: argparse.Namespace):
@@ -140,7 +141,7 @@ def _write_table(
     manifest.finished = _now()
     if ns.format == "json":
         payload = {
-            "manifest": manifest.to_dict(),
+            "provenance": _provenance(manifest),
             "columns": columns,
             "rows": [[_fmt(x) for x in row] for row in rows],
         }
@@ -337,8 +338,6 @@ def run(argv: Sequence[str]) -> int:
 def main() -> None:
     try:
         sys.exit(run(sys.argv[1:]))
-    except SystemExit:
-        raise
     except KeyboardInterrupt:
         sys.exit(130)
 

@@ -22,7 +22,7 @@ from typing import Any, Optional, Union
 
 from .errors import ConfigError
 from .gauges import GaugeFunction
-from .rifs import HOMOGENEOUS, IFS, RIFSFamily, SimilarityMap, dimension, solver_model
+from .rifs import HOMOGENEOUS, IFS, RIFSFamily, SimilarityMap, beta_hat, dimension, solver_model
 from .trees import BlockTemplate, ModelSpec
 
 
@@ -140,38 +140,25 @@ def gauge_from_dict(
     model_kind: str = HOMOGENEOUS,
 ) -> GaugeFunction:
     """Parse a gauge spec, resolving "auto" entries against ``family``."""
+
+    def resolve(raw: Any, name: str, auto) -> float:
+        if raw != "auto":
+            return _number(raw, f"gauge config {name}")
+        if family is None:
+            raise ConfigError(f"gauge config: {name} = 'auto' needs a family")
+        return auto()
+
     s_raw = _require(obj, "s", "gauge config")
     fam_raw = _require(obj, "family", "gauge config")
-    if s_raw == "auto":
-        if family is None:
-            raise ConfigError("gauge config: s = 'auto' needs a family")
-        s = dimension(family, solver_model(model_kind))
-    else:
-        s = _number(s_raw, "gauge config s")
-
-    def resolve_beta(raw: Any) -> float:
-        if raw == "auto":
-            if family is None:
-                raise ConfigError("gauge config: beta = 'auto' needs a family")
-            from .measure import beta_hat
-
-            return beta_hat(family, s)
-        return _number(raw, "gauge config beta")
-
+    s = resolve(s_raw, "s", lambda: dimension(family, solver_model(model_kind)))
     if fam_raw == "power":
         return GaugeFunction(s=s, family="power")
     if isinstance(fam_raw, dict):
-        if "loglog_power" in fam_raw:
-            return GaugeFunction(
-                s=s, family="loglog_power", beta=resolve_beta(_require(fam_raw["loglog_power"], "beta", "gauge config"))
-            )
-        for name in ("h1", "h1_star"):
+        for name in ("loglog_power", "h1", "h1_star"):
             if name in fam_raw:
                 sub = fam_raw[name]
-                return GaugeFunction(
-                    s=s,
-                    family=name,
-                    beta=resolve_beta(_require(sub, "beta", "gauge config")),
-                    gamma=_number(sub.get("gamma", 0.0), "gauge config gamma"),
-                )
+                beta = resolve(_require(sub, "beta", "gauge config"), "beta", lambda: beta_hat(family, s))
+                # loglog_power has no gamma; h1 and h1_star default it to 0
+                gamma = None if name == "loglog_power" else _number(sub.get("gamma", 0.0), "gauge config gamma")
+                return GaugeFunction(s=s, family=name, beta=beta, gamma=gamma)
     raise ConfigError("gauge config: field 'family' is malformed")

@@ -6,6 +6,7 @@ rejected before any geometric operation runs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -43,8 +44,12 @@ class Cylinder:
     diameter: float
 
 
-def _maps(family: RIFSFamily) -> list[np.ndarray]:
-    """Arrays ratio, isometry, translation with map j of system i at [i, j]; j = 0 is the identity."""
+@functools.lru_cache(maxsize=8)
+def _maps(family: RIFSFamily) -> tuple[np.ndarray, ...]:
+    """Read-only arrays ratio, isometry, translation: map j of system i at [i, j], j = 0 the identity.
+
+    Built once per family (families hash by identity); a mismatched map raises on every call.
+    """
     dim = family.ambient_dim
     shape = (family.nsystems, family.n_max + 1)
     ratio, translation = np.ones(shape), np.zeros(shape + (dim,))
@@ -56,10 +61,12 @@ def _maps(family: RIFSFamily) -> list[np.ndarray]:
             if q.shape != (dim, dim) or b.shape != (dim,):
                 raise ConfigError(f"map geometry does not match ambient dimension {dim}")
             ratio[i, j], isometry[i, j], translation[i, j] = m.ratio, q, b
-    return [ratio, isometry, translation]
+    for a in (ratio, isometry, translation):
+        a.flags.writeable = False
+    return ratio, isometry, translation
 
 
-def _then(acc: list, maps: list, rows: np.ndarray, sys: np.ndarray, j: np.ndarray) -> None:
+def _then(acc: list, maps: tuple, rows: np.ndarray, sys: np.ndarray, j: np.ndarray) -> None:
     """Compose rows ``rows`` of ``acc``, in place, with maps ``j`` of systems ``sys`` applied first.
 
     Each row repeats the arithmetic of composing two ``Affine``s, so it is
@@ -151,6 +158,8 @@ def sample_points(
     A family with a map of ratio 1 has branches that never shrink, so it is refused.
     """
     family = r.family
+    if n < 0:
+        raise ParameterError(f"point count must be >= 0, got {n}")
     if family.c_max >= 1.0:
         raise PreconditionError("point sampling needs all contraction ratios < 1")
     require_geometry(family)

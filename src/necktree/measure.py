@@ -27,6 +27,7 @@ from .errors import (
 )
 from .gauges import GaugeFunction
 from .rifs import HOMOGENEOUS, RIFSFamily, _almost_deterministic_at, log_moment_stats, log_moments
+from .rifs import beta_hat, eta_hat  # noqa: F401  (re-exported)
 from .trees import (
     DEFAULT_NODE_BUDGET,
     NECK_BLOCK,
@@ -164,31 +165,6 @@ class MassDistributionReport:
 
 
 # ---------------------------------------------------------------------------
-# defaults derived from the family
-
-
-def eta_hat(family: RIFSFamily) -> float:
-    """|mean log geometric-mean contraction| under the selection weights."""
-    total = 0.0
-    for w, sysm in zip(family.weights, family.systems):
-        if w == 0:
-            continue
-        if sysm.nmaps == 0:
-            raise PreconditionError("eta_hat needs every positive-weight system non-empty")
-        total += w * float(np.mean(np.log(sysm.ratios)))
-    return abs(total)
-
-
-def beta_hat(family: RIFSFamily, s: float) -> float:
-    """Default envelope-matching gauge parameter Var(log S^s) / eta_hat."""
-    _, var = log_moment_stats(family, s)
-    eta = eta_hat(family)
-    if not (var > 0) or eta == 0:
-        raise PreconditionError("beta_hat needs positive variance and contraction")
-    return var / eta
-
-
-# ---------------------------------------------------------------------------
 # level sums
 
 
@@ -220,14 +196,13 @@ def _fast_log_sums(
     c = family.uniform_ratio
     if model.kind in (HOMOGENEOUS, NECK_BLOCK) and family.is_equicontractive():
         logn = np.array([math.log(s.nmaps) if s.nmaps else -math.inf for s in family.systems])
-        if c is not None:
-            gauge = h.eval_log(np.cumsum(np.full(kmax, math.log(c))))
-            return lambda r: np.cumsum(logn[r.level_systems(kmax)]) + gauge
         logc = np.array([math.log(s.common_ratio) if s.nmaps else 0.0 for s in family.systems])
+        gauge = None if c is None else h.eval_log(np.cumsum(np.full(kmax, math.log(c))))
 
         def closed_form(r: Realization) -> np.ndarray:
             sysidx = r.level_systems(kmax)
-            return np.cumsum(logn[sysidx]) + h.eval_log(np.cumsum(logc[sysidx]))
+            g = h.eval_log(np.cumsum(logc[sysidx])) if gauge is None else gauge
+            return np.cumsum(logn[sysidx]) + g
 
         return closed_form
     if model.kind == V_VARIABLE and c is not None:
@@ -362,21 +337,31 @@ def ensemble_seeds(master_seed: int, n: int) -> list[int]:
     return list(itertools.islice(seed_stream(master_seed), n))
 
 
+def _increments(start: float, walk: np.ndarray) -> tuple[float, float, int]:
+    """Sum, sum of squares and number of the increments of a walk from ``start``."""
+    incs = np.diff(np.concatenate(([start], walk)))
+    return float(np.sum(incs)), float(np.sum(incs * incs)), incs.size
+
+
+def _increment_mean_var(paths: list[tuple[float, float, int]]) -> tuple[float, float]:
+    """Mean and variance E[x^2] - mean^2 (clamped at 0) of the pooled increments of ``paths``."""
+    total, total_sq, n = map(sum, zip(*paths))
+    mean = total / n
+    return mean, max(total_sq / n - mean**2, 0.0)
+
+
 def _path_stats(
     full: np.ndarray, start: float, idx: np.ndarray, path_seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
-    """Grid values, running min/max, and increment accumulators of one path's level sums."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float, int]]:
+    """Grid values, running min/max, and increment sums of one path's level sums."""
     if full[-1] == -math.inf:
         level = int(np.argmax(full == -math.inf)) + 1
         raise ExtinctionError(f"drift path with seed {path_seed} dies out at level {level}")
-    incs = np.diff(np.concatenate(([start], full)))
     return (
         full[idx],
         _running_at(np.minimum, full, idx),
         _running_at(np.maximum, full, idx),
-        float(np.sum(incs)),
-        float(np.sum(incs * incs)),
-        incs.size,
+        _increments(start, full),
     )
 
 
@@ -440,11 +425,7 @@ def drift_experiment(
     vals = np.stack([f[0] for f in flat])
     runmin = np.stack([f[1] for f in flat])
     runmax = np.stack([f[2] for f in flat])
-    inc_sum = sum(f[3] for f in flat)
-    inc_sumsq = sum(f[4] for f in flat)
-    inc_n = sum(f[5] for f in flat)
-    inc_mean = inc_sum / inc_n
-    inc_var = max(inc_sumsq / inc_n - inc_mean**2, 0.0)
+    inc_mean, inc_var = _increment_mean_var([f[3] for f in flat])
 
     _, variance = log_moment_stats(family, h.s)
     env_plus, env_minus = lil_envelope(variance, depths) if variance > 0 else (
@@ -499,39 +480,32 @@ def lil_calibration(
     onward (and only where it is defined, v k > e); near its birth the band
     is degenerate and exceedances carry no information.
     """
+    if n_paths < 1:
+        raise ParameterError("need at least one path")
     mean, variance = log_moment_stats(family, s)
     if not variance > 0:
         raise PreconditionError("calibration needs Var(log S^s) > 0")
     logs = log_moments(family, s)
-    k = np.arange(1, depth + 1, dtype=float)
-    vk = variance * k
-    checked = (vk > _E) & (k >= math.ceil(ENVELOPE_CHECK_FRACTION * depth))
+    k = np.arange(1, depth + 1)
+    env = lil_envelope(variance, k)[0]
+    checked = ~np.isnan(env) & (k >= math.ceil(ENVELOPE_CHECK_FRACTION * depth))
     if not np.any(checked):
         raise ParameterError("depth too small for any envelope comparison")
-    env = np.empty(depth)
-    env[checked] = np.sqrt(2.0 * vk[checked] * np.log(np.log(vk[checked])))
     first_checked = int(np.argmax(checked)) + 1
 
-    seeds = ensemble_seeds(seed, n_paths)
-    n_exit = 0
-    n_touch = 0
-    inc_sum = 0.0
-    inc_sumsq = 0.0
-    for ps in seeds:
-        r = sample(model, ps, family)
-        w = np.cumsum(logs[r.level_systems(depth)])
+    e = env[checked]
+    n_exit = n_touch = 0
+    paths = []
+    for ps in ensemble_seeds(seed, n_paths):
+        w = np.cumsum(logs[sample(model, ps, family).level_systems(depth)])
         a = np.abs(w[checked])
-        e = env[checked]
         n_exit += bool(np.any(a > exit_factor * e))
         n_touch += bool(np.any(a >= touch_factor * e))
-        incs = np.diff(np.concatenate(([0.0], w)))
-        inc_sum += float(np.sum(incs))
-        inc_sumsq += float(np.sum(incs * incs))
-    total = n_paths * depth
-    inc_mean = inc_sum / total
+        paths.append(_increments(0.0, w))
+    inc_mean, inc_var = _increment_mean_var(paths)
     return LilCalibration(
         increment_mean=inc_mean,
-        increment_var=max(inc_sumsq / total - inc_mean**2, 0.0),
+        increment_var=inc_var,
         frac_exit=n_exit / n_paths,
         frac_touch=n_touch / n_paths,
         exit_factor=exit_factor,

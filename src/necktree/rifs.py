@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, PreconditionError
 
-# Module-wide tolerances; callers may override per operation.
+# Module-wide tolerances.
 STRUCT_TOL = 1e-12
 ROOT_TOL = 1e-12
 ASSERT_TOL = 1e-9
+# The gap witness's epsilon, as a fraction of the dimension.
+GAP_EPSILON_FRAC = 0.01
 
 RECURSIVE = "recursive"
 HOMOGENEOUS = "homogeneous"
@@ -130,9 +132,7 @@ class RIFSFamily:
 
     @property
     def cum_weights(self) -> np.ndarray:
-        cw = np.cumsum(np.asarray(self.weights, dtype=float))
-        cw[-1] = 1.0
-        return cw
+        return cumulative_weights(self.weights)
 
     @property
     def uniform_ratio(self) -> Optional[float]:
@@ -154,6 +154,13 @@ class ConditionsReport:
     homogeneous_supercritical: bool
     almost_deterministic_at: Optional[float]
     gap: Optional[tuple[float, float, float]]  # (epsilon, gamma, p0)
+
+
+def cumulative_weights(weights: Sequence[float]) -> np.ndarray:
+    """Cumulative sums of weights with the last entry 1.0, so ``bisect_right`` of a u01 draw always lands."""
+    cw = np.cumsum(np.asarray(weights, dtype=float))
+    cw[-1] = 1.0
+    return cw
 
 
 def moment(family: RIFSFamily, lambda_index: int, s: float) -> float:
@@ -183,7 +190,7 @@ def solver_model(kind: str) -> str:
     return RECURSIVE if kind == RECURSIVE else HOMOGENEOUS
 
 
-def _moment_root(system: IFS, tol: float = ROOT_TOL) -> Optional[float]:
+def _moment_root(system: IFS) -> Optional[float]:
     """Unique s >= 0 with S^s = 1, or None when no root exists."""
     if system.nmaps == 0:
         return None
@@ -194,7 +201,7 @@ def _moment_root(system: IFS, tol: float = ROOT_TOL) -> Optional[float]:
     cmax = max(m.ratio for m in system.maps)
     if cmax >= 1.0:
         return None
-    return bisect_decreasing(g, 0.0, math.log(system.nmaps) / math.log(1.0 / cmax) + 1.0, tol)
+    return bisect_decreasing(g, 0.0, math.log(system.nmaps) / math.log(1.0 / cmax) + 1.0)
 
 
 def log_moments(family: RIFSFamily, s: float) -> np.ndarray:
@@ -217,11 +224,28 @@ def log_moment_stats(family: RIFSFamily, s: float) -> tuple[float, float]:
     return mean, var
 
 
+def eta_hat(family: RIFSFamily) -> float:
+    """|mean log geometric-mean contraction| under the selection weights."""
+    active = [(w, sysm) for w, sysm in zip(family.weights, family.systems) if w > 0]
+    if any(sysm.nmaps == 0 for _, sysm in active):
+        raise PreconditionError("eta_hat needs every positive-weight system non-empty")
+    return abs(sum(w * float(np.mean(np.log(sysm.ratios))) for w, sysm in active))
+
+
+def beta_hat(family: RIFSFamily, s: float) -> float:
+    """Default envelope-matching gauge parameter Var(log S^s) / eta_hat."""
+    _, var = log_moment_stats(family, s)
+    eta = eta_hat(family)
+    if not (var > 0) or eta == 0:
+        raise PreconditionError("beta_hat needs positive variance and contraction")
+    return var / eta
+
+
 def _mean_s0(family: RIFSFamily) -> float:
     return float(sum(w * s.nmaps for w, s in zip(family.weights, family.systems)))
 
 
-def dimension(family: RIFSFamily, model: str, tol: float = 1e-10) -> float:
+def dimension(family: RIFSFamily, model: str) -> float:
     """Almost-sure dimension: root of E[S^s] = 1 (recursive) or E[log S^s] = 0 (homogeneous)."""
     if model not in _MODELS:
         raise ParameterError(f"model must be one of {_MODELS}, got {model!r}")
@@ -239,7 +263,7 @@ def dimension(family: RIFSFamily, model: str, tol: float = 1e-10) -> float:
         objective = lambda s: log_moment_stats(family, s)[0]
 
     hi = math.log(max(family.n_max, 2)) / math.log(1.0 / family.c_max) + 1.0
-    return bisect_decreasing(objective, 0.0, hi, min(tol, ROOT_TOL))
+    return bisect_decreasing(objective, 0.0, hi)
 
 
 def _almost_deterministic_at(family: RIFSFamily) -> Optional[float]:
@@ -254,7 +278,7 @@ def _almost_deterministic_at(family: RIFSFamily) -> Optional[float]:
     return None
 
 
-def validate(family: RIFSFamily, model: str, gap_epsilon_frac: float = 0.01) -> ConditionsReport:
+def validate(family: RIFSFamily, model: str) -> ConditionsReport:
     """Check the standing assumptions and locate the degeneracy witnesses.
 
     Always returns a report.  ``almost_deterministic_at`` is present when all
@@ -276,7 +300,7 @@ def validate(family: RIFSFamily, model: str, gap_epsilon_frac: float = 0.01) -> 
     supercritical = recursive_super if model == RECURSIVE else homogeneous_super
     if almost_det is None and supercritical and ratio_bounds_ok:
         s_star = dimension(family, model)
-        eps = gap_epsilon_frac * s_star
+        eps = GAP_EPSILON_FRAC * s_star
         vals = [moment(family, i, s_star - eps) for i in range(family.nsystems)]
         sub_unit = [v for v, w in zip(vals, family.weights) if w > 0 and v < 1.0]
         if sub_unit:

@@ -27,7 +27,7 @@ from . import streams
 from .errors import (
     ConfigError, HorizonError, ParameterError, PreconditionError, ResourceError, UnsupportedModelError
 )
-from .rifs import HOMOGENEOUS, RECURSIVE, RIFSFamily
+from .rifs import HOMOGENEOUS, RECURSIVE, RIFSFamily, cumulative_weights
 
 V_VARIABLE = "v_variable"
 NECK_BLOCK = "neck_block"
@@ -109,7 +109,7 @@ class Realization:
     def __post_init__(self) -> None:
         seed = int(self.seed) & streams.MASK64
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "_cumw", list(self.family.cum_weights))
+        object.__setattr__(self, "_cumw", self.family.cum_weights.tolist())
         # labels compare raw draws x: u01(x) >= c iff x >= ceil(c 2^53) 2^11, never for c = 1.0
         thresholds = [ceil(c * 2.0**53) << 11 for c in self._cumw[:-1]]
         thresholds = np.array([t for t in thresholds if t <= streams.MASK64], dtype=np.uint64)
@@ -134,9 +134,7 @@ class Realization:
             tw = [t.weight for t in self.model.templates]
             if any(w < 0 for w in tw) or sum(tw) <= 0:
                 raise ConfigError("template weights must be non-negative with positive sum")
-            cum = list(np.cumsum(np.asarray(tw, dtype=float) / sum(tw)))
-            cum[-1] = 1.0
-            object.__setattr__(self, "_tcum", cum)
+            object.__setattr__(self, "_tcum", cumulative_weights(np.asarray(tw, dtype=float) / sum(tw)).tolist())
             for t in self.model.templates:
                 if t.length < 1:
                     raise ConfigError("block templates need at least one level")
@@ -147,6 +145,9 @@ class Realization:
                         )
                     if any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12:
                         raise ConfigError("template level distributions must sum to 1")
+            # _lcum[t][off]: cumulative label weights of level off of template t
+            lcum = [[cumulative_weights(d).tolist() for d in t.levels] for t in self.model.templates]
+            object.__setattr__(self, "_lcum", lcum)
             object.__setattr__(self, "_hb", streams.fold(seed, streams.TAG_BLOCK))
             object.__setattr__(self, "_hbl", streams.fold(seed, streams.TAG_BLOCK_LEVEL))
             object.__setattr__(self, "_block_bounds", [0])
@@ -164,15 +165,8 @@ class Realization:
             return self._pick(streams.u01(streams.fold(self._h, level)))
         if kind == NECK_BLOCK:
             b, off = self._block_of(level)
-            tpl = self.model.templates[self._template_of(b)]
             u = streams.u01(streams.fold(streams.fold(self._hbl, b), off))
-            dist = tpl.levels[off]
-            acc = 0.0
-            for i, p in enumerate(dist):
-                acc += p
-                if u < acc:
-                    return i
-            return len(dist) - 1
+            return bisect_right(self._lcum[self._template_of(b)][off], u)
         raise UnsupportedModelError(f"{kind} labels are not level-driven")
 
     def _template_of(self, block: int) -> int:
@@ -400,10 +394,10 @@ def levels(
 
 
 def coding_level(r: Realization, k: int) -> Iterator[Coding]:
-    """Stream all live codings at level ``k`` in address order."""
+    """Stream all live codings at level ``k`` in address order, under ``DEFAULT_NODE_BUDGET``."""
     if k < 0:
         raise ParameterError("level must be >= 0")
-    for chunk in levels(r, max_depth=k):
+    for chunk in levels(r, max_depth=k, node_budget=DEFAULT_NODE_BUDGET):
         if chunk.depth == k:
             yield from chunk.codings(np.arange(len(chunk)))
 
@@ -426,7 +420,7 @@ def _stopping_letters(r: Realization, epsilon: float) -> tuple[np.ndarray, np.nd
     """
     log_eps = _log_epsilon(r, epsilon)
     parts = []
-    for chunk in levels(r, log_stop=log_eps):
+    for chunk in levels(r, log_stop=log_eps, node_budget=DEFAULT_NODE_BUDGET):
         stopped = (chunk.log_ratio <= log_eps).nonzero()[0]
         if stopped.size:
             parts.append((chunk.log_ratio[stopped], chunk.letters(stopped)))
@@ -446,7 +440,8 @@ def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
     Every streamed coding has ratio <= epsilon while its parent ratio is
     above epsilon; every infinite live branch passes through exactly one.
     Codings come in address order, which is depth-first order.  A family with
-    a map of ratio 1 has branches that never shrink, so it is refused.
+    a map of ratio 1 has branches that never shrink, so it is refused.  The
+    walk runs under ``DEFAULT_NODE_BUDGET``.
     """
     letters, log_ratio = _stopping_letters(r, epsilon)
     length = np.count_nonzero(letters[:, :, 1], axis=1)

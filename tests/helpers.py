@@ -803,3 +803,24 @@ def oracle_drift_experiment(
         model_kind=model.kind,
         variance=variance,
     )
+
+
+# ---- neck_block labels by a running sum ----------------------------------------
+# A neck_block level's label as it was drawn before the template levels' cumulative
+# weights were built once per realization: a running sum over the level's
+# distribution, compared with the draw.  Kept verbatim (names aside) as the
+# bit-identity reference.
+
+
+def oracle_neck_block_label(r: Realization, level: int) -> int:
+    """System index of absolute ``level`` of a neck_block realization."""
+    b, off = r._block_of(level)
+    tpl = r.model.templates[r._template_of(b)]
+    u = streams.u01(streams.fold(streams.fold(r._hbl, b), off))
+    dist = tpl.levels[off]
+    acc = 0.0
+    for i, p in enumerate(dist):
+        acc += p
+        if u < acc:
+            return i
+    return len(dist) - 1

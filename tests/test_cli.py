@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import pytest
 
-from necktree import streams, trees
+from necktree import cli, streams, trees
 from necktree.cli import EXIT_CONFIG, EXIT_RESOURCE, EXIT_USAGE, parse_depths, run
 from necktree.config import family_to_dict
 from necktree.errors import ConfigError
@@ -126,6 +126,34 @@ def test_levelsum_csv_deterministic(configs):
     manifest = json.loads((tmp / "a.csv.manifest.json").read_text())
     assert manifest["command"] == "levelsum"
     assert set(manifest["spec_hashes"]) == {"family", "model", "gauge"}
+
+
+def test_levelsum_json_deterministic(configs):
+    # the timestamps differ between runs; they go to the sidecar manifest only
+    tmp, fam, model, _, power_gauge = configs
+    args = [
+        "levelsum", "--family", str(fam), "--model", str(model), "--gauge", str(power_gauge),
+        "--depths", "1:8:1", "--format", "json",
+    ]
+    clock = (f"2026-01-01T00:00:{i:02d}Z" for i in range(60))
+    with patch.object(cli, "_now", lambda: next(clock)):
+        assert run(args + ["--out", str(tmp / "a.json")]) == 0
+        assert run(args + ["--out", str(tmp / "b.json")]) == 0
+    assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+    payload = json.loads((tmp / "a.json").read_text())
+    assert sorted(payload) == ["columns", "provenance", "rows"]
+    assert payload["provenance"].startswith("necktree ") and "cmd=levelsum seed=0" in payload["provenance"]
+    assert payload["columns"] == ["depth", "log_sum"] and len(payload["rows"]) == 8
+    manifests = [json.loads((tmp / f"{n}.json.manifest.json").read_text()) for n in "ab"]
+    assert manifests[0]["started"] != manifests[1]["started"]
+
+
+def test_render_negative_point_count_is_a_config_error(configs, capsys):
+    tmp, fam, model, *_ = configs
+    out = tmp / "points.csv"
+    assert run(["render", "--family", str(fam), "--model", str(model), "--n", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: point count must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_drift_worker_invariance_and_rerun(configs):

@@ -91,6 +91,27 @@ def test_gauge_parsing_and_auto():
         gauge_from_dict({"s": 1.0, "family": {"mystery": {}}})
 
 
+def test_gauge_parsing_of_the_parametrised_families():
+    fam = worked_family()
+    g = gauge_from_dict({"s": 0.5, "family": {"loglog_power": {"beta": 2.0}}})
+    assert (g.family, g.s, g.beta, g.gamma) == ("loglog_power", 0.5, 2.0, None)
+    g = gauge_from_dict({"s": 0.5, "family": {"loglog_power": {"beta": "auto"}}}, family=fam)
+    assert g.beta == beta_hat(fam, 0.5)
+    g = gauge_from_dict({"s": 0.5, "family": {"h1": {"beta": 0.04}}})
+    assert (g.family, g.beta, g.gamma) == ("h1", 0.04, 0.0)
+    g = gauge_from_dict({"s": 0.5, "family": {"h1_star": {"beta": "0.04", "gamma": -0.5}}})
+    assert (g.family, g.beta, g.gamma) == ("h1_star", 0.04, -0.5)
+    with pytest.raises(ConfigError, match="missing field 'beta'"):
+        gauge_from_dict({"s": 0.5, "family": {"loglog_power": {}}})
+    with pytest.raises(ConfigError, match="beta = 'auto' needs a family"):
+        gauge_from_dict({"s": 0.5, "family": {"h1_star": {"beta": "auto"}}})
+    # beta resolves before gamma
+    with pytest.raises(ConfigError, match="gauge config beta"):
+        gauge_from_dict({"s": 0.5, "family": {"h1": {"beta": "x", "gamma": "y"}}})
+    with pytest.raises(ConfigError, match="gauge config gamma"):
+        gauge_from_dict({"s": 0.5, "family": {"h1": {"beta": 0.04, "gamma": "y"}}})
+
+
 def test_hashes_stable_and_sensitive(tmp_path):
     a = content_hash(b"hello")
     assert a == content_hash(b"hello") and len(a) == 16

@@ -6,6 +6,7 @@ from scipy import stats as sstats
 
 from necktree.errors import ConfigError, ExtinctionError, GeometryError, ParameterError, PreconditionError
 from necktree.geometry import (
+    _maps,
     box_dimension,
     box_dimension_from_counts,
     compose,
@@ -126,6 +127,21 @@ def test_containment_rejection_names_map():
     )
     with pytest.raises(ConfigError, match="map 1 of system 'drifts'"):
         require_geometry(bad)
+
+
+def test_map_arrays_are_built_once_per_family_and_read_only():
+    fam = ternary_geometric_family()
+    maps = _maps(fam)
+    assert _maps(fam) is maps
+    assert _maps(ternary_geometric_family()) is not maps  # families hash by identity
+    for a in maps:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 2.0
+    # a mismatched map is not cached: it raises on every call
+    wrong = RIFSFamily(systems=(IFS(maps=(SimilarityMap(0.5, translation=np.zeros(2)),)),), weights=(1.0,))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="does not match ambient dimension 1"):
+            _maps(wrong)
 
 
 # ---- point sampling --------------------------------------------------------------

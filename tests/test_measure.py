@@ -41,6 +41,7 @@ from helpers import (
     min_section_sum_log,
     oracle_drift_experiment,
     oracle_mass_check_1d,
+    oracle_stream_log_sums,
     random_family,
     worked_family,
 )
@@ -406,6 +407,18 @@ def test_packing_running_max_deterministic_line():
     assert series.log_sums == pytest.approx(np.zeros(3), abs=1e-9)
 
 
+def test_packing_running_max_on_the_stream_path():
+    # recursive trees have no fast path: the maximum runs over the requested depths only
+    r = sample(REC, 4, worked_family())
+    h = power(S_HOM)
+    depths = [1, 3, 4, 7]
+    assert _all_level_log_sums(r, h, depths[-1]) is None
+    series = packing_level_limsup(r, h, depths)
+    assert series.kind == "running_max"
+    want = np.maximum.accumulate(oracle_stream_log_sums(r, h, depths, DEFAULT_NODE_BUDGET))
+    assert series.log_sums.tolist() == want.tolist()
+
+
 def test_packing_running_max_is_monotone():
     fam = worked_family()
     r = sample(HOM, 9, fam)
@@ -425,6 +438,11 @@ def test_lil_calibration_statistics():
     assert cal.frac_exit < 0.2
     assert cal.frac_touch > 0.5
     assert cal.first_checked_depth == 300  # last-decade start of a 3000-deep run
+
+
+def test_lil_calibration_needs_a_path():
+    with pytest.raises(ParameterError, match="at least one path"):
+        lil_calibration(worked_family(), HOM, S_HOM, n_paths=0, depth=100, seed=5)
 
 
 # ---- natural measure and mass distribution ----------------------------------------

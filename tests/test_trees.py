@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from necktree import streams
-from necktree.errors import HorizonError, ParameterError, PreconditionError, UnsupportedModelError
+from necktree.errors import ConfigError, HorizonError, ParameterError, PreconditionError, UnsupportedModelError
 from necktree.geometry import percolation_preset
 from necktree.rifs import equicontractive_family, log_moment_stats
 from necktree.trees import (
@@ -24,7 +24,7 @@ from necktree.trees import (
     stopping_set,
 )
 
-from helpers import brute_force_stopping, oracle_level_systems, worked_family
+from helpers import brute_force_stopping, oracle_level_systems, oracle_neck_block_label, worked_family
 
 HOM = ModelSpec(kind="homogeneous")
 REC = ModelSpec(kind="recursive")
@@ -287,6 +287,77 @@ def test_neck_block_boundaries_by_construction():
     # labels inside a block follow the template distribution support
     tpl_first = r.level_systems(necks[0])
     assert len(tpl_first) in (2, 3)
+
+
+@pytest.mark.parametrize(
+    "templates, message",
+    [
+        ((), "at least one template"),
+        ((BlockTemplate(levels=((0.5, 0.5),), weight=-1.0),), "template weights"),
+        ((BlockTemplate(levels=((0.5, 0.5),), weight=0.0),), "template weights"),
+        ((BlockTemplate(levels=()),), "at least one level"),
+        ((BlockTemplate(levels=((0.5, 0.3, 0.2),)),), "length must match"),
+        ((BlockTemplate(levels=((0.5, 0.4),)),), "must sum to 1"),
+        ((BlockTemplate(levels=((1.5, -0.5),)),), "must sum to 1"),
+    ],
+    ids=["no-templates", "negative-weight", "zero-weights", "empty-template", "wrong-length",
+         "short-sum", "negative-probability"],
+)
+def test_neck_block_template_errors(templates, message):
+    with pytest.raises(ConfigError, match=message):
+        sample(ModelSpec(kind="neck_block", templates=templates), 0, worked_family())
+
+
+def _uniform_family(nsys: int):
+    return equicontractive_family([2] * nsys, 1 / 3, [1 / nsys] * nsys)
+
+
+@st.composite
+def neck_block_realizations(draw) -> Realization:
+    """1-4 systems; 1-3 templates of 1-4 levels whose distributions often hold zeros; offsets 0-20."""
+    nsys = draw(st.integers(1, 4))
+
+    def dist() -> tuple[float, ...]:
+        xs = draw(st.lists(st.integers(0, 3), min_size=nsys, max_size=nsys).filter(any))
+        return tuple(x / sum(xs) for x in xs)
+
+    templates = tuple(
+        BlockTemplate(levels=tuple(dist() for _ in range(draw(st.integers(1, 4)))), weight=draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    model = ModelSpec(kind="neck_block", templates=templates)
+    return Realization(_uniform_family(nsys), model, draw(st.integers(0, 2**64 - 1)), offset=draw(st.integers(0, 20)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=neck_block_realizations())
+def test_neck_block_labels_match_a_running_sum(r):
+    want = [oracle_neck_block_label(r, r.offset + k) for k in range(40)]
+    assert r.level_systems(40).tolist() == want
+    assert r.label_of((1,) * 5) == want[5]
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0), (0.7, 0.2, 0.1), (0.7, 0.2, 0.1, 0.0), (1.0,)],
+    ids=["zero-first", "zero-middle", "zero-last", "sum-below-one", "sum-below-one-then-zero", "one-system"],
+)
+def test_neck_block_labels_at_the_running_sum_boundaries(dist):
+    # draws at and just below each running sum, and just below 1, where a
+    # running sum that ends below 1 falls through to the last system
+    acc = np.cumsum(dist)
+    us = sorted({0.0, math.nextafter(1.0, 0.0), *acc[acc < 1].tolist(), *(math.nextafter(a, 0.0) for a in acc if a > 0)})
+    r = sample(ModelSpec(kind="neck_block", templates=(BlockTemplate(levels=(dist,)),)), 0, _uniform_family(len(dist)))
+    seen = set()
+
+    def u01(x: int) -> float:
+        seen.add(x % len(us))
+        return us[x % len(us)]
+
+    with patch.object(streams, "u01", u01):
+        got = r.level_systems(200).tolist()
+        assert got == [oracle_neck_block_label(r, k) for k in range(200)]
+    assert seen == set(range(len(us)))
 
 
 @settings(max_examples=80)

@@ -209,6 +209,23 @@ def test_stopping_counts_stop_at_the_node_budget():
         stopping_counts(r, [0.0015])
 
 
+@pytest.mark.parametrize(
+    "walk",
+    [lambda r: list(stopping_set(r, 0.0015)), lambda r: trees._stopping_letters(r, 0.0015)[1],
+     lambda r: list(coding_level(r, 10))],
+    ids=["stopping_set", "mass-check-letters", "coding_level"],
+)
+def test_tree_walks_stop_at_the_node_budget(walk):
+    # each walk visits every node to depth 10, and reads the budget at call time
+    r = sample(REC, 0, equicontractive_family([2], 0.5, [1.0]))
+    nodes = 2**11 - 1
+    with patch.object(trees, "DEFAULT_NODE_BUDGET", nodes):
+        assert len(walk(r)) == 2**10
+    with patch.object(trees, "DEFAULT_NODE_BUDGET", nodes - 1), \
+            pytest.raises(ResourceError, match="node budget 2046 exceeded while streaming level 10"):
+        walk(r)
+
+
 # ---- memory -------------------------------------------------------------------
 
 WIDE_DEPTH = 18  # 2**18 nodes on the last level, 2**19 - 1 in the tree
