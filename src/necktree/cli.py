@@ -261,14 +261,14 @@ def _build_parser() -> _Parser:
 
     def command(name, help_text, handler, gauge=False, seeded=False, table=False):
         sp = sub.add_parser(name, help=help_text)
-        # commands without --seed or --gauge read None; a --seed default still wins
+        # without --seed a run takes the model file's seed, else 0; commands without --gauge read None
         sp.set_defaults(handler=handler, seed=None, gauge=None)
         sp.add_argument("--family", required=True, help="family config JSON file")
         sp.add_argument("--model", required=True, help="model config file or bare name")
         if gauge:
             sp.add_argument("--gauge", required=True, help="gauge config JSON file")
         if seeded:
-            sp.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+            sp.add_argument("--seed", type=int, default=None, help="64-bit master seed (default: the model's)")
         if table:
             sp.add_argument("--out", default=None, help="output file (default stdout)")
             sp.add_argument("--format", choices=("csv", "json"), default="csv")

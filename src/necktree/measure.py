@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,8 @@ from .trees import (
 )
 
 DEFAULT_THRESHOLDS = (-20.0, 20.0)
+# Log level sums (paths x levels) of one batch of v_variable drift paths.
+VV_BATCH_ENTRIES = 2**18
 # Envelope exit/touch comparisons start this far into the requested horizon
 # (the same last-decade convention used for trend slopes); near the envelope's
 # birth at v k = e the band is degenerate and exceedances carry no information.
@@ -182,16 +184,17 @@ def lil_envelope(variance: float, depths: Sequence[int]) -> tuple[np.ndarray, np
 
 def _fast_log_sums(
     family: RIFSFamily, model: ModelSpec, h: GaugeFunction, kmax: int
-) -> Optional[Callable[[Realization], np.ndarray]]:
-    """The fast path's log level sums at levels 1..kmax of a realization, or None.
+) -> Optional[Callable[[Iterable[Realization]], Iterator[np.ndarray]]]:
+    """A function yielding the fast path's log level sums at levels 1..kmax of each realization, or None.
 
     Level-driven equicontractive trees use the product form
-    cumsum(log N) + h(cumsum(log c)); v_variable trees over one ratio c add up
-    the ``vv_log_counts`` of each level's buffers.  What does not depend on
-    the realization is computed here, once: the per-system tables and, when
-    every level-k coding has the ratio c^k, the gauge term.  On the product
-    form that term has the bits of the per-path cumsum up to the first
-    extinct level, past which the sum is -inf either way.
+    cumsum(log N) + h(cumsum(log c)), one path at a time; v_variable trees
+    over one ratio c add up the ``vv_log_counts`` of each level's buffers,
+    one recursion per batch of at most ``VV_BATCH_ENTRIES`` log sums.  What
+    does not depend on the realization is computed here, once: the
+    per-system tables and, when every level-k coding has the ratio c^k, the
+    gauge term.  On the product form that term has the bits of the per-path
+    cumsum up to the first extinct level, past which the sum is -inf either way.
     """
     c = family.uniform_ratio
     if model.kind in (HOMOGENEOUS, NECK_BLOCK) and family.is_equicontractive():
@@ -204,12 +207,18 @@ def _fast_log_sums(
             g = h.eval_log(np.cumsum(logc[sysidx])) if gauge is None else gauge
             return np.cumsum(logn[sysidx]) + g
 
-        return closed_form
+        return lambda rs: (closed_form(r) for r in rs)
     if model.kind == V_VARIABLE and c is not None:
         gauge = h.eval_log(np.arange(1, kmax + 1) * math.log(c))
-        return lambda r: np.concatenate(
-            [np.logaddexp.reduce(counts, axis=1) for counts in vv_log_counts(r, kmax)]
-        ) + gauge
+
+        def count_sums(rs: Iterable[Realization]) -> Iterator[np.ndarray]:
+            rs = iter(rs)
+            while batch := list(itertools.islice(rs, max(1, VV_BATCH_ENTRIES // kmax))):
+                sums = np.concatenate([np.logaddexp.reduce(x, axis=2).T for x in vv_log_counts(batch, kmax)], 1)
+                sums += gauge
+                yield from sums
+
+        return count_sums
     return None
 
 
@@ -256,7 +265,7 @@ def _stream_log_sums(
 def _all_level_log_sums(r: Realization, h: GaugeFunction, kmax: int) -> Optional[np.ndarray]:
     """Fast-path log sums at every level 1..kmax, or None when unavailable."""
     sums = _fast_log_sums(r.family, r.model, h, kmax)
-    return None if sums is None else sums(r)
+    return None if sums is None else next(sums([r]))
 
 
 def level_sums(
@@ -375,7 +384,8 @@ def _drift_chunk(args) -> list:
             "(level-driven equicontractive, or v_variable with one ratio)"
         )
     start, idx = h.eval_log(0.0), np.asarray(depths) - 1
-    return [_path_stats(sums(sample(model, s, family)), start, idx, s) for s in seeds]
+    paths = sums(sample(model, s, family) for s in seeds)
+    return [_path_stats(next(paths), start, idx, s) for s in seeds]
 
 
 def drift_experiment(
@@ -396,10 +406,12 @@ def drift_experiment(
     whose running extrema crossed the thresholds.
 
     Each chunk of paths builds the fast path's tables and, over one ratio,
-    its gauge term once; a path then draws its labels or buffer counts and
-    reads its running extrema at the grid depths only.
-    A path whose level sums reach -inf (its tree dies out) raises
-    ``ExtinctionError`` naming its seed.
+    its gauge term once.  Homogeneous paths then draw their labels one at a
+    time; v_variable paths run one buffer-count recursion per batch of at
+    most ``VV_BATCH_ENTRIES`` log sums.  Each path reads its running extrema
+    at the grid depths only, in seed order, and the first path whose level
+    sums reach -inf (its tree dies out) raises ``ExtinctionError`` naming
+    its seed.
     """
     if model.kind not in (HOMOGENEOUS, V_VARIABLE):
         raise PreconditionError("drift experiments support homogeneous or v_variable models")

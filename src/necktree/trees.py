@@ -36,7 +36,7 @@ _KINDS = (HOMOGENEOUS, RECURSIVE, V_VARIABLE, NECK_BLOCK)
 NECK_SEARCH_HORIZON = 10**6
 # Nodes a tree walk may visit before it raises ``ResourceError``.
 DEFAULT_NODE_BUDGET = 10**8
-# Entries of one chunk of V-variable tables (levels x (V + 1) buffers x maps).
+# Entries of one chunk of V-variable tables (paths x levels x (V + 1) buffers x maps).
 VV_TABLE_ENTRIES = 2**12
 # Nodes of one chunk of a tree level handed out by ``levels``.
 FRONTIER_NODES = 2**14
@@ -195,21 +195,9 @@ class Realization:
         node reading buffer b draws at level ``level0 + k``, the same value as
         ``_vv_assign``.  It is 0 where that map does not exist, because buffer
         b's system (``_vv_label``) has fewer than j maps, and on row b = 0,
-        which is no buffer.  Labels and assignments of the whole table are
-        drawn in one vectorized pass; draws do not depend on visit order.
+        which is no buffer.  It is the one-path case of ``_vv_children``.
         """
-        v = self.model.v
-        nmaps = np.array([s.nmaps for s in self.family.systems])
-        levels = np.arange(level0, level0 + n, dtype=np.uint64)[:, None]
-        bufs = np.arange(1, v + 1, dtype=np.uint64)
-        js = np.arange(1, self.family.n_max + 1)
-        x = streams.fold_array(streams.fold_array(self._hl, levels), bufs)
-        labels = self._thresholds.searchsorted(x, side="right")
-        states = streams.fold_array(streams.fold_array(self._ha, levels), bufs)[:, :, None]
-        u = streams.u01_array(streams.fold_array(states, js))
-        table = np.zeros((n, v + 1, js.size), dtype=np.int32)
-        table[:, 1:] = np.where(js <= nmaps[labels][:, :, None], 1 + (u * v).astype(np.int32), 0)
-        return table
+        return _vv_children([self], np.array([level0], dtype=np.uint64), n)[:, 0]
 
     # ---- generic walker state -------------------------------------------
     # state = (absolute level, aux); aux is a buffer for v_variable, a path
@@ -475,32 +463,60 @@ def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
 # ---- necks -----------------------------------------------------------------
 
 
-def vv_log_counts(r: Realization, n: int) -> Iterator[np.ndarray]:
-    """Per-buffer log counts of the codings at levels 1..n below the root, in chunks.
+def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> np.ndarray:
+    """``vv_children`` of many v_variable paths of one model and family, in one pass.
 
-    Each chunk is a ``[k, V + 1]`` array over k consecutive levels: entry
-    ``[i, b]`` is the log of the number of codings at that level whose node
-    reads buffer b, -inf where none does (so b is reachable exactly when it is
-    finite), and -inf in column 0, which is no buffer.  A level adds each
-    parent's log count into its children's buffers with one ordered scatter
-    over its ``vv_children`` table in (parent buffer, map) order, the order of
-    a scalar loop over the tree's edges, so results do not depend on the
-    chunking.  A chunk's table holds at most ``VV_TABLE_ENTRIES`` entries (one
-    level if a level alone holds more), so a long search holds one small table.
+    Entry ``[k, p, b, j - 1]`` is ``rs[p].vv_children(level0[p], n)[k, b, j - 1]``.
+    Labels and assignments of the whole table are drawn in one vectorized
+    pass; draws do not depend on visit order.
     """
-    v, n_max = r.model.v, r.family.n_max
-    level0, buf0 = r._root_state
-    log_counts = np.full(v + 1, -np.inf)
-    log_counts[buf0] = 0.0
-    parent = np.repeat(np.arange(v + 1), n_max)
-    step = max(1, VV_TABLE_ENTRIES // ((v + 1) * n_max))
+    r = rs[0]
+    v, js = r.model.v, np.arange(1, r.family.n_max + 1)
+    nmaps = np.array([s.nmaps for s in r.family.systems])
+    levels = (level0 + np.arange(n, dtype=np.uint64)[:, None])[:, :, None]  # [k, p, 1]
+    bufs = np.arange(1, v + 1, dtype=np.uint64)
+    hl, ha = np.array([(q._hl, q._ha) for q in rs], dtype=np.uint64)[:, :, None].transpose(1, 0, 2)
+    x = streams.fold_array(streams.fold_array(hl, levels), bufs)
+    labels = r._thresholds.searchsorted(x, side="right")
+    states = streams.fold_array(streams.fold_array(ha, levels), bufs)[..., None]
+    u = streams.u01_array(streams.fold_array(states, js))
+    table = np.zeros((n, len(rs), v + 1, js.size), dtype=np.int32)
+    table[:, :, 1:] = np.where(js <= nmaps[labels][..., None], 1 + (u * v).astype(np.int32), 0)
+    return table
+
+
+def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
+    """Per-buffer log counts of the codings at levels 1..n below each root, in chunks.
+
+    ``rs`` are v_variable realizations of one model and family, each with its
+    own seed and offset.  Each chunk is a ``[k, len(rs), V + 1]`` array over k
+    consecutive levels: entry ``[i, p, b]`` is the log of the number of
+    codings of path p at that level whose node reads buffer b, -inf where none
+    does (so b is reachable exactly when it is finite), and -inf in column 0,
+    which is no buffer.  A level adds each parent's log count into its
+    children's buffers with one ordered scatter over the ``_vv_children``
+    table in (path, parent buffer, map) order: each path sees the order of a
+    scalar loop over its tree's edges, so results depend neither on the
+    chunking nor on the other paths.  A chunk's table holds at most
+    ``VV_TABLE_ENTRIES`` entries (one level if a level alone holds more), so a
+    long search holds one small table.
+    """
+    v, n_max, paths = rs[0].model.v, rs[0].family.n_max, len(rs)
+    level0 = np.array([r._root_state[0] for r in rs], dtype=np.uint64)
+    flat = np.arange(paths * (v + 1)).reshape(paths, v + 1)  # (path, buffer) -> index in a level's row
+    log_counts = np.full(flat.size, -np.inf)
+    log_counts[flat[:, 0] + [r._root_state[1] for r in rs]] = 0.0
+    parents = np.repeat(flat[:, 1:], n_max)  # each edge's parent, in (path, parent buffer, map) order
+    step = max(1, VV_TABLE_ENTRIES // (paths * (v + 1) * n_max))
     for start in range(0, n, step):
-        table = r.vv_children(level0 + start, min(step, n - start))
-        counts = np.full((len(table), v + 1), -np.inf)
-        for row, children in zip(counts, table):
-            np.logaddexp.at(row, children.ravel(), log_counts[parent])
-            row[0] = -np.inf  # where the maps that do not exist point
+        table = _vv_children(rs, level0 + np.uint64(start), min(step, n - start))
+        # maps that do not exist point to the path's column 0
+        children = (table[:, :, 1:] + flat[:, :1, None]).reshape(len(table), -1)
+        counts = np.full((len(table), paths, v + 1), -np.inf)
+        for row, edges in zip(counts.reshape(len(table), -1), children):
+            np.logaddexp.at(row, edges, log_counts[parents])
             log_counts = row
+        counts[:, :, 0] = -np.inf
         yield counts
 
 
@@ -515,8 +531,8 @@ def _necks(r: Realization, horizon: int) -> Iterator[int]:
         yield from range(1, horizon + 1)
     elif kind == V_VARIABLE:
         start = 1
-        for counts in vv_log_counts(r, horizon):
-            reached = np.count_nonzero(counts > -np.inf, axis=1)
+        for counts in vv_log_counts([r], horizon):
+            reached = np.count_nonzero(counts[:, 0] > -np.inf, axis=1)
             yield from (start + (reached <= 1).nonzero()[0]).tolist()
             start += len(counts)
     elif kind == NECK_BLOCK:

@@ -62,7 +62,6 @@ from necktree.trees import (
     _log_epsilon,
     levels,
     sample,
-    vv_log_counts,
 )
 
 
@@ -541,9 +540,7 @@ def oracle_all_level_log_sums(r: Realization, h: GaugeFunction, kmax: int):
         cum_c = np.cumsum(logc[sysidx])
         return cum_n + h.eval_log(cum_c)
     if r.model.kind == V_VARIABLE and r.family.uniform_ratio is not None:
-        ct = r.family.uniform_ratio
-        totals = [np.logaddexp.reduce(counts, axis=1) for counts in vv_log_counts(r, kmax)]
-        return np.concatenate(totals) + h.eval_log(np.arange(1, kmax + 1) * math.log(ct))
+        return oracle_vv_count_log_sums(r, h, kmax)
     return None
 
 

@@ -142,10 +142,33 @@ def test_levelsum_json_deterministic(configs):
     assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
     payload = json.loads((tmp / "a.json").read_text())
     assert sorted(payload) == ["columns", "provenance", "rows"]
-    assert payload["provenance"].startswith("necktree ") and "cmd=levelsum seed=0" in payload["provenance"]
+    # no --seed: the run takes the model file's seed
+    assert payload["provenance"].startswith("necktree ") and "cmd=levelsum seed=7" in payload["provenance"]
     assert payload["columns"] == ["depth", "log_sum"] and len(payload["rows"]) == 8
     manifests = [json.loads((tmp / f"{n}.json.manifest.json").read_text()) for n in "ab"]
     assert manifests[0]["started"] != manifests[1]["started"]
+
+
+def test_model_file_seed_is_the_default_seed(configs):
+    tmp, fam, model, _, power_gauge = configs
+    unseeded = tmp / "unseeded.json"
+    unseeded.write_text(json.dumps({"model": "homogeneous"}))
+
+    def levelsum(model_path, *seed):
+        out = tmp / "levelsum.json"
+        assert run([
+            "levelsum", "--family", str(fam), "--model", str(model_path), "--gauge", str(power_gauge),
+            "--depths", "1:40:log", "--format", "json", *seed, "--out", str(out),
+        ]) == 0
+        return out.read_bytes(), json.loads(out.read_text())["rows"]
+
+    from_file, rows = levelsum(model)
+    assert "seed=7 " in json.loads(from_file)["provenance"]
+    assert from_file == levelsum(model, "--seed", "7")[0]
+    # an explicit --seed 0 wins over the file's seed 7
+    zero, zero_rows = levelsum(model, "--seed", "0")
+    assert "seed=0 " in json.loads(zero)["provenance"]
+    assert zero_rows == levelsum(unseeded)[1] != rows
 
 
 def test_render_negative_point_count_is_a_config_error(configs, capsys):

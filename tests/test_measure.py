@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from necktree import rifs
+from necktree import measure, rifs
 from necktree.errors import (
     ExtinctionError,
     NecktreeError,
@@ -21,6 +22,7 @@ from necktree.geometry import percolation_preset
 from necktree.measure import (
     DEFAULT_NODE_BUDGET,
     _all_level_log_sums,
+    _fast_log_sums,
     _stream_log_sums,
     beta_hat,
     drift_experiment,
@@ -42,6 +44,7 @@ from helpers import (
     oracle_drift_experiment,
     oracle_mass_check_1d,
     oracle_stream_log_sums,
+    oracle_vv_count_log_sums,
     random_family,
     worked_family,
 )
@@ -374,6 +377,58 @@ def test_drift_matches_per_path_reference_with_two_workers():
     for model in (HOM, VV2):
         case = (worked_family(), model, h1_star(S_HOM, 0.04, 0.5), 70, [1, 10, 100], 5)
         assert_same_report(drift_experiment(*case, workers=2), oracle_drift_experiment(*case))
+
+
+def test_vv_drift_over_several_batches_matches_the_scalar_oracle():
+    # 4 paths per batch; with 2 workers, 70 paths make process chunks of 64 and 6
+    case = (worked_family(), ModelSpec(kind="v_variable", v=5), h1(0.82, 1.0, 0.5), 70, [1, 10, 60], 9)
+    want = oracle_drift_experiment(*case)
+    for workers in (1, 2):
+        with mock.patch.object(measure, "VV_BATCH_ENTRIES", 4 * 60):
+            assert_same_report(drift_experiment(*case, workers=workers), want)
+
+
+def test_drift_names_the_first_dying_path_of_a_batch():
+    fam, model, h = equicontractive_family([3, 0], 1 / 3, [0.9, 0.1]), ModelSpec(kind="v_variable", v=3), power(0.9)
+    seeds = ensemble_seeds(0, 5)
+    sums = [oracle_vv_count_log_sums(sample(model, s, fam), h, 200) for s in seeds]
+    dying = [(s, int(np.argmax(full == -math.inf)) + 1) for s, full in zip(seeds, sums) if full[-1] == -math.inf]
+    assert dying and sums[0][-1] > -math.inf and sums[-1][-1] > -math.inf  # a middle path dies
+    assert 5 * 200 <= measure.VV_BATCH_ENTRIES  # one batch
+    seed, level = dying[0]
+    with pytest.raises(ExtinctionError, match=f"^drift path with seed {seed} dies out at level {level}$"):
+        drift_experiment(fam, model, h, 5, [10, 200], seed=0)
+
+
+def test_fast_path_draws_paths_as_it_yields_them():
+    # the closed form holds one path at a time; the count path one batch
+    drawn = []
+
+    def realizations(model):
+        for s in range(7):
+            drawn.append(s)
+            yield sample(model, s, worked_family())
+
+    with mock.patch.object(measure, "VV_BATCH_ENTRIES", 3 * 50):
+        for model, batch in ((HOM, 1), (VV2, 3)):
+            drawn.clear()
+            sums = _fast_log_sums(worked_family(), model, power(S_HOM), 50)(realizations(model))
+            for i, _ in enumerate(sums):
+                assert len(drawn) == min(7, (i // batch + 1) * batch)
+
+
+def test_vv_drift_memory_is_bounded_by_one_batch():
+    fam, model, h = worked_family(), ModelSpec(kind="v_variable", v=8), h1(0.82, 1.0, 0.5)
+    drift_experiment(fam, model, h, 2, [10], seed=1)  # first-call allocations are not the drift's
+    with mock.patch.object(measure, "VV_BATCH_ENTRIES", 2**13):
+        tracemalloc.start()
+        try:
+            drift_experiment(fam, model, h, 128, [10, 100, 500], seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # 16 paths a batch peak near 0.4 MiB; all 128 paths in one batch near 1.2 MiB
+    assert peak < 640 * 2**10
 
 
 def test_drift_skips_the_dimension_solve():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from necktree import trees
+from necktree import measure, trees
 from necktree.errors import HorizonError
 from necktree.gauges import h1, loglog_power, power
-from necktree.measure import _all_level_log_sums
+from necktree.measure import _all_level_log_sums, _fast_log_sums
 from necktree.rifs import equicontractive_family
 from necktree.trees import ModelSpec, Realization, first_neck, neck_list
 
@@ -19,12 +19,17 @@ from helpers import oracle_vv_count_log_sums, oracle_vv_necks, oracle_vv_reachab
 GAUGES = (power(0.7), loglog_power(0.8, 0.5), h1(0.7, 0.3, 0.5))
 
 
+def draw_single_ratio_family(draw):
+    """A family of ratio 1/3, some with an extinct (0-map) system."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda c: max(c) >= 2))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(counts), max_size=len(counts)))
+    return equicontractive_family(counts, 1 / 3, [w / sum(weights) for w in weights])
+
+
 @st.composite
 def vv_realizations(draw, max_v: int = 40):
     """Single-ratio families, some with an extinct (0-map) system, at V in [1, max_v]."""
-    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda c: max(c) >= 2))
-    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(counts), max_size=len(counts)))
-    family = equicontractive_family(counts, 1 / 3, [w / sum(weights) for w in weights])
+    family = draw_single_ratio_family(draw)
     model = ModelSpec(kind="v_variable", v=draw(st.integers(1, max_v)))
     seed = draw(st.integers(0, 2**64 - 1))
     return Realization(family=family, model=model, seed=seed, offset=draw(st.integers(0, 3)))
@@ -55,10 +60,43 @@ def test_engine_matches_scalar_loops(r, depth, entries, gauge):
 @given(r=vv_realizations(), depth=st.integers(1, 60), entries=st.integers(1, 400))
 def test_finite_log_counts_are_the_reachable_buffers(r, depth, entries):
     with mock.patch.object(trees, "VV_TABLE_ENTRIES", entries):
-        counts = np.concatenate(list(trees.vv_log_counts(r, depth)))
+        counts = np.concatenate(list(trees.vv_log_counts([r], depth)))[:, 0]
     assert counts.shape == (depth, r.model.v + 1)
     reached = [frozenset((row > -np.inf).nonzero()[0].tolist()) for row in counts]
     assert reached == [reach for _, reach in oracle_vv_reachable(r, depth)]
+
+
+@st.composite
+def vv_batches(draw):
+    """1 to 7 realizations of one single-ratio v_variable model, each with its own seed and offset."""
+    family = draw_single_ratio_family(draw)
+    model = ModelSpec(kind="v_variable", v=draw(st.integers(1, 12)))
+    keys = st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 3))
+    return [
+        Realization(family=family, model=model, seed=seed, offset=offset)
+        for seed, offset in draw(st.lists(keys, min_size=1, max_size=7))
+    ]
+
+
+@settings(max_examples=25)
+@given(
+    rs=vv_batches(),
+    depth=st.integers(1, 40),
+    entries=st.integers(1, 400),
+    per_batch=st.integers(1, 3),
+    gauge=st.sampled_from(GAUGES),
+)
+def test_log_counts_do_not_depend_on_the_batch(rs, depth, entries, per_batch, gauge):
+    # Small tables and batches split the levels and the paths at every boundary.
+    with mock.patch.object(trees, "VV_TABLE_ENTRIES", entries), \
+            mock.patch.object(measure, "VV_BATCH_ENTRIES", per_batch * depth):
+        batched = np.concatenate(list(trees.vv_log_counts(rs, depth)))
+        sums = list(_fast_log_sums(rs[0].family, rs[0].model, gauge, depth)(rs))
+        alone = [np.concatenate(list(trees.vv_log_counts([r], depth)))[:, 0] for r in rs]
+    assert batched.shape == (depth, len(rs), rs[0].model.v + 1)
+    for p, r in enumerate(rs):
+        assert batched[:, p].tobytes() == alone[p].tobytes()
+        assert sums[p].tobytes() == oracle_vv_count_log_sums(r, gauge, depth).tobytes()
 
 
 def test_engine_matches_scalar_loops_across_default_chunk():
