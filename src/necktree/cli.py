@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     ResourceError,
 )
-from .rifs import RECURSIVE, dimension, solver_model, validate
+from .rifs import RECURSIVE, dimension, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,7 +113,7 @@ def _inputs(ns: argparse.Namespace):
     seed = (model_seed or 0) if ns.seed is None else ns.seed
     gauge = None
     if ns.gauge:
-        gauge = config.gauge_from_dict(config.load_json(ns.gauge), family=family, model_kind=model.kind)
+        gauge = config.gauge_from_dict(config.load_json(ns.gauge), family=family, model=model)
         hashes["gauge"] = config.file_hash(ns.gauge)
     manifest = RunManifest(
         command=ns.command, spec_hashes=hashes, master_seed=int(seed),
@@ -171,13 +171,13 @@ def _drift_columns(report: measure.DriftReport) -> dict[str, Sequence[float]]:
 
 def _validate(ns: argparse.Namespace) -> None:
     family, model, *_ = _inputs(ns)
-    report = validate(family, solver_model(model.kind))
+    report = validate(family, model)
     print(json.dumps(asdict(report), indent=2, sort_keys=True))
 
 
 def _dim(ns: argparse.Namespace) -> None:
     family, model, *_ = _inputs(ns)
-    print(_fmt(dimension(family, solver_model(model.kind))))
+    print(_fmt(dimension(family, model)))
 
 
 def _levelsum(ns: argparse.Namespace) -> None:

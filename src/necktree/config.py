@@ -10,8 +10,10 @@ Schemas
              {"loglog_power": {"beta": b}} |
              {"h1": {"beta": b | "auto", "gamma": g}} | {"h1_star": {...}}}
 
-"auto" entries are resolved against a family: s becomes the almost-sure
-dimension for the requested model and beta the envelope-matching default.
+"auto" entries are resolved against a family and a model: s becomes the root
+of E[S^s] = 1 for recursive, of E[log S^s] = 0 for homogeneous and v_variable
+with V = 1 (V >= 2 is a config error) and under the block-averaged level
+distribution for neck_block, and beta the envelope-matching default.
 """
 from __future__ import annotations
 
@@ -22,8 +24,7 @@ from typing import Any, Optional, Union
 
 from .errors import ConfigError
 from .gauges import GaugeFunction
-from .rifs import HOMOGENEOUS, IFS, RIFSFamily, SimilarityMap, beta_hat, dimension, solver_model
-from .trees import BlockTemplate, ModelSpec
+from .rifs import HOMOGENEOUS, IFS, BlockTemplate, ModelSpec, RIFSFamily, SimilarityMap, beta_hat, dimension
 
 
 def load_json(path: Union[str, Path]) -> Any:
@@ -111,17 +112,14 @@ def model_from_dict(obj: dict) -> tuple[ModelSpec, Optional[int]]:
     if seed is not None:
         seed = _number(seed, "model config seed", int)
     if isinstance(kind_raw, str):
-        if kind_raw in ("homogeneous", "recursive"):
-            return ModelSpec(kind=kind_raw), seed
-        raise ConfigError(f"model config: unknown model {kind_raw!r}")
+        return ModelSpec(kind=kind_raw), seed
     if isinstance(kind_raw, dict):
         if "v_variable" in kind_raw:
             v = _number(kind_raw["v_variable"], "model config v_variable", int)
             return ModelSpec(kind="v_variable", v=v), seed
         if "neck_block" in kind_raw:
-            spec = kind_raw["neck_block"]
             templates = []
-            templates_raw = _require(spec, "templates", "model config neck_block")
+            templates_raw = _require(kind_raw["neck_block"], "templates", "model config neck_block")
             for i, traw in enumerate(_list(templates_raw, "model config neck_block templates")):
                 where = f"neck_block template[{i}]"
                 levels = tuple(
@@ -137,9 +135,9 @@ def model_from_dict(obj: dict) -> tuple[ModelSpec, Optional[int]]:
 def gauge_from_dict(
     obj: dict,
     family: Optional[RIFSFamily] = None,
-    model_kind: str = HOMOGENEOUS,
+    model: Union[ModelSpec, str] = HOMOGENEOUS,
 ) -> GaugeFunction:
-    """Parse a gauge spec, resolving "auto" entries against ``family``."""
+    """Parse a gauge spec, resolving "auto" entries against ``family`` and ``model``."""
 
     def resolve(raw: Any, name: str, auto) -> float:
         if raw != "auto":
@@ -150,14 +148,14 @@ def gauge_from_dict(
 
     s_raw = _require(obj, "s", "gauge config")
     fam_raw = _require(obj, "family", "gauge config")
-    s = resolve(s_raw, "s", lambda: dimension(family, solver_model(model_kind)))
+    s = resolve(s_raw, "s", lambda: dimension(family, model))
     if fam_raw == "power":
         return GaugeFunction(s=s, family="power")
     if isinstance(fam_raw, dict):
         for name in ("loglog_power", "h1", "h1_star"):
             if name in fam_raw:
                 sub = fam_raw[name]
-                beta = resolve(_require(sub, "beta", "gauge config"), "beta", lambda: beta_hat(family, s))
+                beta = resolve(_require(sub, "beta", "gauge config"), "beta", lambda: beta_hat(family, s, model))
                 # loglog_power has no gamma; h1 and h1_star default it to 0
                 gamma = None if name == "loglog_power" else _number(sub.get("gamma", 0.0), "gauge config gamma")
                 return GaugeFunction(s=s, family=name, beta=beta, gamma=gamma)

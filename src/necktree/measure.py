@@ -18,29 +18,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import geometry, streams
-from .errors import (
-    ExtinctionError,
-    GeometryError,
-    ParameterError,
-    PreconditionError,
-    UnsupportedModelError,
-)
+from .errors import ExtinctionError, GeometryError, ParameterError, PreconditionError
 from .gauges import GaugeFunction
-from .rifs import HOMOGENEOUS, RIFSFamily, _almost_deterministic_at, log_moment_stats, log_moments
-from .rifs import beta_hat, eta_hat  # noqa: F401  (re-exported)
-from .trees import (
-    DEFAULT_NODE_BUDGET,
-    NECK_BLOCK,
-    V_VARIABLE,
-    Chunk,
-    Coding,
-    ModelSpec,
-    Realization,
-    levels,
-    _stopping_letters,
-    sample,
-    vv_log_counts,
-)
+from .rifs import HOMOGENEOUS, NECK_BLOCK, V_VARIABLE, ModelSpec, RIFSFamily, _level_family, log_moments
+from .rifs import _almost_deterministic_at, beta_hat, eta_hat, log_moment_stats  # noqa: F401  (re-exports)
+from .trees import DEFAULT_NODE_BUDGET, Chunk, Coding, Realization, levels, sample, vv_log_counts
+from .trees import _stopping_letters
 
 DEFAULT_THRESHOLDS = (-20.0, 20.0)
 # Log level sums (paths x levels) of one batch of v_variable drift paths.
@@ -379,7 +362,7 @@ def _drift_chunk(args) -> list:
     family, model, h, seeds, depths = args
     sums = _fast_log_sums(family, model, h, depths[-1])
     if sums is None:
-        raise UnsupportedModelError(
+        raise PreconditionError(
             "drift experiments need a closed-form level-sum path "
             "(level-driven equicontractive, or v_variable with one ratio)"
         )
@@ -406,16 +389,16 @@ def drift_experiment(
     whose running extrema crossed the thresholds.
 
     Each chunk of paths builds the fast path's tables and, over one ratio,
-    its gauge term once.  Homogeneous paths then draw their labels one at a
+    its gauge term once.  Level-driven paths then draw their labels one at a
     time; v_variable paths run one buffer-count recursion per batch of at
     most ``VV_BATCH_ENTRIES`` log sums.  Each path reads its running extrema
     at the grid depths only, in seed order, and the first path whose level
     sums reach -inf (its tree dies out) raises ``ExtinctionError`` naming
-    its seed.
+    its seed.  The envelope variance is ``log_moment_stats``'s for the model;
+    v_variable envelopes use the family's, exact at V = 1 and kept for
+    V >= 2 until ROADMAP item 2(d).
     """
-    if model.kind not in (HOMOGENEOUS, V_VARIABLE):
-        raise PreconditionError("drift experiments support homogeneous or v_variable models")
-    s_bar = _almost_deterministic_at(family)
+    s_bar = _almost_deterministic_at(_level_family(family, model))
     if s_bar is not None:
         raise PreconditionError(f"family is almost deterministic at s = {s_bar}; drift is null")
     depths = _check_depths(depths)
@@ -439,7 +422,7 @@ def drift_experiment(
     runmax = np.stack([f[2] for f in flat])
     inc_mean, inc_var = _increment_mean_var([f[3] for f in flat])
 
-    _, variance = log_moment_stats(family, h.s)
+    _, variance = log_moment_stats(family, h.s, model)
     env_plus, env_minus = lil_envelope(variance, depths) if variance > 0 else (
         np.full(len(depths), np.nan),
         np.full(len(depths), np.nan),
@@ -494,7 +477,7 @@ def lil_calibration(
     """
     if n_paths < 1:
         raise ParameterError("need at least one path")
-    mean, variance = log_moment_stats(family, s)
+    _, variance = log_moment_stats(family, s, model)
     if not variance > 0:
         raise PreconditionError("calibration needs Var(log S^s) > 0")
     logs = log_moments(family, s)

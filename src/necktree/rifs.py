@@ -4,12 +4,12 @@ A family is a finite list of similarity IFSs with selection weights.  The
 moment sums ``S^s = sum_j c_j^s`` drive everything downstream: the dimension
 equations, the gap witness separating the almost-deterministic boundary case
 from the zero-or-infinite regime, and the variance feeding the iterated
-logarithm envelopes.
+logarithm envelopes.  ``_solver`` maps a tree model to its dimension solver.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,9 @@ GAP_EPSILON_FRAC = 0.01
 
 RECURSIVE = "recursive"
 HOMOGENEOUS = "homogeneous"
-_MODELS = (RECURSIVE, HOMOGENEOUS)
+V_VARIABLE = "v_variable"
+NECK_BLOCK = "neck_block"
+_KINDS = (HOMOGENEOUS, RECURSIVE, V_VARIABLE, NECK_BLOCK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +147,69 @@ class RIFSFamily:
 
 
 @dataclass(frozen=True)
+class BlockTemplate:
+    """One block shape: a label distribution for each level of the block."""
+
+    levels: tuple[tuple[float, ...], ...]
+    weight: float = 1.0
+
+    @property
+    def length(self) -> int:
+        return len(self.levels)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A tree model kind with its V or block templates; only ``check_levels`` needs a family."""
+
+    kind: str
+    v: int = 0
+    templates: tuple[BlockTemplate, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown model kind {self.kind!r}")
+        if self.kind == V_VARIABLE and self.v < 1:
+            raise ParameterError("v_variable needs V >= 1")
+        if self.kind != NECK_BLOCK:
+            return
+        if not self.templates:
+            raise ConfigError("neck_block model needs at least one template")
+        tw = [t.weight for t in self.templates]
+        if any(w < 0 for w in tw) or sum(tw) <= 0:
+            raise ConfigError("template weights must be non-negative with positive sum")
+        for t in self.templates:
+            if t.length < 1:
+                raise ConfigError("block templates need at least one level")
+            if any(any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12 for dist in t.levels):
+                raise ConfigError("template level distributions must sum to 1")
+
+    def check_levels(self, family: RIFSFamily) -> None:
+        """Refuse level distributions whose length is not the family's number of systems."""
+        if any(len(dist) != family.nsystems for t in self.templates for dist in t.levels):
+            raise ConfigError("template level distribution length must match the number of systems")
+
+
+def _level_family(family: RIFSFamily, model: ModelSpec | str) -> RIFSFamily:
+    """``family`` reweighted for neck_block by q_i = sum_t w_t sum_l p_{t,l,i} / sum_t w_t L_t."""
+    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+    if spec.kind != NECK_BLOCK:
+        return family
+    spec.check_levels(family)
+    q = sum(t.weight * np.sum(t.levels, axis=0) for t in spec.templates)
+    return replace(family, weights=tuple((q / q.sum()).tolist()))
+
+
+def _solver(family: RIFSFamily, model: ModelSpec | str) -> tuple[str, RIFSFamily]:
+    """The dimension solver of ``model`` (a spec or a bare kind name) and the family it solves:
+    E[S^s] = 1 for recursive, else E[log S^s] = 0 on the ``_level_family``; none for v_variable V >= 2."""
+    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+    if spec.kind == V_VARIABLE and spec.v >= 2:
+        raise ConfigError(f"no dimension solver for v_variable models with V >= 2 (V = {spec.v})")
+    return (RECURSIVE if spec.kind == RECURSIVE else HOMOGENEOUS), _level_family(family, spec)
+
+
+@dataclass(frozen=True)
 class ConditionsReport:
     """Outcome of the standing-assumption checks for a family."""
 
@@ -185,11 +250,6 @@ def bisect_decreasing(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def solver_model(kind: str) -> str:
-    """The dimension solver for a tree model kind: recursive or homogeneous."""
-    return RECURSIVE if kind == RECURSIVE else HOMOGENEOUS
-
-
 def _moment_root(system: IFS) -> Optional[float]:
     """Unique s >= 0 with S^s = 1, or None when no root exists."""
     if system.nmaps == 0:
@@ -211,8 +271,22 @@ def log_moments(family: RIFSFamily, s: float) -> np.ndarray:
     )
 
 
-def log_moment_stats(family: RIFSFamily, s: float) -> tuple[float, float]:
-    """Mean and variance of ``log S^s`` under the selection weights."""
+def log_moment_stats(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS) -> tuple[float, float]:
+    """Mean and variance per level of ``log S^s`` along a ``model`` tree's levels.
+
+    neck_block blocks are i.i.d., so by renewal-reward the variance is
+    sum_t w_t (sum_l v_{t,l} + (m_t - mean L_t)^2) / sum_t w_t L_t, where
+    level l of template t has variance v_{t,l} and the block has mean m_t.
+    """
+    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+    if spec.kind == NECK_BLOCK:
+        mean = log_moment_stats(_level_family(family, spec), s)[0]
+        num = total = 0.0
+        for t in spec.templates:
+            stats = [log_moment_stats(replace(family, weights=dist), s) for dist in t.levels]
+            num += t.weight * (sum(v for _, v in stats) + (sum(m for m, _ in stats) - mean * t.length) ** 2)
+            total += t.weight * t.length
+        return mean, num / total
     if s < 0:
         raise ParameterError("moment exponent s must be >= 0")
     vals = log_moments(family, s)
@@ -232,10 +306,10 @@ def eta_hat(family: RIFSFamily) -> float:
     return abs(sum(w * float(np.mean(np.log(sysm.ratios))) for w, sysm in active))
 
 
-def beta_hat(family: RIFSFamily, s: float) -> float:
-    """Default envelope-matching gauge parameter Var(log S^s) / eta_hat."""
-    _, var = log_moment_stats(family, s)
-    eta = eta_hat(family)
+def beta_hat(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS) -> float:
+    """Default envelope-matching gauge parameter Var(log S^s) / eta_hat of ``model``."""
+    _, var = log_moment_stats(family, s, model)
+    eta = eta_hat(_level_family(family, model))
     if not (var > 0) or eta == 0:
         raise PreconditionError("beta_hat needs positive variance and contraction")
     return var / eta
@@ -245,10 +319,9 @@ def _mean_s0(family: RIFSFamily) -> float:
     return float(sum(w * s.nmaps for w, s in zip(family.weights, family.systems)))
 
 
-def dimension(family: RIFSFamily, model: str) -> float:
-    """Almost-sure dimension: root of E[S^s] = 1 (recursive) or E[log S^s] = 0 (homogeneous)."""
-    if model not in _MODELS:
-        raise ParameterError(f"model must be one of {_MODELS}, got {model!r}")
+def dimension(family: RIFSFamily, model: ModelSpec | str) -> float:
+    """Almost-sure dimension of ``model``: the root of its ``_solver`` equation."""
+    model, family = _solver(family, model)
     if family.c_max >= 1.0:
         raise PreconditionError("dimension needs all contraction ratios < 1")
     if model == RECURSIVE:
@@ -278,17 +351,17 @@ def _almost_deterministic_at(family: RIFSFamily) -> Optional[float]:
     return None
 
 
-def validate(family: RIFSFamily, model: str) -> ConditionsReport:
+def validate(family: RIFSFamily, model: ModelSpec | str) -> ConditionsReport:
     """Check the standing assumptions and locate the degeneracy witnesses.
 
-    Always returns a report.  ``almost_deterministic_at`` is present when all
-    positive-weight systems share (to 1e-9) a common root of S^s = 1.  The
-    gap triple (epsilon, gamma, p0) witnesses the moment-sum drop available
-    below the dimension; it is present only when the family is supercritical
-    for ``model`` and some positive-weight system has S^(s-eps) < 1.
+    The report is on the family ``model``'s solver solves (see ``_solver``).
+    ``almost_deterministic_at`` is present when all positive-weight systems
+    share (to 1e-9) a common root of S^s = 1.  The gap triple (epsilon,
+    gamma, p0) witnesses the moment-sum drop available below the dimension;
+    it is present only when the family is supercritical for ``model`` and
+    some positive-weight system has S^(s-eps) < 1.
     """
-    if model not in _MODELS:
-        raise ParameterError(f"model must be one of {_MODELS}, got {model!r}")
+    model, family = _solver(family, model)
     n_bound_ok = family.n_max >= 2
     ratio_bounds_ok = 0.0 < family.c_min and family.c_max < 1.0
     recursive_super = _mean_s0(family) > 1.0

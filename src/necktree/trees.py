@@ -24,14 +24,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import streams
-from .errors import (
-    ConfigError, HorizonError, ParameterError, PreconditionError, ResourceError, UnsupportedModelError
-)
-from .rifs import HOMOGENEOUS, RECURSIVE, RIFSFamily, cumulative_weights
-
-V_VARIABLE = "v_variable"
-NECK_BLOCK = "neck_block"
-_KINDS = (HOMOGENEOUS, RECURSIVE, V_VARIABLE, NECK_BLOCK)
+from .errors import HorizonError, ParameterError, PreconditionError, ResourceError, UnsupportedModelError
+from .rifs import HOMOGENEOUS, NECK_BLOCK, RECURSIVE, V_VARIABLE, RIFSFamily, cumulative_weights
+from .rifs import BlockTemplate, ModelSpec  # noqa: F401  (re-exported)
 
 NECK_SEARCH_HORIZON = 10**6
 # Nodes a tree walk may visit before it raises ``ResourceError``.
@@ -42,29 +37,6 @@ VV_TABLE_ENTRIES = 2**12
 FRONTIER_NODES = 2**14
 
 Address = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BlockTemplate:
-    """One block shape: a label distribution for each level of the block."""
-
-    levels: tuple[tuple[float, ...], ...]
-    weight: float = 1.0
-
-    @property
-    def length(self) -> int:
-        return len(self.levels)
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    v: int = 0
-    templates: tuple[BlockTemplate, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -124,27 +96,12 @@ class Realization:
             counters[0] = streams.TAG_LABEL_DRAW
             object.__setattr__(self, "_node_counters", counters)
         elif kind == V_VARIABLE:
-            if self.model.v < 1:
-                raise ParameterError("v_variable needs V >= 1")
             object.__setattr__(self, "_hl", streams.fold(seed, streams.TAG_VV_LABEL))
             object.__setattr__(self, "_ha", streams.fold(seed, streams.TAG_VV_ASSIGN))
         elif kind == NECK_BLOCK:
-            if not self.model.templates:
-                raise ConfigError("neck_block model needs at least one template")
+            self.model.check_levels(self.family)
             tw = [t.weight for t in self.model.templates]
-            if any(w < 0 for w in tw) or sum(tw) <= 0:
-                raise ConfigError("template weights must be non-negative with positive sum")
             object.__setattr__(self, "_tcum", cumulative_weights(np.asarray(tw, dtype=float) / sum(tw)).tolist())
-            for t in self.model.templates:
-                if t.length < 1:
-                    raise ConfigError("block templates need at least one level")
-                for dist in t.levels:
-                    if len(dist) != self.family.nsystems:
-                        raise ConfigError(
-                            "template level distribution length must match the number of systems"
-                        )
-                    if any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12:
-                        raise ConfigError("template level distributions must sum to 1")
             # _lcum[t][off]: cumulative label weights of level off of template t
             lcum = [[cumulative_weights(d).tolist() for d in t.levels] for t in self.model.templates]
             object.__setattr__(self, "_lcum", lcum)
@@ -187,17 +144,6 @@ class Realization:
     def _vv_assign(self, level: int, buf: int, j: int) -> int:
         u = streams.u01(streams.fold(streams.fold(streams.fold(self._ha, level), buf), j))
         return 1 + int(u * self.model.v)
-
-    def vv_children(self, level0: int, n: int) -> np.ndarray:
-        """Child buffers of absolute levels ``level0 .. level0 + n - 1`` (v_variable).
-
-        Returns an int32 table ``[k, b, j - 1]``: the buffer that map j of the
-        node reading buffer b draws at level ``level0 + k``, the same value as
-        ``_vv_assign``.  It is 0 where that map does not exist, because buffer
-        b's system (``_vv_label``) has fewer than j maps, and on row b = 0,
-        which is no buffer.  It is the one-path case of ``_vv_children``.
-        """
-        return _vv_children([self], np.array([level0], dtype=np.uint64), n)[:, 0]
 
     # ---- generic walker state -------------------------------------------
     # state = (absolute level, aux); aux is a buffer for v_variable, a path
@@ -249,7 +195,7 @@ class Realization:
             x, children = states[:, 0], states[:, 1:]
         elif kind == V_VARIABLE:
             x = streams.fold_array(streams.fold(self._hl, level), aux)
-            children = self.vv_children(level, 1)[0][aux]
+            children = _vv_children([self], np.array([level], dtype=np.uint64), 1)[0, 0][aux]
         else:
             return np.full(n, self._sys_at_level(level)), None
         return self._thresholds.searchsorted(x, side="right"), children
@@ -464,11 +410,11 @@ def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
 
 
 def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> np.ndarray:
-    """``vv_children`` of many v_variable paths of one model and family, in one pass.
+    """Child buffers of v_variable paths of one model and family at n levels, drawn in one pass.
 
-    Entry ``[k, p, b, j - 1]`` is ``rs[p].vv_children(level0[p], n)[k, b, j - 1]``.
-    Labels and assignments of the whole table are drawn in one vectorized
-    pass; draws do not depend on visit order.
+    Entry ``[k, p, b, j - 1]`` is the buffer that map j of path p's node reading
+    buffer b draws at level ``level0[p] + k`` (``rs[p]._vv_assign``), or 0 where
+    buffer b's system has fewer than j maps and on row b = 0, which is no buffer.
     """
     r = rs[0]
     v, js = r.model.v, np.arange(1, r.family.n_max + 1)

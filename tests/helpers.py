@@ -821,3 +821,27 @@ def oracle_neck_block_label(r: Realization, level: int) -> int:
         if u < acc:
             return i
     return len(dist) - 1
+
+
+# ---- neck_block walk statistics by enumerating one block ---------------------------
+
+
+def oracle_block_log_moment_stats(family: RIFSFamily, model: ModelSpec, s: float) -> tuple[float, float]:
+    """Mean and variance per level of the walk of log S^s along a neck_block tree's levels.
+
+    Blocks are i.i.d., so by renewal-reward the walk's mean per level is
+    E[R] / E[L] and its variance per level E[(R - mean L)^2] / E[L], where R is
+    one block's total log S^s and L its length.  Both expectations sum over
+    every template and every label sequence of its levels, with that
+    sequence's probability.  Every system needs at least one map.
+    """
+    log_s = [log(sum(m.ratio**s for m in sysm.maps)) for sysm in family.systems]
+    total_weight = sum(t.weight for t in model.templates)
+    outcomes = []  # (probability, R, L) of one block
+    for t in model.templates:
+        for labels in product(range(family.nsystems), repeat=t.length):
+            prob = t.weight / total_weight * math.prod(dist[i] for dist, i in zip(t.levels, labels))
+            outcomes.append((prob, sum(log_s[i] for i in labels), t.length))
+    mean_length = sum(p * n for p, _, n in outcomes)
+    mean = sum(p * r for p, r, _ in outcomes) / mean_length
+    return mean, sum(p * (r - mean * n) ** 2 for p, r, n in outcomes) / mean_length

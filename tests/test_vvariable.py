@@ -111,7 +111,7 @@ def test_engine_matches_scalar_loops_across_default_chunk():
 def test_children_table_matches_scalar_draws():
     family = equicontractive_family([0, 2, 3], 1 / 3, [0.2, 0.3, 0.5])
     r = Realization(family=family, model=ModelSpec(kind="v_variable", v=5), seed=3)
-    table = r.vv_children(7, 4)
+    table = trees._vv_children([r], np.array([7], dtype=np.uint64), 4)[:, 0]
     assert table.shape == (4, 6, 3) and table.dtype == np.int32
     assert not table[:, 0].any()
     for k in range(4):
