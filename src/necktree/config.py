@@ -61,7 +61,9 @@ def _list(raw: Any, where: str) -> list:
 
 
 def _number(raw: Any, where: str, cast: type = float) -> Any:
-    """``cast(raw)``, or a ConfigError naming the field."""
+    """``cast(raw)``, or a ConfigError naming the field; an ``int`` is neither a boolean nor a fraction."""
+    if cast is int and (isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {raw!r}")
     try:
         return cast(raw)
     except (TypeError, ValueError, OverflowError):
@@ -77,14 +79,8 @@ def family_from_dict(obj: dict) -> RIFSFamily:
         where = f"family config system[{i}]"
         maps = []
         for j, mraw in enumerate(_list(_require(sraw, "maps", where), f"{where} maps")):
-            ratio = _require(mraw, "ratio", f"{where} map[{j}]")
-            maps.append(
-                SimilarityMap(
-                    ratio=_number(ratio, f"{where} map[{j}] ratio"),
-                    isometry=mraw.get("isometry"),
-                    translation=mraw.get("translation"),
-                )
-            )
+            ratio = _number(_require(mraw, "ratio", f"{where} map[{j}]"), f"{where} map[{j}] ratio")
+            maps.append(SimilarityMap(ratio, isometry=mraw.get("isometry"), translation=mraw.get("translation")))
         systems.append(IFS(maps=tuple(maps), label=str(sraw.get("label", f"sys{i}"))))
         weights.append(_number(_require(sraw, "weight", where), f"{where} weight"))
     return RIFSFamily(systems=tuple(systems), weights=tuple(weights), ambient_dim=dim)

@@ -45,15 +45,16 @@ class GaugeFunction:
     h_bar: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ConfigError("gauge exponent s must be >= 0")
+        if not 0 <= self.s < math.inf:
+            raise ConfigError(f"gauge exponent s must be finite and >= 0, got {self.s}")
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown gauge family {self.family!r}")
-        if self.family != POWER:
-            if self.beta is None or self.beta <= 0:
-                raise ConfigError(f"{self.family} gauge needs beta > 0")
+        if self.family != POWER and (self.beta is None or not 0 < self.beta < math.inf):
+            raise ConfigError(f"{self.family} gauge needs a finite beta > 0, got {self.beta}")
         if self.family in (H1, H1_STAR) and self.gamma is None:
             object.__setattr__(self, "gamma", 0.0)
+        if self.gamma is not None and not math.isfinite(self.gamma):
+            raise ConfigError(f"gauge gamma must be finite, got {self.gamma}")
         log_r0 = self._compute_log_r0()
         object.__setattr__(self, "log_r0", log_r0)
         object.__setattr__(self, "r0", math.exp(log_r0))

@@ -252,8 +252,7 @@ def box_dimension(
         if pts.ndim != 2 or pts.shape[0] < 10**4:
             raise ParameterError("point input needs a (n >= 10^4, d) array")
         counts = box_count_points(pts, s)
-    slope, counts = box_dimension_from_counts(s, counts)
-    return slope, counts
+    return box_dimension_from_counts(s, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,7 @@ def _fast_log_sums(
     if model.kind in (HOMOGENEOUS, NECK_BLOCK) and family.is_equicontractive():
         logn = np.array([math.log(s.nmaps) if s.nmaps else -math.inf for s in family.systems])
         logc = np.array([math.log(s.common_ratio) if s.nmaps else 0.0 for s in family.systems])
+        # the count path's gauge term, arange * log c, differs in its last bits; pinned bytes hold each form
         gauge = None if c is None else h.eval_log(np.cumsum(np.full(kmax, math.log(c))))
 
         def closed_form(r: Realization) -> np.ndarray:
@@ -423,10 +424,7 @@ def drift_experiment(
     inc_mean, inc_var = _increment_mean_var([f[3] for f in flat])
 
     _, variance = log_moment_stats(family, h.s, model)
-    env_plus, env_minus = lil_envelope(variance, depths) if variance > 0 else (
-        np.full(len(depths), np.nan),
-        np.full(len(depths), np.nan),
-    )
+    env_plus, env_minus = lil_envelope(variance, depths) if variance > 0 else np.full((2, len(depths)), np.nan)
     med = np.median(vals, axis=0)
     return DriftReport(
         depths=depths,

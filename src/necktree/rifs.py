@@ -51,6 +51,8 @@ class SimilarityMap:
         except (TypeError, ValueError):
             given = f"isometry {self.isometry!r}, translation {self.translation!r}"
             raise ConfigError(f"map geometry must be arrays of numbers ({given})") from None
+        if any(a is not None and not np.isfinite(a).all() for a in (q, b)):
+            raise ConfigError(f"map geometry must be finite (isometry {q}, translation {b})")
         if q is not None:
             if q.ndim != 2 or q.shape[0] != q.shape[1]:
                 raise ConfigError("isometry must be a square matrix")
@@ -115,8 +117,8 @@ class RIFSFamily:
             raise ConfigError("family needs at least one system")
         if len(weights) != len(systems):
             raise ConfigError("weights and systems must have equal length")
-        if any(w < 0 for w in weights):
-            raise ConfigError("weights must be non-negative")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ConfigError(f"weights must be finite and non-negative, got {weights}")
         if abs(sum(weights) - 1.0) > STRUCT_TOL:
             raise ConfigError(f"weights must sum to 1, got {sum(weights)!r}")
         if self.ambient_dim < 1:
@@ -176,12 +178,12 @@ class ModelSpec:
         if not self.templates:
             raise ConfigError("neck_block model needs at least one template")
         tw = [t.weight for t in self.templates]
-        if any(w < 0 for w in tw) or sum(tw) <= 0:
-            raise ConfigError("template weights must be non-negative with positive sum")
+        if not all(0 <= w < math.inf for w in tw) or sum(tw) <= 0:
+            raise ConfigError(f"template weights must be finite and non-negative with positive sum, got {tw}")
         for t in self.templates:
             if t.length < 1:
                 raise ConfigError("block templates need at least one level")
-            if any(any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12 for dist in t.levels):
+            if any(not all(p >= 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12 for dist in t.levels):
                 raise ConfigError("template level distributions must sum to 1")
 
     def check_levels(self, family: RIFSFamily) -> None:
@@ -287,8 +289,6 @@ def log_moment_stats(family: RIFSFamily, s: float, model: ModelSpec | str = HOMO
             num += t.weight * (sum(v for _, v in stats) + (sum(m for m, _ in stats) - mean * t.length) ** 2)
             total += t.weight * t.length
         return mean, num / total
-    if s < 0:
-        raise ParameterError("moment exponent s must be >= 0")
     vals = log_moments(family, s)
     w = np.asarray(family.weights)
     if 0.0 in family.weights:  # a zero weight adds an exact 0, even for an empty system's -inf

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from math import ceil, exp, inf, log
+from math import exp, inf, log
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,12 @@ VV_TABLE_ENTRIES = 2**12
 FRONTIER_NODES = 2**14
 
 Address = tuple[int, ...]
+
+
+def _label_thresholds(cum) -> np.ndarray:
+    """``ceil(c 2^53)`` for each cumulative weight c: ``bisect_right(cum, u01(x))`` counts those ``<= x >> 11``,
+    as c 2^53 is exact and ``x >> 11`` an integer; c = 1.0 gives 2^53, which no draw reaches."""
+    return np.ceil(np.asarray(cum) * 2.0**53).astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -81,11 +87,7 @@ class Realization:
     def __post_init__(self) -> None:
         seed = int(self.seed) & streams.MASK64
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "_cumw", self.family.cum_weights.tolist())
-        # labels compare raw draws x: u01(x) >= c iff x >= ceil(c 2^53) 2^11, never for c = 1.0
-        thresholds = [ceil(c * 2.0**53) << 11 for c in self._cumw[:-1]]
-        thresholds = np.array([t for t in thresholds if t <= streams.MASK64], dtype=np.uint64)
-        object.__setattr__(self, "_thresholds", thresholds)
+        object.__setattr__(self, "_thresholds", _label_thresholds(self.family.cum_weights))
         kind = self.model.kind
         if kind == HOMOGENEOUS:
             object.__setattr__(self, "_h", streams.fold(seed, streams.TAG_HOMOGENEOUS))
@@ -101,45 +103,42 @@ class Realization:
         elif kind == NECK_BLOCK:
             self.model.check_levels(self.family)
             tw = [t.weight for t in self.model.templates]
-            object.__setattr__(self, "_tcum", cumulative_weights(np.asarray(tw, dtype=float) / sum(tw)).tolist())
-            # _lcum[t][off]: cumulative label weights of level off of template t
-            lcum = [[cumulative_weights(d).tolist() for d in t.levels] for t in self.model.templates]
-            object.__setattr__(self, "_lcum", lcum)
+            tcum = cumulative_weights(np.asarray(tw, dtype=float) / sum(tw))
+            object.__setattr__(self, "_template_thresholds", _label_thresholds(tcum))
+            # row _first_row[t] + off: the label thresholds of level off of template t
+            rows = [cumulative_weights(d) for t in self.model.templates for d in t.levels]
+            object.__setattr__(self, "_level_thresholds", _label_thresholds(rows))
+            lengths = np.array([t.length for t in self.model.templates])
+            object.__setattr__(self, "_lengths", lengths)
+            object.__setattr__(self, "_first_row", np.cumsum(lengths) - lengths)
             object.__setattr__(self, "_hb", streams.fold(seed, streams.TAG_BLOCK))
             object.__setattr__(self, "_hbl", streams.fold(seed, streams.TAG_BLOCK_LEVEL))
-            object.__setattr__(self, "_block_bounds", [0])
         object.__setattr__(self, "_root_state", self._walk_to_offset())
 
     # ---- per-model label machinery -------------------------------------
 
-    def _pick(self, u: float) -> int:
-        return bisect_right(self._cumw, u)
+    def _pick(self, x: int) -> int:
+        """The label of raw draw ``x``."""
+        return bisect_right(self._thresholds, x >> 11)
 
-    def _sys_at_level(self, level: int) -> int:
-        """System index for level-driven models (homogeneous, neck_block)."""
-        kind = self.model.kind
-        if kind == HOMOGENEOUS:
-            return self._pick(streams.u01(streams.fold(self._h, level)))
-        if kind == NECK_BLOCK:
-            b, off = self._block_of(level)
-            u = streams.u01(streams.fold(streams.fold(self._hbl, b), off))
-            return bisect_right(self._lcum[self._template_of(b)][off], u)
-        raise UnsupportedModelError(f"{kind} labels are not level-driven")
+    def _blocks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Template index and first absolute level of neck_block blocks 0..n-1."""
+        x = streams.fold_array(self._hb, np.arange(n)) >> 11
+        template = self._template_thresholds.searchsorted(x, side="right")
+        lengths = self._lengths[template]
+        return template, np.cumsum(lengths) - lengths
 
-    def _template_of(self, block: int) -> int:
-        return bisect_right(self._tcum, streams.u01(streams.fold(self._hb, block)))
-
-    def _block_of(self, level: int) -> tuple[int, int]:
-        """(block index, offset inside block) for an absolute tree level."""
-        bounds = self._block_bounds
-        while bounds[-1] <= level:
-            b = len(bounds) - 1
-            bounds.append(bounds[-1] + self.model.templates[self._template_of(b)].length)
-        b = bisect_right(bounds, level) - 1
-        return b, level - bounds[b]
+    def _block_labels(self, levels: np.ndarray) -> np.ndarray:
+        """System indices of absolute neck_block ``levels``, from the blocks up to the deepest one."""
+        template, first = self._blocks(int(levels.max(initial=0)) // int(self._lengths.min()) + 1)
+        block = first.searchsorted(levels, side="right") - 1
+        off = levels - first[block]
+        x = streams.fold_array(streams.fold_array(self._hbl, block), off)
+        rows = self._level_thresholds[self._first_row[template[block]] + off]
+        return (x[:, None] >> 11 >= rows).sum(axis=1)
 
     def _vv_label(self, level: int, buf: int) -> int:
-        return self._pick(streams.u01(streams.fold(streams.fold(self._hl, level), buf)))
+        return self._pick(streams.fold(streams.fold(self._hl, level), buf))
 
     def _vv_assign(self, level: int, buf: int, j: int) -> int:
         u = streams.u01(streams.fold(streams.fold(streams.fold(self._ha, level), buf), j))
@@ -149,15 +148,9 @@ class Realization:
     # state = (absolute level, aux); aux is a buffer for v_variable, a path
     # hash for recursive, and None for level-driven models.
 
-    def _state0_unshifted(self):
-        if self.model.kind == V_VARIABLE:
-            return (0, 1)
-        if self.model.kind == RECURSIVE:
-            return (0, self._h)
-        return (0, None)
-
     def _walk_to_offset(self):
-        state = self._state0_unshifted()
+        kind = self.model.kind
+        state = (0, 1 if kind == V_VARIABLE else self._h if kind == RECURSIVE else None)
         for _ in range(self.offset):
             state = self._child_state(state, 1)
         return state
@@ -177,8 +170,10 @@ class Realization:
         if kind == V_VARIABLE:
             return self._vv_label(level, aux)
         if kind == RECURSIVE:
-            return self._pick(streams.u01(streams.fold(aux, streams.TAG_LABEL_DRAW)))
-        return self._sys_at_level(level)
+            return self._pick(streams.fold(aux, streams.TAG_LABEL_DRAW))
+        if kind == HOMOGENEOUS:
+            return self._pick(streams.fold(self._h, level))
+        return int(self._block_labels(np.array([level]))[0])
 
     def expand(self, level: int, aux: Optional[np.ndarray], n: int):
         """Labels of n nodes at absolute ``level`` and the states of their children.
@@ -197,8 +192,8 @@ class Realization:
             x = streams.fold_array(streams.fold(self._hl, level), aux)
             children = _vv_children([self], np.array([level], dtype=np.uint64), 1)[0, 0][aux]
         else:
-            return np.full(n, self._sys_at_level(level)), None
-        return self._thresholds.searchsorted(x, side="right"), children
+            return np.full(n, self._sys_of_state((level, None))), None
+        return self._thresholds.searchsorted(x >> 11, side="right"), children
 
     # ---- public API ------------------------------------------------------
 
@@ -216,17 +211,14 @@ class Realization:
         """System indices for levels 0..depth-1 (level-driven models only)."""
         kind = self.model.kind
         if kind == HOMOGENEOUS:
-            counters = np.arange(self.offset, self.offset + depth, dtype=np.uint64)
-            x = streams.fold_array(self._h, counters)
-            # thresholds <= x, as ``expand``'s searchsorted(side="right") counts them
+            x = streams.fold_array(self._h, np.arange(self.offset, self.offset + depth, dtype=np.uint64)) >> 11
+            # thresholds <= x, as ``expand``'s searchsorted(side="right") counts them; the last, 2^53, never is
             out = np.zeros(depth, dtype=np.int64)
-            for t in self._thresholds:
+            for t in self._thresholds[:-1]:
                 out += x >= t
             return out
         if kind == NECK_BLOCK:
-            return np.array(
-                [self._sys_at_level(self.offset + k) for k in range(depth)], dtype=np.int64
-            )
+            return self._block_labels(np.arange(self.offset, self.offset + depth))
         raise UnsupportedModelError(f"{kind} model has no per-level label sequence")
 
 
@@ -409,6 +401,14 @@ def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
 # ---- necks -----------------------------------------------------------------
 
 
+def _vv_level_entries(rs: Sequence[Realization]) -> int:
+    """Entries of one level of ``_vv_children``'s table, paths x (V + 1) x n_max, at most ``DEFAULT_NODE_BUDGET``."""
+    entries = len(rs) * (rs[0].model.v + 1) * rs[0].family.n_max
+    if entries > DEFAULT_NODE_BUDGET:
+        raise ResourceError(f"a V-variable level table of {entries} entries exceeds the budget {DEFAULT_NODE_BUDGET}")
+    return entries
+
+
 def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> np.ndarray:
     """Child buffers of v_variable paths of one model and family at n levels, drawn in one pass.
 
@@ -416,6 +416,7 @@ def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> np.nd
     buffer b draws at level ``level0[p] + k`` (``rs[p]._vv_assign``), or 0 where
     buffer b's system has fewer than j maps and on row b = 0, which is no buffer.
     """
+    _vv_level_entries(rs)
     r = rs[0]
     v, js = r.model.v, np.arange(1, r.family.n_max + 1)
     nmaps = np.array([s.nmaps for s in r.family.systems])
@@ -423,7 +424,7 @@ def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> np.nd
     bufs = np.arange(1, v + 1, dtype=np.uint64)
     hl, ha = np.array([(q._hl, q._ha) for q in rs], dtype=np.uint64)[:, :, None].transpose(1, 0, 2)
     x = streams.fold_array(streams.fold_array(hl, levels), bufs)
-    labels = r._thresholds.searchsorted(x, side="right")
+    labels = r._thresholds.searchsorted(x >> 11, side="right")
     states = streams.fold_array(streams.fold_array(ha, levels), bufs)[..., None]
     u = streams.u01_array(streams.fold_array(states, js))
     table = np.zeros((n, len(rs), v + 1, js.size), dtype=np.int32)
@@ -448,12 +449,12 @@ def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
     long search holds one small table.
     """
     v, n_max, paths = rs[0].model.v, rs[0].family.n_max, len(rs)
+    step = max(1, VV_TABLE_ENTRIES // _vv_level_entries(rs))
     level0 = np.array([r._root_state[0] for r in rs], dtype=np.uint64)
     flat = np.arange(paths * (v + 1)).reshape(paths, v + 1)  # (path, buffer) -> index in a level's row
     log_counts = np.full(flat.size, -np.inf)
     log_counts[flat[:, 0] + [r._root_state[1] for r in rs]] = 0.0
     parents = np.repeat(flat[:, 1:], n_max)  # each edge's parent, in (path, parent buffer, map) order
-    step = max(1, VV_TABLE_ENTRIES // (paths * (v + 1) * n_max))
     for start in range(0, n, step):
         table = _vv_children(rs, level0 + np.uint64(start), min(step, n - start))
         # maps that do not exist point to the path's column 0
@@ -482,14 +483,15 @@ def _necks(r: Realization, horizon: int) -> Iterator[int]:
             yield from (start + (reached <= 1).nonzero()[0]).tolist()
             start += len(counts)
     elif kind == NECK_BLOCK:
-        b, off = r._block_of(r.offset)
-        rel = -off
+        # blocks in doubling batches, so a search stops soon after its first neck
+        n, seen = 1, 0
         while True:
-            rel += r.model.templates[r._template_of(b)].length
-            if rel > horizon:
+            template, first = r._blocks(n)
+            ends = (first + r._lengths[template])[seen:] - r.offset  # relative to the root
+            yield from ends[(ends > 0) & (ends <= horizon)].tolist()
+            if ends[-1] >= horizon:
                 return
-            yield rel
-            b += 1
+            n, seen = 2 * n, n
     else:
         raise UnsupportedModelError("recursive trees have no necks (probability zero)")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import signal
+from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import product
 from math import inf, log
@@ -50,6 +51,7 @@ from necktree.rifs import (
     IFS,
     RIFSFamily,
     SimilarityMap,
+    cumulative_weights,
     equicontractive_family,
     log_moment_stats,
     validate,
@@ -802,17 +804,47 @@ def oracle_drift_experiment(
     )
 
 
-# ---- neck_block labels by a running sum ----------------------------------------
-# A neck_block level's label as it was drawn before the template levels' cumulative
-# weights were built once per realization: a running sum over the level's
-# distribution, compared with the draw.  Kept verbatim (names aside) as the
-# bit-identity reference.
+# ---- neck_block blocks, necks and labels by a scalar block walk -------------------
+# A neck_block realization's blocks as they were found before one array layout
+# drew them: one float draw per block against the templates' cumulative weights,
+# and a list of block bounds grown up to the level asked for.  A level's label
+# is a running sum over its distribution, compared with the draw.  Kept verbatim
+# (names aside) as the bit-identity reference.
+
+
+def oracle_template_of(r: Realization, block: int) -> int:
+    """Template index of neck_block ``block``."""
+    tw = [t.weight for t in r.model.templates]
+    tcum = cumulative_weights(np.asarray(tw, dtype=float) / sum(tw)).tolist()
+    return bisect_right(tcum, streams.u01(streams.fold(r._hb, block)))
+
+
+def oracle_block_of(r: Realization, level: int) -> tuple[int, int]:
+    """(block index, offset inside block) for an absolute tree level."""
+    bounds = [0]
+    while bounds[-1] <= level:
+        b = len(bounds) - 1
+        bounds.append(bounds[-1] + r.model.templates[oracle_template_of(r, b)].length)
+    b = bisect_right(bounds, level) - 1
+    return b, level - bounds[b]
+
+
+def oracle_neck_block_necks(r: Realization, horizon: int) -> list[int]:
+    """Neck levels <= horizon, relative to the realization root: the block ends below it."""
+    b, off = oracle_block_of(r, r.offset)
+    rel, necks = -off, []
+    while True:
+        rel += r.model.templates[oracle_template_of(r, b)].length
+        if rel > horizon:
+            return necks
+        necks.append(rel)
+        b += 1
 
 
 def oracle_neck_block_label(r: Realization, level: int) -> int:
     """System index of absolute ``level`` of a neck_block realization."""
-    b, off = r._block_of(level)
-    tpl = r.model.templates[r._template_of(b)]
+    b, off = oracle_block_of(r, level)
+    tpl = r.model.templates[oracle_template_of(r, b)]
     u = streams.u01(streams.fold(streams.fold(r._hbl, b), off))
     dist = tpl.levels[off]
     acc = 0.0

@@ -57,6 +57,18 @@ def run_in_fresh_process(args: list[str], code: Optional[str] = None) -> subproc
 
 
 H1_PLUS = {"s": "auto", "family": {"h1": {"beta": "auto", "gamma": 0.5}}}
+# Two neck_block templates of lengths 2 and 3 over the worked family's two systems.
+BLOCK_MODEL = {"model": {"neck_block": {"templates": [
+    {"weight": 2.0, "levels": [[0.8, 0.2], [0.3, 0.7]]},
+    {"weight": 1.0, "levels": [[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]},
+]}}, "seed": 7}
+# The worked family with system A's maps at ratios 1/4 and 1/2: level sums take the stream path.
+MULTI_RATIO_FAMILY = {**WORKED_FAMILY, "systems": [
+    {"label": "A", "weight": 0.5, "maps": [
+        {"ratio": 0.25, "translation": [0.0]}, {"ratio": 0.5, "translation": [0.5]},
+    ]},
+    WORKED_FAMILY["systems"][1],
+]}
 
 
 @pytest.fixture
@@ -69,6 +81,8 @@ def configs(tmp_path):
     gauge.write_text(json.dumps(H1_PLUS))
     power_gauge = tmp_path / "power.json"
     power_gauge.write_text(json.dumps({"s": "auto", "family": "power"}))
+    (tmp_path / "block.json").write_text(json.dumps(BLOCK_MODEL))
+    (tmp_path / "multi.json").write_text(json.dumps(MULTI_RATIO_FAMILY))
     return tmp_path, fam, model, gauge, power_gauge
 
 
@@ -364,6 +378,27 @@ PINNED_RUNS = {
         "percolate", "--p", "0.7", "--boxdim", "--seeds", "3", "--min-scale-exp", "8", "--seed", "5",
     ], "c6b94a76e507c6bb"),
     "percolate": (["percolate", "--p", "0.75"], "717a3ef6405d6fab"),
+    "block-levelsum-stream": ([
+        "levelsum", "--family", "{multi}", "--model", "{block}", "--gauge", "{power}",
+        "--depths", "1:10:1", "--out", "{out}",
+    ], "f9de8d3ca1ec5ad1"),
+    "block-levelsum-closed": ([
+        "levelsum", "--family", "{fam}", "--model", "{block}", "--gauge", "{power}",
+        "--seed", "5", "--depths", "1:2000:log", "--out", "{out}",
+    ], "1cd3e7cc23d962fc"),
+    "block-drift": ([
+        "drift", "--family", "{fam}", "--model", "{block}", "--gauge", "{h1}",
+        "--seed", "7", "--n", "6", "--depths", "100:800:log", "--out", "{out}",
+    ], "3d010fbec9a02024"),
+    "block-render": ([
+        "render", "--family", "{fam}", "--model", "{block}", "--seed", "2", "--n", "50",
+        "--out", "{out}",
+    ], "6c72224476339141"),
+    "block-sections": ([
+        "sections", "--family", "{fam}", "--model", "{block}", "--gauge", "{power}",
+        "--seed", "1", "--depth-cap", "3",
+    ], "a10b293e1adcc640"),
+    "block-dim": (["dim", "--family", "{fam}", "--model", "{block}"], "48e70999fe2b10f2"),
 }
 
 
@@ -372,6 +407,7 @@ def _argv(args: list[str], configs) -> tuple[list[str], Path]:
     out = tmp / "pinned.out"
     names = {
         "fam": fam, "model": model, "h1": gauge, "power": power_gauge, "out": out, "bad": tmp / "bad.json",
+        "block": tmp / "block.json", "multi": tmp / "multi.json",
     }
     return [a.format(**names) for a in args], out
 
@@ -404,6 +440,17 @@ def test_error_exit_and_stderr_are_pinned(args, code, stderr, configs, capsys):
     assert run(argv) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", stderr)
+
+
+def test_huge_v_is_a_resource_error(configs, capsys):
+    tmp, fam, *_ = configs
+    (tmp / "huge_v.json").write_text(json.dumps({"model": {"v_variable": 10**30}}))
+    (tmp / "s.json").write_text(json.dumps({"s": 0.8, "family": "power"}))
+    argv = ["levelsum", "--family", str(fam), "--model", str(tmp / "huge_v.json"), "--gauge", str(tmp / "s.json"),
+            "--depths", "1,5"]
+    assert run(argv) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: a V-variable level table of 3") and "Traceback" not in err
 
 
 DRIFT_ARGS = [
@@ -443,10 +490,14 @@ DRIFT_ARGS = [
         None,
     ),
     (["percolate", "--p", "0.7", "--boxdim", "--seeds", "0"], None),
+    (
+        ["levelsum", "--family", "{bad}", "--model", "{model}", "--gauge", "{power}", "--depths", "1,2"],
+        {"systems": [{**WORKED_FAMILY["systems"][0], "weight": math.nan}, WORKED_FAMILY["systems"][1]]},
+    ),
 ], ids=[
     "depths", "thresholds-words", "thresholds-three", "family-ratio", "model-v", "model-seed",
     "gauge-s", "family-list", "map-number", "systems-number", "levels-number", "raster-width",
-    "percolate-seeds",
+    "percolate-seeds", "family-nan-weight",
 ])
 def test_malformed_input_is_a_config_error(args, bad, configs, capsys):
     (configs[0] / "bad.json").write_text(json.dumps(bad))

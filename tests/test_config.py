@@ -14,7 +14,9 @@ from necktree.config import (
     model_from_dict,
 )
 from necktree.errors import ConfigError
+from necktree.gauges import GaugeFunction
 from necktree.measure import beta_hat
+from necktree.rifs import BlockTemplate, ModelSpec, RIFSFamily, SimilarityMap
 from necktree.trees import sample
 
 from helpers import worked_family
@@ -110,6 +112,58 @@ def test_gauge_parsing_of_the_parametrised_families():
         gauge_from_dict({"s": 0.5, "family": {"h1": {"beta": "x", "gamma": "y"}}})
     with pytest.raises(ConfigError, match="gauge config gamma"):
         gauge_from_dict({"s": 0.5, "family": {"h1": {"beta": 0.04, "gamma": "y"}}})
+
+
+NAN, INF = math.nan, math.inf
+
+
+def _family(weight=0.5, **map_fields) -> dict:
+    maps = [{"ratio": 0.5, "translation": [0.0], **map_fields}, {"ratio": 0.5, "translation": [0.5]}]
+    return {"systems": [{"weight": weight, "maps": maps}, {"weight": 0.5, "maps": maps[1:]}]}
+
+
+@pytest.mark.parametrize("parse, raw, message", [
+    (family_from_dict, _family(weight=NAN), "weights must be finite"),
+    (family_from_dict, _family(weight=INF), "weights must be finite"),
+    (family_from_dict, _family(translation=[NAN]), "map geometry must be finite"),
+    (family_from_dict, _family(isometry=[[NAN]]), "map geometry must be finite"),
+    (family_from_dict, {**_family(), "ambient_dim": 1.5}, "ambient_dim: expected an integer, got 1.5"),
+    (model_from_dict, {"model": "homogeneous", "seed": 1.7}, "seed: expected an integer, got 1.7"),
+    (model_from_dict, {"model": {"v_variable": True}}, "v_variable: expected an integer, got True"),
+    (model_from_dict, {"model": {"v_variable": 2.5}}, "v_variable: expected an integer"),
+    (model_from_dict, {"model": {"neck_block": {"templates": [{"levels": [[NAN, 1.0]]}]}}}, "must sum to 1"),
+    (model_from_dict, {"model": {"neck_block": {"templates": [{"levels": [[0.5, 0.5]], "weight": NAN}]}}},
+     "template weights must be finite"),
+    (model_from_dict, {"model": {"neck_block": {"templates": [{"levels": [[0.5, 0.5]], "weight": INF}]}}},
+     "template weights must be finite"),
+    (gauge_from_dict, {"s": NAN, "family": "power"}, "s must be finite"),
+    (gauge_from_dict, {"s": INF, "family": "power"}, "s must be finite"),
+    (gauge_from_dict, {"s": 0.5, "family": {"h1": {"beta": NAN}}}, "finite beta"),
+    (gauge_from_dict, {"s": 0.5, "family": {"h1": {"beta": 0.1, "gamma": NAN}}}, "gamma must be finite"),
+], ids=[
+    "nan-weight", "inf-weight", "nan-translation", "nan-isometry", "fractional-ambient-dim",
+    "fractional-seed", "boolean-v", "fractional-v", "nan-probability", "nan-template-weight",
+    "inf-template-weight", "nan-s", "inf-s", "nan-beta", "nan-gamma",
+])
+def test_non_finite_or_non_integral_numbers_are_config_errors(parse, raw, message):
+    with pytest.raises(ConfigError, match=message):
+        parse(raw)
+
+
+def test_value_types_refuse_non_finite_numbers():
+    # the checks live in the value types, so library callers get them too
+    fam = family_from_dict(_family())
+    with pytest.raises(ConfigError, match="weights must be finite"):
+        RIFSFamily(systems=fam.systems, weights=(NAN, 0.5))
+    with pytest.raises(ConfigError, match="map geometry must be finite"):
+        SimilarityMap(ratio=0.5, translation=np.array([0.0, INF]))
+    with pytest.raises(ConfigError, match="s must be finite"):
+        GaugeFunction(s=NAN, family="power")
+    with pytest.raises(ConfigError, match="must sum to 1"):
+        ModelSpec(kind="neck_block", templates=(BlockTemplate(levels=((0.5, NAN),)),))
+    # integral floats and large integers still parse
+    assert model_from_dict({"model": {"v_variable": 3.0}, "seed": 2**64 - 1})[0].v == 3
+    assert family_from_dict({**_family(), "ambient_dim": 2.0}).ambient_dim == 2
 
 
 def test_hashes_stable_and_sensitive(tmp_path):

@@ -24,7 +24,13 @@ from necktree.trees import (
     stopping_set,
 )
 
-from helpers import brute_force_stopping, oracle_level_systems, oracle_neck_block_label, worked_family
+from helpers import (
+    brute_force_stopping,
+    oracle_level_systems,
+    oracle_neck_block_label,
+    oracle_neck_block_necks,
+    worked_family,
+)
 
 HOM = ModelSpec(kind="homogeneous")
 REC = ModelSpec(kind="recursive")
@@ -343,21 +349,39 @@ def test_neck_block_labels_match_a_running_sum(r):
     ids=["zero-first", "zero-middle", "zero-last", "sum-below-one", "sum-below-one-then-zero", "one-system"],
 )
 def test_neck_block_labels_at_the_running_sum_boundaries(dist):
-    # draws at and just below each running sum, and just below 1, where a
+    # raw draws at and just below each running sum, and just below 1, where a
     # running sum that ends below 1 falls through to the last system
-    acc = np.cumsum(dist)
-    us = sorted({0.0, math.nextafter(1.0, 0.0), *acc[acc < 1].tolist(), *(math.nextafter(a, 0.0) for a in acc if a > 0)})
+    first = {a: math.ceil(a * 2.0**53) << 11 for a in np.cumsum(dist).tolist()}  # the first x with u01(x) >= a
+    draws = {0, streams.MASK64, *(t for a, t in first.items() if a < 1), *(t - 1 for a, t in first.items() if a > 0)}
+    draws = np.array(sorted(x for x in draws if x <= streams.MASK64), dtype=np.uint64)
     r = sample(ModelSpec(kind="neck_block", templates=(BlockTemplate(levels=(dist,)),)), 0, _uniform_family(len(dist)))
-    seen = set()
+    # every fold, scalar or array, lands on one of the draws' top 53 bits; a label
+    # reads no others, so the low 11 bits are kept to tell nested folds apart
+    fold, fold_array, top = streams.fold, streams.fold_array, draws >> 11
 
-    def u01(x: int) -> float:
-        seen.add(x % len(us))
-        return us[x % len(us)]
+    def onto_draws(x):
+        return top[x % top.size] << 11 | x & 0x7FF
 
-    with patch.object(streams, "u01", u01):
+    with (
+        patch.object(streams, "fold", lambda state, counter: int(onto_draws(fold(state, counter)))),
+        patch.object(streams, "fold_array", lambda state, counters: onto_draws(fold_array(state, counters))),
+    ):
         got = r.level_systems(200).tolist()
         assert got == [oracle_neck_block_label(r, k) for k in range(200)]
-    assert seen == set(range(len(us)))
+        seen = {streams.fold(streams.fold(r._hbl, k), 0) >> 11 for k in range(200)}
+    assert seen == set(top.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=neck_block_realizations(), horizon=st.integers(0, 60))
+def test_neck_block_necks_match_a_block_walk(r, horizon):
+    want = oracle_neck_block_necks(r, horizon)
+    assert neck_list(r, horizon).necks == tuple(want)
+    if want:
+        assert first_neck(r, horizon) == want[0]
+    else:
+        with pytest.raises(HorizonError):
+            first_neck(r, horizon)
 
 
 @settings(max_examples=80)

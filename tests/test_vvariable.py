@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from necktree import measure, trees
-from necktree.errors import HorizonError
+from necktree.errors import HorizonError, ResourceError
 from necktree.gauges import h1, loglog_power, power
 from necktree.measure import _all_level_log_sums, _fast_log_sums
 from necktree.rifs import equicontractive_family
@@ -119,6 +119,20 @@ def test_children_table_matches_scalar_draws():
             nmaps = family.systems[r._vv_label(7 + k, b)].nmaps
             expect = [r._vv_assign(7 + k, b, j) if j <= nmaps else 0 for j in range(1, 4)]
             assert table[k, b].tolist() == expect
+
+
+def test_a_level_table_over_the_node_budget_is_a_resource_error():
+    # one level at V = 3 over the worked family holds 1 x 4 x 3 = 12 entries
+    r = Realization(family=worked_family(), model=ModelSpec(kind="v_variable", v=3), seed=3)
+    with mock.patch.object(trees, "DEFAULT_NODE_BUDGET", 11):
+        with pytest.raises(ResourceError, match="12 entries exceeds the budget 11"):
+            neck_list(r, 5)
+        with pytest.raises(ResourceError, match="12 entries"):
+            r.expand(0, np.array([1], dtype=np.uint64), 1)
+    with mock.patch.object(trees, "DEFAULT_NODE_BUDGET", 12):
+        assert neck_list(r, 5).necks == oracle_vv_necks(r, 5)
+        with pytest.raises(ResourceError, match="24 entries"):  # two paths in one batch
+            next(trees.vv_log_counts([r, r], 5))
 
 
 def test_first_neck_memory_is_bounded_by_one_chunk():
