@@ -17,12 +17,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import geometry, streams
+from . import geometry, streams, trees
 from .errors import ExtinctionError, GeometryError, ParameterError, PreconditionError
 from .gauges import GaugeFunction
 from .rifs import HOMOGENEOUS, NECK_BLOCK, V_VARIABLE, ModelSpec, RIFSFamily, _level_family, log_moments
 from .rifs import _almost_deterministic_at, beta_hat, eta_hat, log_moment_stats  # noqa: F401  (re-exports)
-from .trees import DEFAULT_NODE_BUDGET, Chunk, Coding, Realization, levels, sample, vv_log_counts
+from .trees import DEFAULT_NODE_BUDGET, Chunk, Coding, Realization, level_labels, levels, sample, vv_log_counts
 from .trees import _stopping_letters
 
 DEFAULT_THRESHOLDS = (-20.0, 20.0)
@@ -171,9 +171,10 @@ def _fast_log_sums(
     """A function yielding the fast path's log level sums at levels 1..kmax of each realization, or None.
 
     Level-driven equicontractive trees use the product form
-    cumsum(log N) + h(cumsum(log c)), one path at a time; v_variable trees
-    over one ratio c add up the ``vv_log_counts`` of each level's buffers,
-    one recursion per batch of at most ``VV_BATCH_ENTRIES`` log sums.  What
+    cumsum(log N) + h(cumsum(log c)), one path at a time in one buffer that
+    each path overwrites; v_variable trees over one ratio c add up the
+    ``vv_log_counts`` of each level's buffers, one recursion per batch of at
+    most ``VV_BATCH_ENTRIES`` log sums whose level tables fit the node budget.  What
     does not depend on the realization is computed here, once: the
     per-system tables and, when every level-k coding has the ratio c^k, the
     gauge term.  On the product form that term has the bits of the per-path
@@ -186,18 +187,22 @@ def _fast_log_sums(
         # the count path's gauge term, arange * log c, differs in its last bits; pinned bytes hold each form
         gauge = None if c is None else h.eval_log(np.cumsum(np.full(kmax, math.log(c))))
 
-        def closed_form(r: Realization) -> np.ndarray:
-            sysidx = r.level_systems(kmax)
-            g = h.eval_log(np.cumsum(logc[sysidx])) if gauge is None else gauge
-            return np.cumsum(logn[sysidx]) + g
+        def closed_form(rs: Iterable[Realization]) -> Iterator[np.ndarray]:
+            sums = np.empty(kmax)
+            for sysidx in level_labels(rs, kmax):
+                # labels are in range, and "clip" writes into ``sums`` without a buffer
+                np.cumsum(np.take(logn, sysidx, out=sums, mode="clip"), out=sums)
+                sums += h.eval_log(np.cumsum(logc[sysidx])) if gauge is None else gauge
+                yield sums
 
-        return lambda rs: (closed_form(r) for r in rs)
+        return closed_form
     if model.kind == V_VARIABLE and c is not None:
         gauge = h.eval_log(np.arange(1, kmax + 1) * math.log(c))
+        size = max(1, min(VV_BATCH_ENTRIES // kmax, trees.DEFAULT_NODE_BUDGET // ((model.v + 1) * family.n_max)))
 
         def count_sums(rs: Iterable[Realization]) -> Iterator[np.ndarray]:
             rs = iter(rs)
-            while batch := list(itertools.islice(rs, max(1, VV_BATCH_ENTRIES // kmax))):
+            while batch := list(itertools.islice(rs, size)):
                 sums = np.concatenate([np.logaddexp.reduce(x, axis=2).T for x in vv_log_counts(batch, kmax)], 1)
                 sums += gauge
                 yield from sums
@@ -332,8 +337,11 @@ def ensemble_seeds(master_seed: int, n: int) -> list[int]:
 
 def _increments(start: float, walk: np.ndarray) -> tuple[float, float, int]:
     """Sum, sum of squares and number of the increments of a walk from ``start``."""
-    incs = np.diff(np.concatenate(([start], walk)))
-    return float(np.sum(incs)), float(np.sum(incs * incs)), incs.size
+    incs = np.empty_like(walk)
+    incs[0] = walk[0] - start
+    np.subtract(walk[1:], walk[:-1], out=incs[1:])
+    total = float(np.sum(incs))
+    return total, float(np.sum(np.multiply(incs, incs, out=incs))), incs.size
 
 
 def _increment_mean_var(paths: list[tuple[float, float, int]]) -> tuple[float, float]:

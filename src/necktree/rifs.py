@@ -289,13 +289,17 @@ def log_moment_stats(family: RIFSFamily, s: float, model: ModelSpec | str = HOMO
             num += t.weight * (sum(v for _, v in stats) + (sum(m for m, _ in stats) - mean * t.length) ** 2)
             total += t.weight * t.length
         return mean, num / total
+    mean, w, vals = _mean_log_moment(family, s)
+    return mean, float(np.dot(w, (vals - mean) ** 2)) if math.isfinite(mean) else math.nan
+
+
+def _mean_log_moment(family: RIFSFamily, s: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """E[log S^s] under the selection weights, with the weights and per-system ``log S^s`` it sums."""
     vals = log_moments(family, s)
     w = np.asarray(family.weights)
     if 0.0 in family.weights:  # a zero weight adds an exact 0, even for an empty system's -inf
         vals[w == 0] = 0.0
-    mean = float(np.dot(w, vals))
-    var = float(np.dot(w, (vals - mean) ** 2)) if math.isfinite(mean) else math.nan
-    return mean, var
+    return float(np.dot(w, vals)), w, vals
 
 
 def eta_hat(family: RIFSFamily) -> float:
@@ -330,10 +334,10 @@ def dimension(family: RIFSFamily, model: ModelSpec | str) -> float:
             raise PreconditionError(f"recursive model needs E[S^0] > 1, got E[S^0] = {es0}")
         objective = lambda s: sum(w * moment(family, i, s) for i, w in enumerate(family.weights)) - 1.0
     else:
-        els0 = log_moment_stats(family, 0.0)[0]
+        els0 = _mean_log_moment(family, 0.0)[0]
         if not els0 > 0.0:
             raise PreconditionError(f"homogeneous model needs E[log S^0] > 0, got E[log S^0] = {els0}")
-        objective = lambda s: log_moment_stats(family, s)[0]
+        objective = lambda s: _mean_log_moment(family, s)[0]
 
     hi = math.log(max(family.n_max, 2)) / math.log(1.0 / family.c_max) + 1.0
     return bisect_decreasing(objective, 0.0, hi)
@@ -365,7 +369,7 @@ def validate(family: RIFSFamily, model: ModelSpec | str) -> ConditionsReport:
     n_bound_ok = family.n_max >= 2
     ratio_bounds_ok = 0.0 < family.c_min and family.c_max < 1.0
     recursive_super = _mean_s0(family) > 1.0
-    homogeneous_super = log_moment_stats(family, 0.0)[0] > 0.0
+    homogeneous_super = _mean_log_moment(family, 0.0)[0] > 0.0
 
     almost_det = _almost_deterministic_at(family)
 

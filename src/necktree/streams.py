@@ -63,14 +63,22 @@ def fold_array(state: int | np.ndarray, counters: int | np.ndarray) -> np.ndarra
     after broadcasting, wrapping modulo 2**64 as ``fold`` does.  Scalar and
     0-d counters are accepted too.
     """
-    c = np.asarray(counters).astype(np.uint64, copy=False)
     s = state if isinstance(state, np.ndarray) else np.array(int(state) & MASK64, dtype=np.uint64)
-    x = s + (c + _U1) * _U_GOLDEN
-    x ^= x >> _U30
+    return mix_array(s + spacing(counters))
+
+
+def spacing(counters: int | np.ndarray) -> np.ndarray:
+    """``(counter + 1) * GOLDEN`` modulo 2**64, which ``fold`` adds to its state before mixing."""
+    return (np.asarray(counters).astype(np.uint64, copy=False) + _U1) * _U_GOLDEN
+
+
+def mix_array(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array, in place; a ``tmp`` of x's shape takes the shifted copies."""
+    x ^= np.right_shift(x, _U30, out=tmp)
     x *= _U_M1
-    x ^= x >> _U27
+    x ^= np.right_shift(x, _U27, out=tmp)
     x *= _U_M2
-    x ^= x >> _U31
+    x ^= np.right_shift(x, _U31, out=tmp)
     return x
 
 

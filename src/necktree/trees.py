@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from math import exp, inf, log
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -211,12 +211,7 @@ class Realization:
         """System indices for levels 0..depth-1 (level-driven models only)."""
         kind = self.model.kind
         if kind == HOMOGENEOUS:
-            x = streams.fold_array(self._h, np.arange(self.offset, self.offset + depth, dtype=np.uint64)) >> 11
-            # thresholds <= x, as ``expand``'s searchsorted(side="right") counts them; the last, 2^53, never is
-            out = np.zeros(depth, dtype=np.int64)
-            for t in self._thresholds[:-1]:
-                out += x >= t
-            return out
+            return next(level_labels([self], depth))
         if kind == NECK_BLOCK:
             return self._block_labels(np.arange(self.offset, self.offset + depth))
         raise UnsupportedModelError(f"{kind} model has no per-level label sequence")
@@ -225,6 +220,26 @@ class Realization:
 def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
     """Draw a realization of ``model`` over ``family`` from a 64-bit seed."""
     return Realization(family=family, model=model, seed=seed)
+
+
+def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
+    """``r.level_systems(depth)`` of each realization in turn; each yielded array is overwritten by the next.
+
+    Homogeneous paths reuse buffers and the counter spacing of levels 0..depth-1; offset o moves the state by o GOLDEN.
+    """
+    step = streams.spacing(np.arange(depth))
+    x, tmp, out = np.empty_like(step), np.empty_like(step), np.empty(depth, dtype=np.int64)
+    for r in rs:
+        if r.model.kind != HOMOGENEOUS:
+            yield r.level_systems(depth)
+            continue
+        np.add(step, np.uint64((r._h + r.offset * streams.GOLDEN) & streams.MASK64), out=x)
+        np.right_shift(streams.mix_array(x, tmp), 11, out=x)
+        # thresholds <= x, as ``expand``'s searchsorted(side="right") counts them; the last, 2^53, never is
+        out.fill(0)
+        for t in r._thresholds[:-1]:
+            out += x >= t
+        yield out
 
 
 # ---- tree walks -------------------------------------------------------------

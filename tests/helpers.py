@@ -51,6 +51,7 @@ from necktree.rifs import (
     IFS,
     RIFSFamily,
     SimilarityMap,
+    bisect_decreasing,
     cumulative_weights,
     equicontractive_family,
     log_moment_stats,
@@ -877,3 +878,38 @@ def oracle_block_log_moment_stats(family: RIFSFamily, model: ModelSpec, s: float
     mean_length = sum(p * n for p, _, n in outcomes)
     mean = sum(p * r for p, r, _ in outcomes) / mean_length
     return mean, sum(p * (r - mean * n) ** 2 for p, r, n in outcomes) / mean_length
+
+
+# ---- closed form per path, labels from ``level_systems`` ---------------------------
+# The closed-form walk as it ran before it was drawn in buffers reused across
+# paths: per-path tables and labels, cumsums into fresh arrays, and the gauge
+# term added last.  Homogeneous labels come from ``oracle_level_systems``, so
+# they do not share the buffer walk's label code.
+
+
+def oracle_closed_form_log_sums(r: Realization, h: GaugeFunction, kmax: int) -> np.ndarray:
+    """Log level sums at levels 1..kmax of a level-driven equicontractive realization."""
+    logn, logc = oracle_level_tables(r.family)
+    sysidx = oracle_level_systems(r, kmax) if r.model.kind == HOMOGENEOUS else r.level_systems(kmax)
+    c = r.family.uniform_ratio
+    g = h.eval_log(np.cumsum(logc[sysidx])) if c is None else h.eval_log(np.cumsum(np.full(kmax, math.log(c))))
+    return np.cumsum(logn[sysidx]) + g
+
+
+# ---- homogeneous dimension over the full log-moment statistics ---------------------
+# The homogeneous solver as it ran before its objective computed the mean
+# alone: each bisection step called ``log_moment_stats``, which builds a model
+# spec and a variance.  Kept verbatim (names aside) as the bit-identity reference.
+
+
+def oracle_homogeneous_dimension(family: RIFSFamily) -> float:
+    """Root of E[log S^s] = 0 by bisection."""
+    if family.c_max >= 1.0:
+        raise PreconditionError("dimension needs all contraction ratios < 1")
+    els0 = log_moment_stats(family, 0.0)[0]
+    if not els0 > 0.0:
+        raise PreconditionError(f"homogeneous model needs E[log S^0] > 0, got E[log S^0] = {els0}")
+    objective = lambda s: log_moment_stats(family, s)[0]
+
+    hi = math.log(max(family.n_max, 2)) / math.log(1.0 / family.c_max) + 1.0
+    return bisect_decreasing(objective, 0.0, hi)

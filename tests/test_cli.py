@@ -465,6 +465,10 @@ DRIFT_ARGS = [
     ),
     ([*DRIFT_ARGS, "--thresholds", "x,y"], None),
     ([*DRIFT_ARGS, "--thresholds", "1,2,3"], None),
+    ([*DRIFT_ARGS, "--thresholds", "nan,0"], None),
+    ([*DRIFT_ARGS, "--thresholds", "0,inf"], None),
+    (["pack", *DRIFT_ARGS[1:], "--thresholds", "nan,0"], None),
+    (["pack", *DRIFT_ARGS[1:], "--thresholds", "0,inf"], None),
     (
         ["dim", "--family", "{bad}", "--model", "{model}"],
         {"systems": [{"weight": 1.0, "maps": [{"ratio": "abc"}]}]},
@@ -495,7 +499,8 @@ DRIFT_ARGS = [
         {"systems": [{**WORKED_FAMILY["systems"][0], "weight": math.nan}, WORKED_FAMILY["systems"][1]]},
     ),
 ], ids=[
-    "depths", "thresholds-words", "thresholds-three", "family-ratio", "model-v", "model-seed",
+    "depths", "thresholds-words", "thresholds-three", "thresholds-nan", "thresholds-inf",
+    "pack-thresholds-nan", "pack-thresholds-inf", "family-ratio", "model-v", "model-seed",
     "gauge-s", "family-list", "map-number", "systems-number", "levels-number", "raster-width",
     "percolate-seeds", "family-nan-weight",
 ])

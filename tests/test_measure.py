@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from necktree import measure, rifs
+from necktree import measure, rifs, trees
 from necktree.errors import (
     ExtinctionError,
     NecktreeError,
@@ -37,10 +37,11 @@ from necktree.measure import (
     section_infimum,
 )
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, dimension, equicontractive_family
-from necktree.trees import BlockTemplate, Coding, ModelSpec, coding_level, sample
+from necktree.trees import BlockTemplate, Coding, ModelSpec, Realization, coding_level, sample
 
 from helpers import (
     min_section_sum_log,
+    oracle_closed_form_log_sums,
     oracle_drift_experiment,
     oracle_mass_check_1d,
     oracle_stream_log_sums,
@@ -360,6 +361,9 @@ def drift_cases(draw):
 @given(drift_cases())
 @example((worked_family(), HOM, power(S_HOM), 5, [1], 3))
 @example((worked_family(), VV2, h1(S_HOM, 0.04, 0.5), 5, [7], 3))
+# a zero weight last puts the threshold 2^53 inside the compared row; first, the threshold 0
+@example((equicontractive_family([2, 3, 1], 1 / 3, [0.5, 0.5, 0.0]), HOM, h1(S_HOM, 0.5, 0.2), 4, [1, 50, 300], 7))
+@example((equicontractive_family([1, 3, 2], 1 / 3, [0.0, 0.5, 0.5]), HOM, power(0.7), 4, [1, 50, 300], 7))
 def test_drift_matches_per_path_reference(case):
     with np.errstate(invalid="ignore"):  # the reference's diff of a dying path's -inf sums
         want = drift_outcome(oracle_drift_experiment, *case)
@@ -370,6 +374,62 @@ def test_drift_matches_per_path_reference(case):
         assert got[0] is ExtinctionError
     else:
         assert_same_report(got, want)
+
+
+TWO_TEMPLATES = ModelSpec(kind="neck_block", templates=(
+    BlockTemplate(levels=((1.0, 0.0, 0.0), (0.0, 0.5, 0.5)), weight=1.0),
+    BlockTemplate(levels=((0.2, 0.3, 0.5),), weight=2.0),
+))
+
+
+@st.composite
+def walk_cases(draw):
+    """Three systems, uniform or per-system ratios, with zero weights, a 0-map system, offsets and neck_block."""
+    counts = [draw(st.integers(2, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 3))]
+    weights = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5]), min_size=3, max_size=3).filter(lambda w: w[0] + w[2]))
+    ratios = draw(st.sampled_from([[1 / 3] * 3, [0.2, 0.25, 1 / 3]]))
+    systems = tuple(IFS(tuple(SimilarityMap(c) for _ in range(n))) for n, c in zip(counts, ratios))
+    family = RIFSFamily(systems=systems, weights=tuple(w / sum(weights) for w in weights))
+    model = draw(st.sampled_from([HOM, TWO_TEMPLATES]))
+    s, beta, gamma = draw(st.floats(0.3, 1.2)), draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0))
+    gauge = draw(st.sampled_from([power(s), loglog_power(s, beta), h1(s, beta, gamma), h1_star(s, beta, gamma)]))
+    depths = sorted(draw(st.lists(st.integers(1, 300), min_size=1, max_size=5, unique=True)))
+    return family, model, gauge, draw(st.integers(1, 5)), depths, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_cases())
+# a 0-map system that kills paths, and neck_block over per-system ratios at an offset
+@example((equicontractive_family([3, 0, 2], 1 / 3, [0.8, 0.1, 0.1]), HOM, power(0.8), 4, [5, 100], 2, 0))
+@example((RIFSFamily(
+    systems=tuple(IFS(tuple(SimilarityMap(c) for _ in range(n))) for n, c in ((2, 0.2), (3, 0.25), (2, 1 / 3))),
+    weights=(0.4, 0.3, 0.3),
+), TWO_TEMPLATES, h1(0.8, 0.5, 0.3), 3, [1, 40, 200], 5, 4))
+def test_closed_form_walk_matches_a_per_path_reference(case):
+    # the buffer walk against per-path labels from ``level_systems`` (homogeneous: ``searchsorted``)
+    family, model, h, n, depths, seed, offset = case
+    idx = np.asarray(depths) - 1
+    r = Realization(family=family, model=model, seed=seed, offset=offset)
+    want = oracle_closed_form_log_sums(r, h, depths[-1])
+    assert level_sums(r, h, depths).log_sums.tobytes() == want[idx].tobytes()
+    assert packing_level_limsup(r, h, depths).log_sums.tobytes() == np.maximum.accumulate(want)[idx].tobytes()
+    # the ensemble: the first dying path is named, else the per-path statistics are the reference's
+    seeds = ensemble_seeds(seed, n)
+    paths = [oracle_closed_form_log_sums(sample(model, s, family), h, depths[-1]) for s in seeds]
+    got = drift_outcome(drift_experiment, family, model, h, n, depths, seed)
+    dying = [(s, int(np.argmax(p == -math.inf)) + 1) for s, p in zip(seeds, paths) if p[-1] == -math.inf]
+    if isinstance(got, tuple) and got[0] is PreconditionError:
+        assert "almost deterministic" in got[1]
+    elif dying:
+        assert got == (ExtinctionError, "drift path with seed %d dies out at level %d" % dying[0])
+    else:
+        incs = [np.diff(np.concatenate(([h.eval_log(0.0)], p))) for p in paths]
+        mean = sum(float(np.sum(i)) for i in incs) / (n * depths[-1])
+        var = max(sum(float(np.sum(i * i)) for i in incs) / (n * depths[-1]) - mean**2, 0.0)
+        assert (got.increment_mean, got.increment_var) == (mean, var)
+        for field, stat in (("median", lambda p: p), ("runmin_median", np.minimum.accumulate),
+                            ("runmax_median", np.maximum.accumulate)):
+            assert getattr(got, field).tobytes() == np.median([stat(p)[idx] for p in paths], axis=0).tobytes()
 
 
 def test_drift_matches_per_path_reference_with_two_workers():
@@ -429,6 +489,16 @@ def test_vv_drift_memory_is_bounded_by_one_batch():
             tracemalloc.stop()
     # 16 paths a batch peak near 0.4 MiB; all 128 paths in one batch near 1.2 MiB
     assert peak < 640 * 2**10
+
+
+def test_vv_drift_batches_fit_the_node_budget():
+    # one path's level table at V = 3 over the worked family holds 4 x 3 = 12 entries
+    case = (worked_family(), ModelSpec(kind="v_variable", v=3), power(0.8), 8, [10, 40], 4)
+    want = oracle_drift_experiment(*case)
+    with mock.patch.object(trees, "DEFAULT_NODE_BUDGET", 3 * 12):  # three paths a batch, not all eight
+        assert_same_report(drift_experiment(*case), want)
+    with mock.patch.object(trees, "DEFAULT_NODE_BUDGET", 11), pytest.raises(ResourceError, match="12 entries"):
+        drift_experiment(*case)
 
 
 def test_drift_skips_the_dimension_solve():

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from necktree.errors import ConfigError, PreconditionError
+from necktree.config import gauge_from_dict
+from necktree.errors import ConfigError, NecktreeError, PreconditionError
+from necktree.gauges import GaugeFunction
 from necktree.rifs import (
     IFS,
+    BlockTemplate,
+    ModelSpec,
     RIFSFamily,
     SimilarityMap,
+    _level_family,
+    beta_hat,
     dimension,
     equicontractive_family,
     log_moment_stats,
@@ -15,7 +23,7 @@ from necktree.rifs import (
     validate,
 )
 
-from helpers import random_equicontractive_family, random_family, worked_family
+from helpers import oracle_homogeneous_dimension, random_equicontractive_family, random_family, worked_family
 
 S_HOM = math.log(6) / (2 * math.log(3))  # 0.8154648767854...
 S_REC = math.log(2.5) / math.log(3)  # 0.8340437671463...
@@ -110,6 +118,45 @@ def test_dimension_root_quality():
         else:
             obj = sum(w * moment(fam, i, s) for i, w in enumerate(fam.weights)) - 1.0
         assert abs(obj) <= 1e-9
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the package error it raised."""
+    try:
+        return fn(*args)
+    except NecktreeError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def solver_cases(draw):
+    """1-4 systems of 0-4 maps with mixed ratios and zero weights, and a neck_block spec over them."""
+    n = draw(st.integers(1, 4))
+    systems = tuple(
+        IFS(tuple(SimilarityMap(draw(st.sampled_from([0.2, 0.25, 1 / 3, 0.5]))) for _ in range(draw(st.integers(0, 4)))))
+        for _ in range(n)
+    )
+    if not any(s.nmaps for s in systems):
+        systems = (IFS((SimilarityMap(0.5), SimilarityMap(0.5))),) + systems[1:]
+    xs = draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=n, max_size=n).filter(any))
+    family = RIFSFamily(systems=systems, weights=tuple(x / sum(xs) for x in xs))
+    dists = [tuple(x / sum(d) for x in d) for d in draw(st.lists(
+        st.lists(st.sampled_from([0, 1, 3]), min_size=n, max_size=n).filter(any), min_size=1, max_size=3))]
+    return family, ModelSpec(kind="neck_block", templates=(BlockTemplate(levels=tuple(dists), weight=1.0),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(solver_cases())
+def test_homogeneous_solver_matches_the_full_statistics_bisection(case):
+    family, block = case
+    for model, fam in (("homogeneous", family), (block, _level_family(family, block))):
+        want = outcome(oracle_homogeneous_dimension, fam)
+        got = outcome(dimension, family, model)
+        assert (got.hex() if isinstance(got, float) else got) == (want.hex() if isinstance(want, float) else want)
+        auto = {"s": "auto", "family": {"h1": {"beta": "auto", "gamma": 0.25}}}
+        if isinstance(want, float):
+            want = outcome(lambda: GaugeFunction(s=want, family="h1", beta=beta_hat(family, want, model), gamma=0.25))
+        assert repr(outcome(gauge_from_dict, auto, family, model)) == repr(want)
 
 
 def test_log_moment_stats_worked():

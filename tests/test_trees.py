@@ -137,7 +137,7 @@ def test_level_labels_switch_at_the_integer_thresholds():
             draws |= {x for x in (t - 1, t) if 0 <= x <= streams.MASK64}
         x = np.array(sorted(draws), dtype=np.uint64)
         want = fam.cum_weights.searchsorted(streams.u01_array(x), side="right").tolist()
-        with patch.object(streams, "fold_array", lambda state, counters: x):
+        with patch.object(streams, "mix_array", lambda draws, tmp=None: x):
             assert sample(HOM, 0, fam).level_systems(x.size).tolist() == want
         # a recursive node's label is its first draw
         with patch.object(streams, "fold_array", lambda state, counters: np.repeat(x[:, None], 4, axis=1)):
