@@ -73,11 +73,8 @@ class GaugeFunction:
             if self.s == 0:
                 raise ConfigError("loglog_power gauge needs s > 0 for a stationary point")
             target = self.beta / self.s
-            f = lambda L: target - L * math.log(L)
-            hi = max(_E, target + 2.0)
-            while hi * math.log(hi) < target:
-                hi *= 2.0
-            return -bisect_decreasing(f, 1.0 + 1e-12, hi)
+            # (x + 2) log(x + 2) >= x for x >= 0, so the upper end brackets the root
+            return -bisect_decreasing(lambda L: target - L * math.log(L), 1.0 + 1e-12, max(_E, target + 2.0))
         # h1 / h1_star: formula valid once loglog(beta L) is positive.
         return -_E / self.beta
 

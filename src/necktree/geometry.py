@@ -163,7 +163,7 @@ def sample_points(
     if family.c_max >= 1.0:
         raise PreconditionError("point sampling needs all contraction ratios < 1")
     require_geometry(family)
-    maps, nmaps = _maps(family), np.array([s.nmaps for s in family.systems])
+    maps, nmaps = _maps(family), family.map_counts
     level0, aux0 = r._root_state
     dim = family.ambient_dim
     base = streams.fold(int(seed) & streams.MASK64, streams.TAG_POINT)

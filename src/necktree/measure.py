@@ -71,18 +71,13 @@ class NaturalMeasure:
 
     realization: Realization
 
-    def __post_init__(self) -> None:
-        # log map count per system, +inf for a 0-map system
-        logn = [math.log(s.nmaps) if s.nmaps else math.inf for s in self.realization.family.systems]
-        object.__setattr__(self, "_logn", np.array(logn))
-
     def log_masses(self, letters: np.ndarray) -> np.ndarray:
         """Log masses of the codings of a letter array as ``geometry._cylinders`` reads it."""
         total = np.zeros(len(letters))
         for sys, j in letters.transpose(1, 2, 0):
             rows = (j > 0).nonzero()[0]
-            total[rows] -= self._logn[sys[rows]]
-        if np.any(total == -math.inf):
+            total[rows] -= self.realization.family.log_map_counts[sys[rows]]
+        if np.any(total == math.inf):  # a 0-map system's log map count is -inf
             raise ParameterError("coding passes through an extinct node")
         return total
 
@@ -174,16 +169,14 @@ def _fast_log_sums(
     cumsum(log N) + h(cumsum(log c)), one path at a time in one buffer that
     each path overwrites; v_variable trees over one ratio c add up the
     ``vv_log_counts`` of each level's buffers, one recursion per batch of at
-    most ``VV_BATCH_ENTRIES`` log sums whose level tables fit the node budget.  What
-    does not depend on the realization is computed here, once: the
-    per-system tables and, when every level-k coding has the ratio c^k, the
-    gauge term.  On the product form that term has the bits of the per-path
-    cumsum up to the first extinct level, past which the sum is -inf either way.
+    most ``VV_BATCH_ENTRIES`` log sums whose level tables fit the node budget.  When
+    every level-k coding has the ratio c^k, the gauge term is computed here,
+    once.  On the product form that term has the bits of the per-path cumsum
+    up to the first extinct level, past which the sum is -inf either way.
     """
     c = family.uniform_ratio
     if model.kind in (HOMOGENEOUS, NECK_BLOCK) and family.is_equicontractive():
-        logn = np.array([math.log(s.nmaps) if s.nmaps else -math.inf for s in family.systems])
-        logc = np.array([math.log(s.common_ratio) if s.nmaps else 0.0 for s in family.systems])
+        logn, logc = family.log_map_counts, family.log_ratios[:, 0]
         # the count path's gauge term, arange * log c, differs in its last bits; pinned bytes hold each form
         gauge = None if c is None else h.eval_log(np.cumsum(np.full(kmax, math.log(c))))
 
@@ -289,20 +282,25 @@ def packing_level_limsup(
     depths = _check_depths(depths)
     full = _all_level_log_sums(r, h, depths[-1])
     if full is not None:
-        vals = _running_at(np.maximum, full, np.asarray(depths) - 1)
+        vals = _running_at(np.maximum, full, _stretch_starts(np.asarray(depths) - 1))
     else:
         vals = np.maximum.accumulate(_stream_log_sums(r, h, depths, node_budget))
     series = _series(r, h, depths, vals)
     return replace(series, kind="running_max")
 
 
-def _running_at(extremum: np.ufunc, full: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``extremum.accumulate(full)[idx]`` for increasing ``idx`` ending at the last level.
+def _stretch_starts(idx: np.ndarray) -> np.ndarray:
+    """The first level of each stretch that ends at a grid point of ``idx``, as ``_running_at`` reads them."""
+    return np.concatenate(([0], idx[:-1] + 1))
+
+
+def _running_at(extremum: np.ufunc, full: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``extremum.accumulate(full)[idx]`` for increasing ``idx`` ending at the last level, from its ``_stretch_starts``.
 
     Each stretch between grid points is reduced once, then the stretches are
     accumulated; min and max are exact, so the bits are the same.
     """
-    return extremum.accumulate(extremum.reduceat(full, np.concatenate(([0], idx[:-1] + 1))))
+    return extremum.accumulate(extremum.reduceat(full, starts))
 
 
 def _check_depths(depths: Sequence[int]) -> tuple[int, ...]:
@@ -352,16 +350,16 @@ def _increment_mean_var(paths: list[tuple[float, float, int]]) -> tuple[float, f
 
 
 def _path_stats(
-    full: np.ndarray, start: float, idx: np.ndarray, path_seed: int
+    full: np.ndarray, start: float, idx: np.ndarray, starts: np.ndarray, path_seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float, int]]:
-    """Grid values, running min/max, and increment sums of one path's level sums."""
+    """Grid values at ``idx``, running min/max from its ``_stretch_starts``, and increment sums of one path."""
     if full[-1] == -math.inf:
         level = int(np.argmax(full == -math.inf)) + 1
         raise ExtinctionError(f"drift path with seed {path_seed} dies out at level {level}")
     return (
         full[idx],
-        _running_at(np.minimum, full, idx),
-        _running_at(np.maximum, full, idx),
+        _running_at(np.minimum, full, starts),
+        _running_at(np.maximum, full, starts),
         _increments(start, full),
     )
 
@@ -376,8 +374,9 @@ def _drift_chunk(args) -> list:
             "(level-driven equicontractive, or v_variable with one ratio)"
         )
     start, idx = h.eval_log(0.0), np.asarray(depths) - 1
+    starts = _stretch_starts(idx)
     paths = sums(sample(model, s, family) for s in seeds)
-    return [_path_stats(next(paths), start, idx, s) for s in seeds]
+    return [_path_stats(next(paths), start, idx, starts, s) for s in seeds]
 
 
 def drift_experiment(
@@ -497,8 +496,8 @@ def lil_calibration(
     e = env[checked]
     n_exit = n_touch = 0
     paths = []
-    for ps in ensemble_seeds(seed, n_paths):
-        w = np.cumsum(logs[sample(model, ps, family).level_systems(depth)])
+    for sysidx in level_labels((sample(model, ps, family) for ps in ensemble_seeds(seed, n_paths)), depth):
+        w = np.cumsum(logs[sysidx])
         a = np.abs(w[checked])
         n_exit += bool(np.any(a > exit_factor * e))
         n_touch += bool(np.any(a >= touch_factor * e))

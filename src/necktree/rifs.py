@@ -97,7 +97,11 @@ class IFS:
 
 @dataclass(frozen=True, eq=False)
 class RIFSFamily:
-    """A finite family of IFSs with selection weights (the randomness source)."""
+    """A finite family of IFSs with selection weights (the randomness source).
+
+    Its label tables, read-only: ``label_thresholds``, ``map_counts``, ``log_ratios`` (``[nsystems, n_max]``,
+    the log ratio of map j + 1 of system i, 0 past its maps) and ``log_map_counts`` (-inf for no maps).
+    """
 
     systems: tuple[IFS, ...]
     weights: tuple[float, ...]
@@ -129,14 +133,14 @@ class RIFSFamily:
         object.__setattr__(self, "c_min", min(ratios))
         object.__setattr__(self, "c_max", max(ratios))
         object.__setattr__(self, "n_max", max(s.nmaps for s in systems))
+        log_ratios = [[math.log(m.ratio) for m in s.maps] + [0.0] * (self.n_max - s.nmaps) for s in systems]
+        _set_tables(self, label_thresholds=_label_thresholds(cumulative_weights(weights)),
+                    map_counts=np.array([s.nmaps for s in systems]), log_ratios=np.array(log_ratios),
+                    log_map_counts=np.array([math.log(s.nmaps) if s.nmaps else -math.inf for s in systems]))
 
     @property
     def nsystems(self) -> int:
         return len(self.systems)
-
-    @property
-    def cum_weights(self) -> np.ndarray:
-        return cumulative_weights(self.weights)
 
     @property
     def uniform_ratio(self) -> Optional[float]:
@@ -162,7 +166,12 @@ class BlockTemplate:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A tree model kind with its V or block templates; only ``check_levels`` needs a family."""
+    """A tree model kind with its V or block templates; only ``check_levels`` needs a family.
+
+    A neck_block spec's read-only tables lie outside its fields, so equal specs hash alike:
+    ``template_thresholds``, the template ``lengths``, and the thresholds of level off of template t
+    in row ``first_rows[t] + off`` of ``level_thresholds``.
+    """
 
     kind: str
     v: int = 0
@@ -185,6 +194,13 @@ class ModelSpec:
                 raise ConfigError("block templates need at least one level")
             if any(not all(p >= 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-12 for dist in t.levels):
                 raise ConfigError("template level distributions must sum to 1")
+        if len({len(dist) for t in self.templates for dist in t.levels}) > 1:
+            raise ConfigError("template level distributions must all have one length")
+        lengths = np.array([t.length for t in self.templates])
+        rows = [cumulative_weights(d) for t in self.templates for d in t.levels]
+        tcum = cumulative_weights(np.asarray(tw, dtype=float) / sum(tw))
+        _set_tables(self, template_thresholds=_label_thresholds(tcum), level_thresholds=_label_thresholds(rows),
+                    lengths=lengths, first_rows=np.cumsum(lengths) - lengths)
 
     def check_levels(self, family: RIFSFamily) -> None:
         """Refuse level distributions whose length is not the family's number of systems."""
@@ -228,6 +244,19 @@ def cumulative_weights(weights: Sequence[float]) -> np.ndarray:
     cw = np.cumsum(np.asarray(weights, dtype=float))
     cw[-1] = 1.0
     return cw
+
+
+def _label_thresholds(cum) -> np.ndarray:
+    """``ceil(c 2^53)`` for each cumulative weight c: ``bisect_right(cum, u01(x))`` counts those ``<= x >> 11``,
+    as c 2^53 is exact and ``x >> 11`` an integer; c = 1.0 gives 2^53, which no draw reaches."""
+    return np.ceil(np.asarray(cum) * 2.0**53).astype(np.uint64)
+
+
+def _set_tables(value, **tables: np.ndarray) -> None:
+    """Set read-only array attributes on a frozen value, outside its dataclass fields."""
+    for name, table in tables.items():
+        table.flags.writeable = False
+        object.__setattr__(value, name, table)
 
 
 def moment(family: RIFSFamily, lambda_index: int, s: float) -> float:

@@ -3,7 +3,8 @@
 A realization assigns an IFS label to every node of the full tree.  Labels
 are never stored; they are recomputed on demand from (model, seed, address)
 through counter-based streams, so trees of unbounded depth cost nothing to
-hold and are reproducible across workers.
+hold and are reproducible across workers.  A realization holds only its seed
+state: its label tables are built once, on its family and its ``ModelSpec``.
 
 Models
     homogeneous     one label per level, i.i.d. across levels
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import streams
 from .errors import HorizonError, ParameterError, PreconditionError, ResourceError, UnsupportedModelError
-from .rifs import HOMOGENEOUS, NECK_BLOCK, RECURSIVE, V_VARIABLE, RIFSFamily, cumulative_weights
+from .rifs import HOMOGENEOUS, NECK_BLOCK, RECURSIVE, V_VARIABLE, RIFSFamily
 from .rifs import BlockTemplate, ModelSpec  # noqa: F401  (re-exported)
 
 NECK_SEARCH_HORIZON = 10**6
@@ -35,15 +36,6 @@ DEFAULT_NODE_BUDGET = 10**8
 VV_TABLE_ENTRIES = 2**12
 # Nodes of one chunk of a tree level handed out by ``levels``.
 FRONTIER_NODES = 2**14
-
-Address = tuple[int, ...]
-
-
-def _label_thresholds(cum) -> np.ndarray:
-    """``ceil(c 2^53)`` for each cumulative weight c: ``bisect_right(cum, u01(x))`` counts those ``<= x >> 11``,
-    as c 2^53 is exact and ``x >> 11`` an integer; c = 1.0 gives 2^53, which no draw reaches."""
-    return np.ceil(np.asarray(cum) * 2.0**53).astype(np.uint64)
-
 
 @dataclass(frozen=True)
 class Coding:
@@ -76,7 +68,9 @@ class Realization:
     """A sampled labelling, readable at any node address.
 
     ``offset`` re-roots the tree at the all-ones node of that depth; it is
-    how the neck shift is realized without copying anything.
+    how the neck shift is realized without copying anything.  It holds its
+    stream hashes, ``_node_counters`` and ``_root_state``; the label and map
+    tables are ``family``'s, the neck_block block tables ``model``'s.
     """
 
     family: RIFSFamily
@@ -87,7 +81,6 @@ class Realization:
     def __post_init__(self) -> None:
         seed = int(self.seed) & streams.MASK64
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "_thresholds", _label_thresholds(self.family.cum_weights))
         kind = self.model.kind
         if kind == HOMOGENEOUS:
             object.__setattr__(self, "_h", streams.fold(seed, streams.TAG_HOMOGENEOUS))
@@ -102,39 +95,34 @@ class Realization:
             object.__setattr__(self, "_ha", streams.fold(seed, streams.TAG_VV_ASSIGN))
         elif kind == NECK_BLOCK:
             self.model.check_levels(self.family)
-            tw = [t.weight for t in self.model.templates]
-            tcum = cumulative_weights(np.asarray(tw, dtype=float) / sum(tw))
-            object.__setattr__(self, "_template_thresholds", _label_thresholds(tcum))
-            # row _first_row[t] + off: the label thresholds of level off of template t
-            rows = [cumulative_weights(d) for t in self.model.templates for d in t.levels]
-            object.__setattr__(self, "_level_thresholds", _label_thresholds(rows))
-            lengths = np.array([t.length for t in self.model.templates])
-            object.__setattr__(self, "_lengths", lengths)
-            object.__setattr__(self, "_first_row", np.cumsum(lengths) - lengths)
             object.__setattr__(self, "_hb", streams.fold(seed, streams.TAG_BLOCK))
             object.__setattr__(self, "_hbl", streams.fold(seed, streams.TAG_BLOCK_LEVEL))
-        object.__setattr__(self, "_root_state", self._walk_to_offset())
+        state = (0, 1 if kind == V_VARIABLE else self._h if kind == RECURSIVE else None)
+        for _ in range(self.offset):
+            state = self._child_state(state, 1)
+        object.__setattr__(self, "_root_state", state)
 
     # ---- per-model label machinery -------------------------------------
 
     def _pick(self, x: int) -> int:
         """The label of raw draw ``x``."""
-        return bisect_right(self._thresholds, x >> 11)
+        return bisect_right(self.family.label_thresholds, x >> 11)
 
     def _blocks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Template index and first absolute level of neck_block blocks 0..n-1."""
         x = streams.fold_array(self._hb, np.arange(n)) >> 11
-        template = self._template_thresholds.searchsorted(x, side="right")
-        lengths = self._lengths[template]
+        template = self.model.template_thresholds.searchsorted(x, side="right")
+        lengths = self.model.lengths[template]
         return template, np.cumsum(lengths) - lengths
 
     def _block_labels(self, levels: np.ndarray) -> np.ndarray:
         """System indices of absolute neck_block ``levels``, from the blocks up to the deepest one."""
-        template, first = self._blocks(int(levels.max(initial=0)) // int(self._lengths.min()) + 1)
+        model = self.model
+        template, first = self._blocks(int(levels.max(initial=0)) // int(model.lengths.min()) + 1)
         block = first.searchsorted(levels, side="right") - 1
         off = levels - first[block]
         x = streams.fold_array(streams.fold_array(self._hbl, block), off)
-        rows = self._level_thresholds[self._first_row[template[block]] + off]
+        rows = model.level_thresholds[model.first_rows[template[block]] + off]
         return (x[:, None] >> 11 >= rows).sum(axis=1)
 
     def _vv_label(self, level: int, buf: int) -> int:
@@ -147,13 +135,6 @@ class Realization:
     # ---- generic walker state -------------------------------------------
     # state = (absolute level, aux); aux is a buffer for v_variable, a path
     # hash for recursive, and None for level-driven models.
-
-    def _walk_to_offset(self):
-        kind = self.model.kind
-        state = (0, 1 if kind == V_VARIABLE else self._h if kind == RECURSIVE else None)
-        for _ in range(self.offset):
-            state = self._child_state(state, 1)
-        return state
 
     def _child_state(self, state, j: int):
         level, aux = state
@@ -187,13 +168,11 @@ class Realization:
         kind = self.model.kind
         if kind == RECURSIVE:
             states = streams.fold_array(aux[:, None], self._node_counters)
-            x, children = states[:, 0], states[:, 1:]
-        elif kind == V_VARIABLE:
-            x = streams.fold_array(streams.fold(self._hl, level), aux)
-            children = _vv_children([self], np.array([level], dtype=np.uint64), 1)[0, 0][aux]
-        else:
-            return np.full(n, self._sys_of_state((level, None))), None
-        return self._thresholds.searchsorted(x >> 11, side="right"), children
+            return self.family.label_thresholds.searchsorted(states[:, 0] >> 11, side="right"), states[:, 1:]
+        if kind == V_VARIABLE:
+            labels, table = _vv_children([self], np.array([level], dtype=np.uint64), 1)
+            return labels[0, 0, aux - 1], table[0, 0, aux]
+        return np.full(n, self._sys_of_state((level, None))), None
 
     # ---- public API ------------------------------------------------------
 
@@ -209,12 +188,7 @@ class Realization:
 
     def level_systems(self, depth: int) -> np.ndarray:
         """System indices for levels 0..depth-1 (level-driven models only)."""
-        kind = self.model.kind
-        if kind == HOMOGENEOUS:
-            return next(level_labels([self], depth))
-        if kind == NECK_BLOCK:
-            return self._block_labels(np.arange(self.offset, self.offset + depth))
-        raise UnsupportedModelError(f"{kind} model has no per-level label sequence")
+        return next(level_labels([self], depth))
 
 
 def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
@@ -223,21 +197,25 @@ def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
 
 
 def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
-    """``r.level_systems(depth)`` of each realization in turn; each yielded array is overwritten by the next.
+    """System indices of levels 0..depth-1 of each realization in turn; a yielded array may be overwritten by the next.
 
     Homogeneous paths reuse buffers and the counter spacing of levels 0..depth-1; offset o moves the state by o GOLDEN.
+    neck_block paths read ``_block_labels``; other models raise ``UnsupportedModelError``.
     """
     step = streams.spacing(np.arange(depth))
     x, tmp, out = np.empty_like(step), np.empty_like(step), np.empty(depth, dtype=np.int64)
     for r in rs:
-        if r.model.kind != HOMOGENEOUS:
-            yield r.level_systems(depth)
+        kind = r.model.kind
+        if kind == NECK_BLOCK:
+            yield r._block_labels(np.arange(r.offset, r.offset + depth))
             continue
+        if kind != HOMOGENEOUS:
+            raise UnsupportedModelError(f"{kind} model has no per-level label sequence")
         np.add(step, np.uint64((r._h + r.offset * streams.GOLDEN) & streams.MASK64), out=x)
         np.right_shift(streams.mix_array(x, tmp), 11, out=x)
         # thresholds <= x, as ``expand``'s searchsorted(side="right") counts them; the last, 2^53, never is
         out.fill(0)
-        for t in r._thresholds[:-1]:
+        for t in r.family.label_thresholds[:-1]:
             out += x >= t
         yield out
 
@@ -276,11 +254,6 @@ class Chunk:
             chunk = chunk.up
         return out
 
-    def codings(self, index: np.ndarray) -> list[Coding]:
-        """Codings of the nodes ``index``, in the order given."""
-        sys, j = self.letters(index).transpose(2, 0, 1).tolist()
-        return [Coding(tuple(zip(s, jj)), lr) for s, jj, lr in zip(sys, j, self.log_ratio[index].tolist())]
-
 
 def levels(
     r: Realization, max_depth: float = inf, log_stop: float = -inf, node_budget: float = inf
@@ -296,12 +269,8 @@ def levels(
     walk raises ``ResourceError`` instead of handing out a chunk that takes it
     past ``node_budget`` nodes.
     """
-    systems = r.family.systems
-    nmaps = np.array([s.nmaps for s in systems])
-    slots = np.arange(max(1, r.family.n_max))
-    log_c = np.zeros((len(systems), slots.size))
-    for i, sysm in enumerate(systems):
-        log_c[i, : sysm.nmaps] = [log(m.ratio) for m in sysm.maps]
+    nmaps, log_c = r.family.map_counts, r.family.log_ratios
+    slots = np.arange(r.family.n_max)
     level0, aux0 = r._root_state
     none = np.zeros(0, dtype=np.int64)
     aux = None if aux0 is None else np.array([aux0], dtype=np.uint64)
@@ -340,7 +309,15 @@ def coding_level(r: Realization, k: int) -> Iterator[Coding]:
         raise ParameterError("level must be >= 0")
     for chunk in levels(r, max_depth=k, node_budget=DEFAULT_NODE_BUDGET):
         if chunk.depth == k:
-            yield from chunk.codings(np.arange(len(chunk)))
+            yield from _codings(chunk.letters(np.arange(len(chunk))), chunk.log_ratio)
+
+
+def _codings(letters: np.ndarray, log_ratio: np.ndarray) -> Iterator[Coding]:
+    """The ``Coding`` of each row of an ``[n, width, 2]`` letter array, cut at the row's first ``j == 0``."""
+    length = np.count_nonzero(letters[:, :, 1], axis=1)
+    sys, j = letters.transpose(2, 0, 1).tolist()
+    for s, jj, k, lr in zip(sys, j, length.tolist(), log_ratio.tolist()):
+        yield Coding(tuple(zip(s[:k], jj[:k])), lr)
 
 
 def _log_epsilon(r: Realization, epsilon: float) -> float:
@@ -384,11 +361,7 @@ def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
     a map of ratio 1 has branches that never shrink, so it is refused.  The
     walk runs under ``DEFAULT_NODE_BUDGET``.
     """
-    letters, log_ratio = _stopping_letters(r, epsilon)
-    length = np.count_nonzero(letters[:, :, 1], axis=1)
-    sys, j = letters.transpose(2, 0, 1).tolist()
-    for s, jj, k, lr in zip(sys, j, length.tolist(), log_ratio.tolist()):
-        yield Coding(tuple(zip(s[:k], jj[:k])), lr)
+    yield from _codings(*_stopping_letters(r, epsilon))
 
 
 def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
@@ -424,27 +397,26 @@ def _vv_level_entries(rs: Sequence[Realization]) -> int:
     return entries
 
 
-def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> np.ndarray:
-    """Child buffers of v_variable paths of one model and family at n levels, drawn in one pass.
+def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and child buffers of v_variable paths of one model and family at n levels, drawn in one pass.
 
-    Entry ``[k, p, b, j - 1]`` is the buffer that map j of path p's node reading
-    buffer b draws at level ``level0[p] + k`` (``rs[p]._vv_assign``), or 0 where
-    buffer b's system has fewer than j maps and on row b = 0, which is no buffer.
+    Returns ``(labels, table)``: ``labels[k, p, b - 1]`` is the system of buffer b of path p at level
+    ``level0[p] + k`` (``rs[p]._vv_label``), and ``table[k, p, b, j - 1]`` the buffer that map j of its node
+    draws (``rs[p]._vv_assign``), or 0 where the system has fewer than j maps and on row b = 0, which is no buffer.
     """
     _vv_level_entries(rs)
     r = rs[0]
     v, js = r.model.v, np.arange(1, r.family.n_max + 1)
-    nmaps = np.array([s.nmaps for s in r.family.systems])
     levels = (level0 + np.arange(n, dtype=np.uint64)[:, None])[:, :, None]  # [k, p, 1]
     bufs = np.arange(1, v + 1, dtype=np.uint64)
     hl, ha = np.array([(q._hl, q._ha) for q in rs], dtype=np.uint64)[:, :, None].transpose(1, 0, 2)
     x = streams.fold_array(streams.fold_array(hl, levels), bufs)
-    labels = r._thresholds.searchsorted(x >> 11, side="right")
+    labels = r.family.label_thresholds.searchsorted(x >> 11, side="right")
     states = streams.fold_array(streams.fold_array(ha, levels), bufs)[..., None]
     u = streams.u01_array(streams.fold_array(states, js))
     table = np.zeros((n, len(rs), v + 1, js.size), dtype=np.int32)
-    table[:, :, 1:] = np.where(js <= nmaps[labels][..., None], 1 + (u * v).astype(np.int32), 0)
-    return table
+    table[:, :, 1:] = np.where(js <= r.family.map_counts[labels][..., None], 1 + (u * v).astype(np.int32), 0)
+    return labels, table
 
 
 def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
@@ -471,7 +443,7 @@ def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
     log_counts[flat[:, 0] + [r._root_state[1] for r in rs]] = 0.0
     parents = np.repeat(flat[:, 1:], n_max)  # each edge's parent, in (path, parent buffer, map) order
     for start in range(0, n, step):
-        table = _vv_children(rs, level0 + np.uint64(start), min(step, n - start))
+        _, table = _vv_children(rs, level0 + np.uint64(start), min(step, n - start))
         # maps that do not exist point to the path's column 0
         children = (table[:, :, 1:] + flat[:, :1, None]).reshape(len(table), -1)
         counts = np.full((len(table), paths, v + 1), -np.inf)
@@ -502,7 +474,7 @@ def _necks(r: Realization, horizon: int) -> Iterator[int]:
         n, seen = 1, 0
         while True:
             template, first = r._blocks(n)
-            ends = (first + r._lengths[template])[seen:] - r.offset  # relative to the root
+            ends = (first + r.model.lengths[template])[seen:] - r.offset  # relative to the root
             yield from ends[(ends > 0) & (ends <= horizon)].tolist()
             if ends[-1] >= horizon:
                 return

@@ -62,6 +62,7 @@ from necktree.trees import (
     Coding,
     ModelSpec,
     Realization,
+    _codings,
     _log_epsilon,
     levels,
     sample,
@@ -516,7 +517,7 @@ def oracle_level_systems(r: Realization, depth: int) -> np.ndarray:
     """Homogeneous level labels by ``searchsorted`` over the cumulative weights."""
     counters = np.arange(r.offset, r.offset + depth, dtype=np.uint64)
     u = streams.u01_array(streams.fold_array(r._h, counters))
-    return r.family.cum_weights.searchsorted(u, side="right").astype(np.int64)
+    return cumulative_weights(r.family.weights).searchsorted(u, side="right").astype(np.int64)
 
 
 def oracle_level_tables(family: RIFSFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -577,7 +578,7 @@ def oracle_chunk_stopping_set(r: Realization, epsilon: float) -> Iterator[Coding
     for chunk in levels(r, log_stop=log_eps):
         stopped = (chunk.log_ratio <= log_eps).nonzero()[0]
         if stopped.size:
-            found.extend(chunk.codings(stopped))
+            found.extend(_codings(chunk.letters(stopped), chunk.log_ratio[stopped]))
     # letters order addresses: siblings share their parent's system
     found.sort(key=lambda c: c.letters)
     yield from found
@@ -913,3 +914,45 @@ def oracle_homogeneous_dimension(family: RIFSFamily) -> float:
 
     hi = math.log(max(family.n_max, 2)) / math.log(1.0 / family.c_max) + 1.0
     return bisect_decreasing(objective, 0.0, hi)
+
+
+# ---- label tables as each reader built them -----------------------------------------
+# The per-family and per-model label tables as the realization, the level walker,
+# the closed form and the neck_block block draw built them before the tables
+# moved onto ``RIFSFamily`` and ``ModelSpec``.  Kept verbatim (names aside) as
+# the bit-identity reference.
+
+
+def oracle_label_thresholds(cum) -> np.ndarray:
+    """``ceil(c 2^53)`` for each cumulative weight c."""
+    return np.ceil(np.asarray(cum) * 2.0**53).astype(np.uint64)
+
+
+def oracle_walk_tables(family: RIFSFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Map counts and the ``[nsystems, n_max]`` log ratios of the level walker."""
+    systems = family.systems
+    nmaps = np.array([s.nmaps for s in systems])
+    slots = np.arange(max(1, family.n_max))
+    log_c = np.zeros((len(systems), slots.size))
+    for i, sysm in enumerate(systems):
+        log_c[i, : sysm.nmaps] = [log(m.ratio) for m in sysm.maps]
+    return nmaps, log_c
+
+
+def oracle_log_map_counts(family: RIFSFamily) -> np.ndarray:
+    """The closed form's log map counts, -inf for a 0-map system."""
+    return np.array([math.log(s.nmaps) if s.nmaps else -math.inf for s in family.systems])
+
+
+def oracle_log_common_ratios(family: RIFSFamily) -> np.ndarray:
+    """The closed form's log common ratios, 0 for a 0-map system (equicontractive families)."""
+    return np.array([math.log(s.common_ratio) if s.nmaps else 0.0 for s in family.systems])
+
+
+def oracle_block_tables(model: ModelSpec) -> tuple[np.ndarray, ...]:
+    """Template thresholds, level threshold rows, lengths and first rows of a neck_block model."""
+    tw = [t.weight for t in model.templates]
+    tcum = cumulative_weights(np.asarray(tw, dtype=float) / sum(tw))
+    rows = [cumulative_weights(d) for t in model.templates for d in t.levels]
+    lengths = np.array([t.length for t in model.templates])
+    return oracle_label_thresholds(tcum), oracle_label_thresholds(rows), lengths, np.cumsum(lengths) - lengths

@@ -114,6 +114,7 @@ def test_monotone_on_certified_region():
         h1(S_STAR, beta=0.05, gamma=0.0),
         h1(S_STAR, beta=0.05, gamma=0.5),
         h1_star(S_STAR, beta=0.05, gamma=0.0),
+        h1(0.1, beta=1.0, gamma=-20.0),  # a hump far from the first bracket: stationary_log_t doubles it
     ):
         top = g.stationary_log_t()
         if top is None:

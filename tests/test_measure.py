@@ -43,6 +43,7 @@ from helpers import (
     min_section_sum_log,
     oracle_closed_form_log_sums,
     oracle_drift_experiment,
+    oracle_log_mass,
     oracle_mass_check_1d,
     oracle_stream_log_sums,
     oracle_vv_count_log_sums,
@@ -590,6 +591,19 @@ def test_natural_measure_children_sum_to_parent():
         )
         assert child_mass == pytest.approx(nu.mass(coding), rel=1e-12)
         break
+
+
+def test_log_masses_refuse_a_coding_through_a_0_map_system():
+    # system 0 has no maps, so no coding passes through it: its log map count is -inf
+    nu = natural_measure(sample(HOM, 0, equicontractive_family([0, 2], 1 / 3, [0.5, 0.5])))
+    through = Coding(((1, 2), (0, 1)), 0.0)
+    for log_mass in (nu.log_mass, lambda c: oracle_log_mass(nu, c)):
+        with pytest.raises(ParameterError, match="coding passes through an extinct node"):
+            log_mass(through)
+    letters = np.array([[[1, 2], [1, 1]], [[1, 1], [0, 0]], [[0, 1], [0, 0]]])  # the last row passes system 0
+    with pytest.raises(ParameterError, match="extinct node"):
+        nu.log_masses(letters)
+    assert nu.log_masses(letters[:2]).tolist() == [-2 * math.log(2), -math.log(2)]
 
 
 def test_mass_distribution_dyadic_interval():

@@ -16,6 +16,7 @@ from necktree.rifs import (
     SimilarityMap,
     _level_family,
     beta_hat,
+    cumulative_weights,
     dimension,
     equicontractive_family,
     log_moment_stats,
@@ -23,7 +24,17 @@ from necktree.rifs import (
     validate,
 )
 
-from helpers import oracle_homogeneous_dimension, random_equicontractive_family, random_family, worked_family
+from helpers import (
+    oracle_block_tables,
+    oracle_homogeneous_dimension,
+    oracle_label_thresholds,
+    oracle_log_common_ratios,
+    oracle_log_map_counts,
+    oracle_walk_tables,
+    random_equicontractive_family,
+    random_family,
+    worked_family,
+)
 
 S_HOM = math.log(6) / (2 * math.log(3))  # 0.8154648767854...
 S_REC = math.log(2.5) / math.log(3)  # 0.8340437671463...
@@ -218,3 +229,58 @@ def test_family_construction_errors():
         RIFSFamily(systems=(IFS(maps=(SimilarityMap(0.5),)),), weights=(0.9,))
     with pytest.raises(ConfigError):
         RIFSFamily(systems=(IFS(maps=()),), weights=(1.0,))
+
+
+# ---- label tables ------------------------------------------------------------------
+
+
+@st.composite
+def table_cases(draw):
+    """1-4 systems of 0-4 maps of mixed ratios with weights that are often 0, and 2-3 neck_block
+    templates of 1-4 levels over them."""
+    nsys = draw(st.integers(1, 4))
+
+    def dist() -> tuple[float, ...]:
+        xs = draw(st.lists(st.integers(0, 3), min_size=nsys, max_size=nsys).filter(any))
+        return tuple(x / sum(xs) for x in xs)
+
+    ratio = st.sampled_from([0.25, 1 / 3, 0.5, 1.0]) | st.floats(0.05, 1.0)
+    counts = draw(st.lists(st.integers(0, 4), min_size=nsys, max_size=nsys).filter(any))
+    family = RIFSFamily(tuple(IFS(tuple(SimilarityMap(draw(ratio)) for _ in range(n))) for n in counts), dist())
+    weight = st.sampled_from([0.5, 1.0, 3.0])
+    templates = tuple(
+        BlockTemplate(tuple(dist() for _ in range(draw(st.integers(1, 4)))), weight=draw(weight))
+        for _ in range(draw(st.integers(2, 3)))
+    )
+    return family, templates
+
+
+def _assert_tables(value, expected: dict) -> None:
+    """Each named table of ``value`` has the expected bits and refuses writes."""
+    for name, want in expected.items():
+        got = getattr(value, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+
+
+@settings(max_examples=40)
+@given(table_cases())
+def test_label_tables_match_the_builds_they_replace(case):
+    family, templates = case
+    nmaps, log_c = oracle_walk_tables(family)
+    _assert_tables(family, {
+        "label_thresholds": oracle_label_thresholds(cumulative_weights(family.weights)),
+        "map_counts": nmaps,
+        "log_ratios": log_c,
+        "log_map_counts": oracle_log_map_counts(family),
+    })
+    if family.is_equicontractive():  # the closed form reads the first column as its log ratios
+        assert family.log_ratios[:, 0].tobytes() == oracle_log_common_ratios(family).tobytes()
+    model = ModelSpec(kind="neck_block", templates=templates)
+    names = ("template_thresholds", "level_thresholds", "lengths", "first_rows")
+    _assert_tables(model, dict(zip(names, oracle_block_tables(model))))
+    # the tables stay out of equality and hashing
+    twin = ModelSpec(kind="neck_block", templates=tuple(BlockTemplate(t.levels, t.weight) for t in templates))
+    assert twin == model and hash(twin) == hash(model) and {model: 1}[twin] == 1
+    assert ModelSpec(kind="homogeneous") != model

@@ -11,7 +11,7 @@ from scipy import stats as sstats
 from necktree import streams
 from necktree.errors import ConfigError, HorizonError, ParameterError, PreconditionError, UnsupportedModelError
 from necktree.geometry import percolation_preset
-from necktree.rifs import equicontractive_family, log_moment_stats
+from necktree.rifs import cumulative_weights, equicontractive_family, log_moment_stats
 from necktree.trees import (
     BlockTemplate,
     ModelSpec,
@@ -128,7 +128,7 @@ def test_level_labels_switch_at_the_integer_thresholds():
     for w in ([0.0, 0.3, 0.7], [0.3, 0.0, 0.7], [0.3, 0.7, 0.0], [0.1, 0.2, 0.7]):
         fam = equicontractive_family([2, 3, 1], 1 / 3, w)
         draws = {0, streams.MASK64}
-        for c in fam.cum_weights[:-1]:
+        for c in cumulative_weights(fam.weights)[:-1]:
             t = math.ceil(c * 2.0**53) << 11  # the first draw x with u01(x) >= c
             if t <= streams.MASK64:
                 assert streams.u01(t) >= c
@@ -136,7 +136,7 @@ def test_level_labels_switch_at_the_integer_thresholds():
                 assert streams.u01(t - 1) < c
             draws |= {x for x in (t - 1, t) if 0 <= x <= streams.MASK64}
         x = np.array(sorted(draws), dtype=np.uint64)
-        want = fam.cum_weights.searchsorted(streams.u01_array(x), side="right").tolist()
+        want = cumulative_weights(fam.weights).searchsorted(streams.u01_array(x), side="right").tolist()
         with patch.object(streams, "mix_array", lambda draws, tmp=None: x):
             assert sample(HOM, 0, fam).level_systems(x.size).tolist() == want
         # a recursive node's label is its first draw
@@ -283,6 +283,25 @@ def test_neck_list_recursive_unsupported():
         neck_list(r, 5)
 
 
+@pytest.mark.parametrize(
+    "model, call, error, message",
+    [
+        (REC, lambda r: r.level_systems(3), UnsupportedModelError, "recursive model has no per-level label"),
+        (vv(2), lambda r: r.level_systems(3), UnsupportedModelError, "v_variable model has no per-level label"),
+        (HOM, lambda r: r.label_of((1, 0)), ParameterError, r"address entries must lie in \[1, 3\], got 0"),
+        (REC, lambda r: r.label_of((4,)), ParameterError, r"address entries must lie in \[1, 3\], got 4"),
+        (HOM, lambda r: list(coding_level(r, -1)), ParameterError, "level must be >= 0"),
+        (block_model(), lambda r: neck_list(r, -1), ParameterError, "up_to_level must be >= 0"),
+    ],
+    ids=["level-systems-recursive", "level-systems-v-variable", "label-of-zero", "label-of-past-n-max",
+         "coding-level-negative", "neck-list-negative"],
+)
+def test_label_reads_raise_typed_errors(model, call, error, message):
+    r = sample(model, 8, worked_family())  # n_max = 3
+    with pytest.raises(error, match=message):
+        call(r)
+
+
 def test_neck_block_boundaries_by_construction():
     fam = worked_family()
     r = sample(block_model(), 21, fam)
@@ -305,9 +324,10 @@ def test_neck_block_boundaries_by_construction():
         ((BlockTemplate(levels=((0.5, 0.3, 0.2),)),), "length must match"),
         ((BlockTemplate(levels=((0.5, 0.4),)),), "must sum to 1"),
         ((BlockTemplate(levels=((1.5, -0.5),)),), "must sum to 1"),
+        ((BlockTemplate(levels=((0.5, 0.5),)), BlockTemplate(levels=((0.2, 0.3, 0.5),))), "all have one length"),
     ],
     ids=["no-templates", "negative-weight", "zero-weights", "empty-template", "wrong-length",
-         "short-sum", "negative-probability"],
+         "short-sum", "negative-probability", "mixed-lengths"],
 )
 def test_neck_block_template_errors(templates, message):
     with pytest.raises(ConfigError, match=message):

@@ -111,11 +111,13 @@ def test_engine_matches_scalar_loops_across_default_chunk():
 def test_children_table_matches_scalar_draws():
     family = equicontractive_family([0, 2, 3], 1 / 3, [0.2, 0.3, 0.5])
     r = Realization(family=family, model=ModelSpec(kind="v_variable", v=5), seed=3)
-    table = trees._vv_children([r], np.array([7], dtype=np.uint64), 4)[:, 0]
-    assert table.shape == (4, 6, 3) and table.dtype == np.int32
+    labels, table = trees._vv_children([r], np.array([7], dtype=np.uint64), 4)
+    labels, table = labels[:, 0], table[:, 0]
+    assert labels.shape == (4, 5) and table.shape == (4, 6, 3) and table.dtype == np.int32
     assert not table[:, 0].any()
     for k in range(4):
         for b in range(1, 6):
+            assert labels[k, b - 1] == r._vv_label(7 + k, b)
             nmaps = family.systems[r._vv_label(7 + k, b)].nmaps
             expect = [r._vv_assign(7 + k, b, j) if j <= nmaps else 0 for j in range(1, 4)]
             assert table[k, b].tolist() == expect

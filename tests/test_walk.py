@@ -16,7 +16,7 @@ from necktree.gauges import h1, loglog_power, power
 from necktree.geometry import percolation_preset, stopping_counts
 from necktree.measure import level_sums, section_infimum
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap, equicontractive_family
-from necktree.trees import BlockTemplate, ModelSpec, coding_level, levels, sample, stopping_set
+from necktree.trees import BlockTemplate, ModelSpec, _codings, coding_level, levels, sample, stopping_set
 
 from helpers import (
     brute_force_stopping,
@@ -82,7 +82,7 @@ def test_walkers_match_label_of_oracle(r, epsilon, s):
     # per depth, the walker's chunks concatenate to the level in address order
     walked = [[] for _ in expected]
     for chunk in levels(r, max_depth=KMAX):
-        for c in chunk.codings(np.arange(len(chunk))):
+        for c in _codings(chunk.letters(np.arange(len(chunk))), chunk.log_ratio):
             walked[chunk.depth].append((tuple(j for _, j in c.letters), c.letters, c.log_ratio))
     assert walked == expected
     for k, level in enumerate(expected):
@@ -207,6 +207,11 @@ def test_stopping_counts_stop_at_the_node_budget():
     with patch.object(trees, "DEFAULT_NODE_BUDGET", nodes - 1), \
             pytest.raises(ResourceError, match="node budget 2046 exceeded while streaming level 10"):
         stopping_counts(r, [0.0015])
+
+
+def test_stopping_counts_of_no_scales_is_empty():
+    counts = stopping_counts(sample(REC, 0, equicontractive_family([2], 0.5, [1.0])), [])
+    assert counts.dtype == np.int64 and counts.shape == (0,)
 
 
 @pytest.mark.parametrize(
