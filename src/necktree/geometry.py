@@ -154,17 +154,21 @@ def sample_points(
     from the root, up to ``max_retries`` descents per point.  Point i's child
     at step s of descent a is drawn from ``fold(fold(fold(base, i), a), s)``.
     Points descend together a level per step, in blocks of at most
-    ``trees.FRONTIER_NODES``, with labels and child states from ``Realization.expand``.
+    ``trees.FRONTIER_NODES``, with labels and child states from one ``trees.expander``.
     A family with a map of ratio 1 has branches that never shrink, so it is refused.
     """
     family = r.family
     if n < 0:
         raise ParameterError(f"point count must be >= 0, got {n}")
+    if not 0.0 < diameter_tol < math.inf:
+        raise ParameterError(f"diameter_tol must be finite and > 0, got {diameter_tol}")
+    if not isinstance(max_retries, (int, np.integer)) or max_retries < 1:
+        raise ParameterError(f"max_retries must be an integer >= 1, got {max_retries}")
     if family.c_max >= 1.0:
         raise PreconditionError("point sampling needs all contraction ratios < 1")
     require_geometry(family)
     maps, nmaps = _maps(family), family.map_counts
-    level0, aux0 = r._root_state
+    expand, aux0 = trees.expander(r), r._root_state[1]
     dim = family.ambient_dim
     base = streams.fold(int(seed) & streams.MASK64, streams.TAG_POINT)
     out = np.empty((n, dim))
@@ -178,7 +182,7 @@ def sample_points(
             aux = None if aux0 is None else np.full(todo.size, aux0, dtype=np.uint64)
             live, extinct, step = np.arange(todo.size), np.zeros(todo.size, dtype=bool), 0
             while live.size:  # the rows still descending, which ``aux`` follows
-                sys, children = r.expand(level0 + step, aux, live.size)
+                sys, children = expand(step, aux, live.size)
                 big = acc[0][live] * math.sqrt(dim) > diameter_tol
                 extinct[live[big & (nmaps[sys] == 0)]] = True
                 go = (big & (nmaps[sys] > 0)).nonzero()[0]

@@ -69,8 +69,8 @@ class Realization:
 
     ``offset`` re-roots the tree at the all-ones node of that depth; it is
     how the neck shift is realized without copying anything.  It holds its
-    stream hashes, ``_node_counters`` and ``_root_state``; the label and map
-    tables are ``family``'s, the neck_block block tables ``model``'s.
+    stream hashes and ``_root_state``; the label and map tables are
+    ``family``'s, the neck_block block tables ``model``'s.
     """
 
     family: RIFSFamily
@@ -86,10 +86,6 @@ class Realization:
             object.__setattr__(self, "_h", streams.fold(seed, streams.TAG_HOMOGENEOUS))
         elif kind == RECURSIVE:
             object.__setattr__(self, "_h", streams.fold(seed, streams.TAG_RECURSIVE))
-            # counters of one node's draws in ``expand``: its label, then children 1..n_max
-            counters = np.arange(self.family.n_max + 1, dtype=np.uint64)
-            counters[0] = streams.TAG_LABEL_DRAW
-            object.__setattr__(self, "_node_counters", counters)
         elif kind == V_VARIABLE:
             object.__setattr__(self, "_hl", streams.fold(seed, streams.TAG_VV_LABEL))
             object.__setattr__(self, "_ha", streams.fold(seed, streams.TAG_VV_ASSIGN))
@@ -156,24 +152,6 @@ class Realization:
             return self._pick(streams.fold(self._h, level))
         return int(self._block_labels(np.array([level]))[0])
 
-    def expand(self, level: int, aux: Optional[np.ndarray], n: int):
-        """Labels of n nodes at absolute ``level`` and the states of their children.
-
-        The vectorized ``_sys_of_state`` and ``_child_state``: ``systems[i]``
-        labels the node in state ``(level, aux[i])``, and ``children[i, j - 1]``
-        is the state of its child j, for every j up to ``n_max`` whether or not
-        the node's system has map j.  ``aux`` and ``children`` are None for
-        level-driven models.  Returns ``(systems, children)``.
-        """
-        kind = self.model.kind
-        if kind == RECURSIVE:
-            states = streams.fold_array(aux[:, None], self._node_counters)
-            return self.family.label_thresholds.searchsorted(states[:, 0] >> 11, side="right"), states[:, 1:]
-        if kind == V_VARIABLE:
-            labels, table = _vv_children([self], np.array([level], dtype=np.uint64), 1)
-            return labels[0, 0, aux - 1], table[0, 0, aux]
-        return np.full(n, self._sys_of_state((level, None))), None
-
     # ---- public API ------------------------------------------------------
 
     def label_of(self, address: Sequence[int]) -> int:
@@ -202,6 +180,8 @@ def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
     Homogeneous paths reuse buffers and the counter spacing of levels 0..depth-1; offset o moves the state by o GOLDEN.
     neck_block paths read ``_block_labels``; other models raise ``UnsupportedModelError``.
     """
+    if not isinstance(depth, (int, np.integer)) or depth < 0:
+        raise ParameterError(f"depth must be an integer >= 0, got {depth!r}")
     step = streams.spacing(np.arange(depth))
     x, tmp, out = np.empty_like(step), np.empty_like(step), np.empty(depth, dtype=np.int64)
     for r in rs:
@@ -213,7 +193,7 @@ def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
             raise UnsupportedModelError(f"{kind} model has no per-level label sequence")
         np.add(step, np.uint64((r._h + r.offset * streams.GOLDEN) & streams.MASK64), out=x)
         np.right_shift(streams.mix_array(x, tmp), 11, out=x)
-        # thresholds <= x, as ``expand``'s searchsorted(side="right") counts them; the last, 2^53, never is
+        # thresholds <= x, as the recursive draws' searchsorted(side="right") counts them; the last, 2^53, never is
         out.fill(0)
         for t in r.family.label_thresholds[:-1]:
             out += x >= t
@@ -221,6 +201,32 @@ def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
 
 
 # ---- tree walks -------------------------------------------------------------
+
+
+def expander(r: Realization):
+    """The ``expand(depth, aux, n)`` of one walk: labels of n nodes ``depth`` below the root and their child states.
+
+    The vectorized ``_sys_of_state`` and ``_child_state``: ``children[i, j - 1]`` is the state of child j of node i, for
+    every j up to ``n_max``.  ``aux`` and ``children`` are None for level-driven models, whose labels come from a
+    ``level_labels`` window redrawn at twice the depth past its end: a walk to depth D draws O(D) labels in all.
+    """
+    kind = r.model.kind
+    counters = np.arange(r.family.n_max + 1, dtype=np.uint64)  # a recursive node's draws: its label, then children
+    counters[0] = streams.TAG_LABEL_DRAW
+    window = np.zeros(0, dtype=np.int64)
+
+    def expand(depth: int, aux: Optional[np.ndarray], n: int):
+        nonlocal window
+        if kind == RECURSIVE:
+            states = streams.fold_array(aux[:, None], counters)
+            return r.family.label_thresholds.searchsorted(states[:, 0] >> 11, side="right"), states[:, 1:]
+        if kind == V_VARIABLE:
+            labels, table = _vv_children([r], np.array([r._root_state[0] + depth], dtype=np.uint64), 1)
+            return labels[0, 0, aux - 1], table[0, 0, aux]
+        if depth >= window.size:
+            window = next(level_labels([r], 2 * depth + 32))
+        return np.full(n, window[depth]), None
+    return expand
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -271,7 +277,7 @@ def levels(
     """
     nmaps, log_c = r.family.map_counts, r.family.log_ratios
     slots = np.arange(r.family.n_max)
-    level0, aux0 = r._root_state
+    expand, aux0 = expander(r), r._root_state[1]
     none = np.zeros(0, dtype=np.int64)
     aux = None if aux0 is None else np.array([aux0], dtype=np.uint64)
     stack = [Chunk(0, np.zeros(1), none, none, none, aux, None)]
@@ -286,7 +292,7 @@ def levels(
             continue
         live = (chunk.log_ratio > log_stop).nonzero()[0]
         aux = None if chunk.aux is None else chunk.aux[live]
-        sys, children = r.expand(level0 + chunk.depth, aux, live.size)
+        sys, children = expand(chunk.depth, aux, live.size)
         node, k = (slots < nmaps[sys][:, None]).nonzero()  # children in address order
         if not node.size:
             continue

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from necktree import streams
+from necktree import streams, trees
 from necktree.errors import ConfigError, HorizonError, ParameterError, PreconditionError, UnsupportedModelError
 from necktree.geometry import percolation_preset
 from necktree.rifs import cumulative_weights, equicontractive_family, log_moment_stats
@@ -114,6 +114,7 @@ def test_level_systems_matches_label_of():
         for model in models:
             for offset in range(4):
                 r = Realization(family=fam, model=model, seed=5, offset=offset)
+                assert r.level_systems(0).size == 0
                 seq = r.level_systems(12)
                 for k in range(12):
                     assert seq[k] == r.label_of((1,) * k)
@@ -141,7 +142,7 @@ def test_level_labels_switch_at_the_integer_thresholds():
             assert sample(HOM, 0, fam).level_systems(x.size).tolist() == want
         # a recursive node's label is its first draw
         with patch.object(streams, "fold_array", lambda state, counters: np.repeat(x[:, None], 4, axis=1)):
-            labels, _ = sample(REC, 0, fam).expand(0, np.zeros(x.size, dtype=np.uint64), x.size)
+            labels, _ = trees.expander(sample(REC, 0, fam))(0, np.zeros(x.size, dtype=np.uint64), x.size)
         assert labels.tolist() == want
         assert not np.isin(want, [i for i, wi in enumerate(w) if wi == 0]).any()
 
@@ -292,9 +293,15 @@ def test_neck_list_recursive_unsupported():
         (REC, lambda r: r.label_of((4,)), ParameterError, r"address entries must lie in \[1, 3\], got 4"),
         (HOM, lambda r: list(coding_level(r, -1)), ParameterError, "level must be >= 0"),
         (block_model(), lambda r: neck_list(r, -1), ParameterError, "up_to_level must be >= 0"),
+        (HOM, lambda r: r.level_systems(-1), ParameterError, "depth must be an integer >= 0, got -1"),
+        (block_model(), lambda r: r.level_systems(-1), ParameterError, "depth must be an integer >= 0, got -1"),
+        (HOM, lambda r: r.level_systems(2.5), ParameterError, "depth must be an integer >= 0, got 2.5"),
+        (block_model(), lambda r: r.level_systems(2.5), ParameterError, "depth must be an integer >= 0, got 2.5"),
     ],
     ids=["level-systems-recursive", "level-systems-v-variable", "label-of-zero", "label-of-past-n-max",
-         "coding-level-negative", "neck-list-negative"],
+         "coding-level-negative", "neck-list-negative", "level-systems-negative-homogeneous",
+         "level-systems-negative-neck-block", "level-systems-fraction-homogeneous",
+         "level-systems-fraction-neck-block"],
 )
 def test_label_reads_raise_typed_errors(model, call, error, message):
     r = sample(model, 8, worked_family())  # n_max = 3

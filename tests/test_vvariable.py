@@ -130,7 +130,7 @@ def test_a_level_table_over_the_node_budget_is_a_resource_error():
         with pytest.raises(ResourceError, match="12 entries exceeds the budget 11"):
             neck_list(r, 5)
         with pytest.raises(ResourceError, match="12 entries"):
-            r.expand(0, np.array([1], dtype=np.uint64), 1)
+            trees.expander(r)(0, np.array([1], dtype=np.uint64), 1)
     with mock.patch.object(trees, "DEFAULT_NODE_BUDGET", 12):
         assert neck_list(r, 5).necks == oracle_vv_necks(r, 5)
         with pytest.raises(ResourceError, match="24 entries"):  # two paths in one batch

@@ -29,6 +29,12 @@ from helpers import (
 
 KMAX = 4
 REC = ModelSpec(kind="recursive")
+HOM = ModelSpec(kind="homogeneous")
+# blocks of 2 and 3 levels over the two systems of ``deep_thin_family``
+DEEP_BLOCKS = ModelSpec(kind="neck_block", templates=(
+    BlockTemplate(levels=((0.999, 0.001), (0.998, 0.002))),
+    BlockTemplate(levels=((0.999, 0.001), (0.999, 0.001), (1.0, 0.0))),
+))
 
 
 def _normalized(ws):
@@ -117,6 +123,23 @@ def test_deep_thin_level_sums_past_recursion_limit(seed):
     deepest = [c.log_ratio for c in coding_level(r, 1500)]
     assert len(deepest) > 1
     assert got[-1] == pytest.approx(_oracle_log_sum(h, deepest), rel=1e-12)
+    # level-driven walks pass the end of several label windows; chunks of 1 or 4 nodes
+    depths = [1, 10, 100, 600]
+    with patch.object(trees, "FRONTIER_NODES", 1 + seed):
+        for model in (HOM, DEEP_BLOCKS):
+            r = replace(sample(model, seed, deep_thin_family()), offset=3)
+            assert measure._stream_log_sums(r, h, depths, 10**6).tobytes() == (
+                oracle_stream_log_sums(r, h, depths, 10**6).tobytes()
+            )
+
+
+def test_deep_neck_block_walk_draws_linearly_many_blocks():
+    # redrawing blocks 0..level at each of the 3,000 levels would draw 2,251,500
+    r = sample(DEEP_BLOCKS, 0, deep_thin_family())
+    drawn, blocks = [], trees.Realization._blocks
+    with patch.object(trees.Realization, "_blocks", lambda self, n: drawn.append(n) or blocks(self, n)):
+        measure._stream_log_sums(r, power(0.5), [3000], 10**6)
+    assert 0 < sum(drawn) <= 4 * 3000
 
 
 def test_deep_thin_stopping_set_past_recursion_limit():
