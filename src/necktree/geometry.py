@@ -158,6 +158,7 @@ def sample_points(
     A family with a map of ratio 1 has branches that never shrink, so it is refused.
     """
     family = r.family
+    trees._require_integer("point count", n)
     if n < 0:
         raise ParameterError(f"point count must be >= 0, got {n}")
     if not 0.0 < diameter_tol < math.inf:

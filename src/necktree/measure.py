@@ -534,6 +534,8 @@ def section_infimum(
     section; a node of depth >= ``depth_min`` may replace its subtree;
     shallower nodes must recurse.  Extinct subtrees contribute zero.
     """
+    trees._require_integer("depth_min", depth_min)
+    trees._require_integer("depth_cap", depth_cap)
     if depth_min < 0 or depth_cap < depth_min:
         raise ParameterError("need 0 <= depth_min <= depth_cap")
     # open_[d] is the open chunk at depth d; a chunk closes once the walk

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import exp, inf, log
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -36,6 +37,8 @@ DEFAULT_NODE_BUDGET = 10**8
 VV_TABLE_ENTRIES = 2**12
 # Nodes of one chunk of a tree level handed out by ``levels``.
 FRONTIER_NODES = 2**14
+# ``levels`` expands a chunk of at most this many nodes on Python ints and floats, not numpy arrays.
+SCALAR_NODES = 4
 
 @dataclass(frozen=True)
 class Coding:
@@ -174,6 +177,12 @@ def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
     return Realization(family=family, model=model, seed=seed)
 
 
+def _require_integer(name: str, value) -> None:
+    """Raise ``ParameterError`` unless ``value`` is an integer; a depth or count of 2.5 or NaN is refused."""
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
     """System indices of levels 0..depth-1 of each realization in turn; a yielded array may be overwritten by the next.
 
@@ -209,27 +218,41 @@ def expander(r: Realization):
     The vectorized ``_sys_of_state`` and ``_child_state``: ``children[i, j - 1]`` is the state of child j of node i, for
     every j up to ``n_max``.  ``aux`` and ``children`` are None for level-driven models, whose labels come from a
     ``level_labels`` window redrawn at twice the depth past its end: a walk to depth D draws O(D) labels in all.
+    ``expand.node(depth, a)`` is the one-node form on Python ints: the label of the node of state ``a`` and its
+    children's states (None if level-driven), from the same window and tables listed once per walk.
     """
-    kind = r.model.kind
+    kind, level0 = r.model.kind, r._root_state[0]
     counters = np.arange(r.family.n_max + 1, dtype=np.uint64)  # a recursive node's draws: its label, then children
     counters[0] = streams.TAG_LABEL_DRAW
+    thresholds, nmaps = r.family.label_thresholds.tolist(), r.family.map_counts.tolist()
+    spacing = streams.spacing(counters).tolist()  # fold(a, counters[i]) is mix64(a + spacing[i])
     window = np.zeros(0, dtype=np.int64)
 
     def expand(depth: int, aux: Optional[np.ndarray], n: int):
-        nonlocal window
         if kind == RECURSIVE:
             states = streams.fold_array(aux[:, None], counters)
             return r.family.label_thresholds.searchsorted(states[:, 0] >> 11, side="right"), states[:, 1:]
         if kind == V_VARIABLE:
-            labels, table = _vv_children([r], np.array([r._root_state[0] + depth], dtype=np.uint64), 1)
-            return labels[0, 0, aux - 1], table[0, 0, aux]
+            labels, table = _vv_children([r], np.array([level0 + depth], dtype=np.uint64), 1)
+            return labels[0, 0, aux - 1], table[0, 0, aux].astype(np.uint64)
+        return np.full(n, node(depth, None)[0]), None
+
+    def node(depth: int, a: Optional[int]):
+        nonlocal window
+        if kind == RECURSIVE:
+            sys = bisect_right(thresholds, streams.mix64(a + spacing[0]) >> 11)
+            return sys, [streams.mix64(a + s) for s in spacing[1 : nmaps[sys] + 1]]
+        if kind == V_VARIABLE:
+            sys = r._vv_label(level0 + depth, a)
+            return sys, [r._vv_assign(level0 + depth, a, j) for j in range(1, nmaps[sys] + 1)]
         if depth >= window.size:
             window = next(level_labels([r], 2 * depth + 32))
-        return np.full(n, window[depth]), None
+        return int(window[depth]), None
+    expand.node = node
     return expand
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class Chunk:
     """Up to ``FRONTIER_NODES`` nodes of one tree level, in address order.
 
@@ -237,6 +260,7 @@ class Chunk:
     for level-driven models).  Its last letter is ``(sys[i], j[i])``: it is
     child ``j[i]`` of node ``parent[i]`` of the chunk ``up``, whose system is
     ``sys[i]``.  The root chunk (depth 0) has no letters and no ``up``.
+    A chunk and its arrays are read-only by contract (small index arrays are shared); frozen would cost 1.6 us a level.
     """
 
     depth: int
@@ -261,6 +285,14 @@ class Chunk:
         return out
 
 
+@lru_cache(maxsize=4096)
+def _intp(values: tuple[int, ...]) -> np.ndarray:
+    """A shared read-only intp array of ``values``: the scalar step's index arrays repeat from level to level."""
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
 def levels(
     r: Realization, max_depth: float = inf, log_stop: float = -inf, node_budget: float = inf
 ) -> Iterator[Chunk]:
@@ -270,12 +302,15 @@ def levels(
     log_stop``; the children of a chunk's expanded nodes form the next level's
     chunks.  Chunks come depth-first over chunks from an explicit stack, so
     memory stays O(depth x chunk), and the chunks of each depth come in
-    address order.  Labels and child states of a whole chunk are drawn in one
-    vectorized pass; counter-based draws do not depend on visit order.  The
-    walk raises ``ResourceError`` instead of handing out a chunk that takes it
-    past ``node_budget`` nodes.
+    address order.  A chunk's labels and child states come from one
+    vectorized ``expander`` pass, or from ``expand.node`` on Python ints and
+    floats in a chunk of at most ``SCALAR_NODES`` nodes, where numpy's
+    per-call cost, paid at every level of a deep narrow tree, would dominate.
+    Draws are counter-based, so visit order does not matter.  The walk raises
+    ``ResourceError`` instead of handing out a chunk past ``node_budget`` nodes.
     """
     nmaps, log_c = r.family.map_counts, r.family.log_ratios
+    maps_of = [list(enumerate(row[:n], 1)) for row, n in zip(log_c.tolist(), nmaps.tolist())]  # (j, log c_j) by system
     slots = np.arange(r.family.n_max)
     expand, aux0 = expander(r), r._root_state[1]
     none = np.zeros(0, dtype=np.int64)
@@ -290,20 +325,31 @@ def levels(
         yield chunk
         if chunk.depth >= max_depth:
             continue
-        live = (chunk.log_ratio > log_stop).nonzero()[0]
-        aux = None if chunk.aux is None else chunk.aux[live]
-        sys, children = expand(chunk.depth, aux, live.size)
-        node, k = (slots < nmaps[sys][:, None]).nonzero()  # children in address order
-        if not node.size:
+        if len(chunk) <= SCALAR_NODES:
+            rows, aux = [], []
+            auxs = [None] * len(chunk) if chunk.aux is None else chunk.aux.tolist()
+            for i, (x, a) in enumerate(zip(chunk.log_ratio.tolist(), auxs)):
+                if x > log_stop:
+                    si, kids = expand.node(chunk.depth, a)
+                    rows += [(x + c, si, j, i) for j, c in maps_of[si]]
+                    aux += kids or ()
+            log_ratio, sys, j, parent = zip(*rows) if rows else [()] * 4
+            log_ratio, sys, j, parent = np.array(log_ratio), _intp(sys), _intp(j), _intp(parent)
+            aux = None if chunk.aux is None else np.array(aux, dtype=np.uint64)
+        else:
+            live = (chunk.log_ratio > log_stop).nonzero()[0]
+            sys, children = expand(chunk.depth, None if chunk.aux is None else chunk.aux[live], live.size)
+            node, k = (slots < nmaps[sys][:, None]).nonzero()  # children in address order
+            parent, sys, j = live[node], sys[node], k + 1
+            log_ratio = chunk.log_ratio[parent] + log_c[sys, k]
+            aux = None if children is None else children[node, k]
+        if not parent.size:
             continue
-        parent, sys, j = live[node], sys[node], k + 1
-        log_ratio = chunk.log_ratio[parent] + log_c[sys, k]
-        aux = None if children is None else children[node, k]
         size = FRONTIER_NODES
-        if node.size <= size:  # whole arrays: views would double the objects a level keeps
+        if parent.size <= size:  # whole arrays: views would double the objects a level keeps
             stack.append(Chunk(chunk.depth + 1, log_ratio, sys, j, parent, aux, chunk))
             continue
-        for s in reversed(range(0, node.size, size)):
+        for s in reversed(range(0, parent.size, size)):
             part = slice(s, s + size)
             stack.append(Chunk(chunk.depth + 1, log_ratio[part], sys[part], j[part], parent[part],
                                None if aux is None else aux[part], chunk))
@@ -311,6 +357,7 @@ def levels(
 
 def coding_level(r: Realization, k: int) -> Iterator[Coding]:
     """Stream all live codings at level ``k`` in address order, under ``DEFAULT_NODE_BUDGET``."""
+    _require_integer("level", k)
     if k < 0:
         raise ParameterError("level must be >= 0")
     for chunk in levels(r, max_depth=k, node_budget=DEFAULT_NODE_BUDGET):
@@ -494,6 +541,7 @@ def neck_list(r: Realization, up_to_level: int) -> NeckList:
 
     The v_variable search holds one ``vv_log_counts`` chunk at a time.
     """
+    _require_integer("up_to_level", up_to_level)
     if up_to_level < 0:
         raise ParameterError("up_to_level must be >= 0")
     return NeckList(tuple(_necks(r, up_to_level)))
@@ -501,6 +549,7 @@ def neck_list(r: Realization, up_to_level: int) -> NeckList:
 
 def first_neck(r: Realization, horizon: int = NECK_SEARCH_HORIZON) -> int:
     """Smallest neck level; raises ``HorizonError`` when none lies within ``horizon`` levels."""
+    _require_integer("horizon", horizon)
     for rel in _necks(r, horizon):
         return rel
     raise HorizonError(f"no neck found within {horizon} levels")

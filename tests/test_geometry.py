@@ -199,13 +199,14 @@ def test_sample_points_refuses_a_map_that_never_shrinks():
         ({"diameter_tol": math.inf}, "diameter_tol must be finite and > 0"),
         ({"max_retries": 0}, "max_retries must be an integer >= 1"),
         ({"max_retries": 2.5}, "max_retries must be an integer >= 1"),
+        ({"n": 2.5}, "point count must be an integer, got 2.5"),
     ],
-    ids=["negative-tol", "nan-tol", "infinite-tol", "no-retries", "fraction-retries"],
+    ids=["negative-tol", "nan-tol", "infinite-tol", "no-retries", "fraction-retries", "fraction-count"],
 )
 def test_sample_points_refuses_bad_descent_limits(kwargs, message):
     r = sample(HOM, 0, halves_family())
     with time_limit(10), pytest.raises(ParameterError, match=message):
-        sample_points(r, 4, seed=0, **kwargs)
+        sample_points(r, **{"n": 4, "seed": 0, **kwargs})
 
 
 # ---- box dimension -----------------------------------------------------------------

@@ -10,7 +10,9 @@ from scipy import stats as sstats
 
 from necktree import streams, trees
 from necktree.errors import ConfigError, HorizonError, ParameterError, PreconditionError, UnsupportedModelError
+from necktree.gauges import power
 from necktree.geometry import percolation_preset
+from necktree.measure import section_infimum
 from necktree.rifs import cumulative_weights, equicontractive_family, log_moment_stats
 from necktree.trees import (
     BlockTemplate,
@@ -297,11 +299,23 @@ def test_neck_list_recursive_unsupported():
         (block_model(), lambda r: r.level_systems(-1), ParameterError, "depth must be an integer >= 0, got -1"),
         (HOM, lambda r: r.level_systems(2.5), ParameterError, "depth must be an integer >= 0, got 2.5"),
         (block_model(), lambda r: r.level_systems(2.5), ParameterError, "depth must be an integer >= 0, got 2.5"),
+        (HOM, lambda r: list(coding_level(r, 2.5)), ParameterError, "level must be an integer, got 2.5"),
+        (REC, lambda r: list(coding_level(r, math.nan)), ParameterError, "level must be an integer, got nan"),
+        (HOM, lambda r: section_infimum(r, power(0.5), 1, 2.5), ParameterError,
+         "depth_cap must be an integer, got 2.5"),
+        (REC, lambda r: section_infimum(r, power(0.5), math.nan, 3), ParameterError,
+         "depth_min must be an integer, got nan"),
+        (block_model(), lambda r: neck_list(r, 2.5), ParameterError, "up_to_level must be an integer, got 2.5"),
+        (vv(2), lambda r: neck_list(r, math.nan), ParameterError, "up_to_level must be an integer, got nan"),
+        (block_model(), lambda r: first_neck(r, 2.5), ParameterError, "horizon must be an integer, got 2.5"),
+        (vv(2), lambda r: first_neck(r, math.nan), ParameterError, "horizon must be an integer, got nan"),
     ],
     ids=["level-systems-recursive", "level-systems-v-variable", "label-of-zero", "label-of-past-n-max",
          "coding-level-negative", "neck-list-negative", "level-systems-negative-homogeneous",
          "level-systems-negative-neck-block", "level-systems-fraction-homogeneous",
-         "level-systems-fraction-neck-block"],
+         "level-systems-fraction-neck-block", "coding-level-fraction", "coding-level-nan",
+         "section-infimum-fraction-cap", "section-infimum-nan-min", "neck-list-fraction", "neck-list-nan",
+         "first-neck-fraction", "first-neck-nan"],
 )
 def test_label_reads_raise_typed_errors(model, call, error, message):
     r = sample(model, 8, worked_family())  # n_max = 3

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from necktree import measure, trees
+from necktree import measure, streams, trees
 from necktree.errors import ParameterError, PreconditionError, ResourceError
 from necktree.gauges import h1, loglog_power, power
 from necktree.geometry import percolation_preset, stopping_counts
@@ -126,11 +126,21 @@ def test_deep_thin_level_sums_past_recursion_limit(seed):
     # level-driven walks pass the end of several label windows; chunks of 1 or 4 nodes
     depths = [1, 10, 100, 600]
     with patch.object(trees, "FRONTIER_NODES", 1 + seed):
-        for model in (HOM, DEEP_BLOCKS):
+        for model in (HOM, DEEP_BLOCKS, REC, ModelSpec(kind="v_variable", v=2)):
             r = replace(sample(model, seed, deep_thin_family()), offset=3)
             assert measure._stream_log_sums(r, h, depths, 10**6).tobytes() == (
                 oracle_stream_log_sums(r, h, depths, 10**6).tobytes()
             )
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_deep_thin_walk_makes_few_vectorized_steps(seed):
+    # one vectorized step per level would mix 600 arrays
+    r = sample(REC, seed, deep_thin_family())
+    calls, mix = [], streams.mix_array
+    with patch.object(streams, "mix_array", lambda *a: calls.append(1) or mix(*a)):
+        measure._stream_log_sums(r, power(0.5), [600], 10**6)
+    assert len(calls) <= 50
 
 
 def test_deep_neck_block_walk_draws_linearly_many_blocks():
@@ -171,14 +181,16 @@ GAUGES = [power(0.7), loglog_power(0.7, 0.5), h1(0.6, 1.5)]
     st.integers(0, 5),
     st.integers(0, 5),
     st.sampled_from([10**4, 20, 3]),
+    st.booleans(),
 )
 def test_level_walker_consumers_match_depth_first_walker(
-    r, offset, frontier, h, epsilon, depth_min, extra, argmin_limit
+    r, offset, frontier, h, epsilon, depth_min, extra, argmin_limit, scalar
 ):
     r = replace(r, offset=offset)
     depth_cap = depth_min + extra
-    # chunks of 1-7 nodes make every level cross chunk boundaries
-    with patch.object(trees, "FRONTIER_NODES", frontier):
+    # chunks of 1-7 nodes make every level cross chunk boundaries; all take the scalar step, or all the vectorized one
+    with patch.object(trees, "FRONTIER_NODES", frontier), \
+            patch.object(trees, "SCALAR_NODES", frontier if scalar else 0):
         depths = [1, 2, KMAX + 1]
         assert measure._stream_log_sums(r, h, depths, 10**6).tobytes() == (
             oracle_stream_log_sums(r, h, depths, 10**6).tobytes()
