@@ -22,12 +22,10 @@ from .errors import ExtinctionError, GeometryError, ParameterError, Precondition
 from .gauges import GaugeFunction
 from .rifs import HOMOGENEOUS, NECK_BLOCK, V_VARIABLE, ModelSpec, RIFSFamily, _level_family, log_moments
 from .rifs import _almost_deterministic_at, beta_hat, eta_hat, log_moment_stats  # noqa: F401  (re-exports)
-from .trees import DEFAULT_NODE_BUDGET, Chunk, Coding, Realization, level_labels, levels, sample, vv_log_counts
+from .trees import DEFAULT_NODE_BUDGET, Chunk, Coding, Realization, level_labels, levels, sample, vv_level_counts
 from .trees import _stopping_letters
 
 DEFAULT_THRESHOLDS = (-20.0, 20.0)
-# Log level sums (paths x levels) of one batch of v_variable drift paths.
-VV_BATCH_ENTRIES = 2**18
 # Envelope exit/touch comparisons start this far into the requested horizon
 # (the same last-decade convention used for trend slopes); near the envelope's
 # birth at v k = e the band is degenerate and exceedances carry no information.
@@ -167,9 +165,8 @@ def _fast_log_sums(
 
     Level-driven equicontractive trees use the product form
     cumsum(log N) + h(cumsum(log c)), one path at a time in one buffer that
-    each path overwrites; v_variable trees over one ratio c add up the
-    ``vv_log_counts`` of each level's buffers, one recursion per batch of at
-    most ``VV_BATCH_ENTRIES`` log sums whose level tables fit the node budget.  When
+    each path overwrites; v_variable trees over one ratio c add the gauge
+    term h(c^k) to the log counts log Z_k of ``trees.vv_level_counts``.  When
     every level-k coding has the ratio c^k, the gauge term is computed here,
     once.  On the product form that term has the bits of the per-path cumsum
     up to the first extinct level, past which the sum is -inf either way.
@@ -191,16 +188,7 @@ def _fast_log_sums(
         return closed_form
     if model.kind == V_VARIABLE and c is not None:
         gauge = h.eval_log(np.arange(1, kmax + 1) * math.log(c))
-        size = max(1, min(VV_BATCH_ENTRIES // kmax, trees.DEFAULT_NODE_BUDGET // ((model.v + 1) * family.n_max)))
-
-        def count_sums(rs: Iterable[Realization]) -> Iterator[np.ndarray]:
-            rs = iter(rs)
-            while batch := list(itertools.islice(rs, size)):
-                sums = np.concatenate([np.logaddexp.reduce(x, axis=2).T for x in vv_log_counts(batch, kmax)], 1)
-                sums += gauge
-                yield from sums
-
-        return count_sums
+        return lambda rs: (z + gauge for z in vv_level_counts(rs, kmax))
     return None
 
 
@@ -304,7 +292,7 @@ def _running_at(extremum: np.ufunc, full: np.ndarray, starts: np.ndarray) -> np.
 
 
 def _check_depths(depths: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in depths)
+    out = tuple(trees._require_integer("depth", d) for d in depths)
     if not out or any(d < 1 for d in out) or any(b <= a for a, b in zip(out, out[1:])):
         raise ParameterError("depths must be a strictly increasing sequence of levels >= 1")
     return out
@@ -330,6 +318,8 @@ def seed_stream(master_seed: int) -> Iterator[int]:
 
 
 def ensemble_seeds(master_seed: int, n: int) -> list[int]:
+    if trees._require_integer("n", n) < 0:
+        raise ParameterError("n must be >= 0")
     return list(itertools.islice(seed_stream(master_seed), n))
 
 
@@ -397,12 +387,11 @@ def drift_experiment(
     whose running extrema crossed the thresholds.
 
     Each chunk of paths builds the fast path's tables and, over one ratio,
-    its gauge term once.  Level-driven paths then draw their labels one at a
-    time; v_variable paths run one buffer-count recursion per batch of at
-    most ``VV_BATCH_ENTRIES`` log sums.  Each path reads its running extrema
-    at the grid depths only, in seed order, and the first path whose level
-    sums reach -inf (its tree dies out) raises ``ExtinctionError`` naming
-    its seed.  The envelope variance is ``log_moment_stats``'s for the model;
+    its gauge term once, then draws each path's labels or, if v_variable,
+    its ``trees.vv_level_counts``.  Each path reads its running extrema at
+    the grid depths only, in seed order, and the first path whose level sums
+    reach -inf (its tree dies out) raises ``ExtinctionError`` naming its
+    seed.  The envelope variance is ``log_moment_stats``'s for the model;
     v_variable envelopes use the family's, exact at V = 1 and kept for
     V >= 2 until ROADMAP item 2(d).
     """
@@ -410,7 +399,7 @@ def drift_experiment(
     if s_bar is not None:
         raise PreconditionError(f"family is almost deterministic at s = {s_bar}; drift is null")
     depths = _check_depths(depths)
-    if n_realizations < 1:
+    if trees._require_integer("n_realizations", n_realizations) < 1:
         raise ParameterError("need at least one realization")
 
     seeds = ensemble_seeds(seed, n_realizations)
@@ -480,7 +469,8 @@ def lil_calibration(
     onward (and only where it is defined, v k > e); near its birth the band
     is degenerate and exceedances carry no information.
     """
-    if n_paths < 1:
+    trees._require_integer("depth", depth)
+    if trees._require_integer("n_paths", n_paths) < 1:
         raise ParameterError("need at least one path")
     _, variance = log_moment_stats(family, s, model)
     if not variance > 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 from math import exp, inf, log
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -35,6 +36,8 @@ NECK_SEARCH_HORIZON = 10**6
 DEFAULT_NODE_BUDGET = 10**8
 # Entries of one chunk of V-variable tables (paths x levels x (V + 1) buffers x maps).
 VV_TABLE_ENTRIES = 2**12
+# Log counts (paths x levels) of a ``vv_level_counts`` batch, and entries of one level of its tables, unless 1 path.
+VV_BATCH_ENTRIES = 2**18
 # Nodes of one chunk of a tree level handed out by ``levels``.
 FRONTIER_NODES = 2**14
 # ``levels`` expands a chunk of at most this many nodes on Python ints and floats, not numpy arrays.
@@ -72,8 +75,10 @@ class Realization:
 
     ``offset`` re-roots the tree at the all-ones node of that depth; it is
     how the neck shift is realized without copying anything.  It holds its
-    stream hashes and ``_root_state``; the label and map tables are
-    ``family``'s, the neck_block block tables ``model``'s.
+    stream hashes and ``_root_state``, the walker state of that node: the
+    level ``offset`` alone for level-driven models, and for recursive and
+    v_variable ones the state reached down the all-ones path.  The label and
+    map tables are ``family``'s, the neck_block block tables ``model``'s.
     """
 
     family: RIFSFamily
@@ -82,6 +87,8 @@ class Realization:
     offset: int = 0
 
     def __post_init__(self) -> None:
+        if _require_integer("offset", self.offset) < 0:
+            raise ParameterError("offset must be >= 0")
         seed = int(self.seed) & streams.MASK64
         object.__setattr__(self, "seed", seed)
         kind = self.model.kind
@@ -96,9 +103,11 @@ class Realization:
             self.model.check_levels(self.family)
             object.__setattr__(self, "_hb", streams.fold(seed, streams.TAG_BLOCK))
             object.__setattr__(self, "_hbl", streams.fold(seed, streams.TAG_BLOCK_LEVEL))
-        state = (0, 1 if kind == V_VARIABLE else self._h if kind == RECURSIVE else None)
-        for _ in range(self.offset):
-            state = self._child_state(state, 1)
+        state = (self.offset, None)  # a level-driven step only adds 1 to the level
+        if kind in (RECURSIVE, V_VARIABLE):
+            state = (0, self._h if kind == RECURSIVE else 1)
+            for _ in range(self.offset):
+                state = self._child_state(state, 1)
         object.__setattr__(self, "_root_state", state)
 
     # ---- per-model label machinery -------------------------------------
@@ -177,10 +186,11 @@ def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
     return Realization(family=family, model=model, seed=seed)
 
 
-def _require_integer(name: str, value) -> None:
-    """Raise ``ParameterError`` unless ``value`` is an integer; a depth or count of 2.5 or NaN is refused."""
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int, or ``ParameterError`` unless it is an integer: a depth or count of 2.5 or NaN is refused."""
     if not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
@@ -507,6 +517,16 @@ def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
         yield counts
 
 
+def vv_level_counts(rs: Iterable[Realization], n: int) -> Iterator[np.ndarray]:
+    """Log Z_1..Z_n of each v_variable realization in turn, one ``vv_log_counts`` recursion per batch as it is drawn."""
+    if _require_integer("n", n) < 1:
+        raise ParameterError("n must be >= 1")
+    rs = iter(rs)
+    for r in rs:
+        batch = [r, *islice(rs, max(1, VV_BATCH_ENTRIES // max(n, _vv_level_entries([r]))) - 1)]
+        yield from np.concatenate([np.logaddexp.reduce(x, axis=2).T for x in vv_log_counts(batch, n)], 1)
+
+
 def _necks(r: Realization, horizon: int) -> Iterator[int]:
     """Neck levels <= horizon, relative to the realization root, in increasing order.
 
@@ -550,6 +570,8 @@ def neck_list(r: Realization, up_to_level: int) -> NeckList:
 def first_neck(r: Realization, horizon: int = NECK_SEARCH_HORIZON) -> int:
     """Smallest neck level; raises ``HorizonError`` when none lies within ``horizon`` levels."""
     _require_integer("horizon", horizon)
+    if horizon < 0:
+        raise ParameterError("horizon must be >= 0")
     for rel in _necks(r, horizon):
         return rel
     raise HorizonError(f"no neck found within {horizon} levels")

@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import pytest
 
-from necktree import cli, streams, trees
+from necktree import cli, measure, trees
 from necktree.cli import EXIT_CONFIG, EXIT_RESOURCE, EXIT_USAGE, parse_depths, run
 from necktree.config import family_to_dict
 from necktree.errors import ConfigError
@@ -556,11 +556,18 @@ def test_sections_budget_error_names_the_level_streamed(configs, capsys):
 
 def test_percolate_derives_candidate_seeds_lazily(capsys):
     args = ["percolate", "--p", "0.7", "--boxdim", "--seeds", "3", "--min-scale-exp", "8"]
-    with patch.object(streams, "fold", wraps=streams.fold) as fold, \
+    seed_stream, taken = measure.seed_stream, []
+
+    def counted_seed_stream(master_seed):
+        for seed in seed_stream(master_seed):
+            taken.append(seed)
+            yield seed
+
+    with patch.object(measure, "seed_stream", counted_seed_stream), \
             patch.object(trees, "sample", wraps=trees.sample) as sample:
         assert run(args) == 0
-    # one fold for the substream, then one per candidate seed taken and one per sampled tree
-    assert fold.call_count == 1 + 2 * sample.call_count < 50
+    # one seed derived per sampled tree, not 50 per requested seed
+    assert len(taken) == sample.call_count < 50
     assert capsys.readouterr().err == ""
 
 

@@ -445,7 +445,7 @@ def test_vv_drift_over_several_batches_matches_the_scalar_oracle():
     case = (worked_family(), ModelSpec(kind="v_variable", v=5), h1(0.82, 1.0, 0.5), 70, [1, 10, 60], 9)
     want = oracle_drift_experiment(*case)
     for workers in (1, 2):
-        with mock.patch.object(measure, "VV_BATCH_ENTRIES", 4 * 60):
+        with mock.patch.object(trees, "VV_BATCH_ENTRIES", 4 * 60):
             assert_same_report(drift_experiment(*case, workers=workers), want)
 
 
@@ -455,7 +455,7 @@ def test_drift_names_the_first_dying_path_of_a_batch():
     sums = [oracle_vv_count_log_sums(sample(model, s, fam), h, 200) for s in seeds]
     dying = [(s, int(np.argmax(full == -math.inf)) + 1) for s, full in zip(seeds, sums) if full[-1] == -math.inf]
     assert dying and sums[0][-1] > -math.inf and sums[-1][-1] > -math.inf  # a middle path dies
-    assert 5 * 200 <= measure.VV_BATCH_ENTRIES  # one batch
+    assert 5 * 200 <= trees.VV_BATCH_ENTRIES  # one batch
     seed, level = dying[0]
     with pytest.raises(ExtinctionError, match=f"^drift path with seed {seed} dies out at level {level}$"):
         drift_experiment(fam, model, h, 5, [10, 200], seed=0)
@@ -470,7 +470,7 @@ def test_fast_path_draws_paths_as_it_yields_them():
             drawn.append(s)
             yield sample(model, s, worked_family())
 
-    with mock.patch.object(measure, "VV_BATCH_ENTRIES", 3 * 50):
+    with mock.patch.object(trees, "VV_BATCH_ENTRIES", 3 * 50):
         for model, batch in ((HOM, 1), (VV2, 3)):
             drawn.clear()
             sums = _fast_log_sums(worked_family(), model, power(S_HOM), 50)(realizations(model))
@@ -481,7 +481,7 @@ def test_fast_path_draws_paths_as_it_yields_them():
 def test_vv_drift_memory_is_bounded_by_one_batch():
     fam, model, h = worked_family(), ModelSpec(kind="v_variable", v=8), h1(0.82, 1.0, 0.5)
     drift_experiment(fam, model, h, 2, [10], seed=1)  # first-call allocations are not the drift's
-    with mock.patch.object(measure, "VV_BATCH_ENTRIES", 2**13):
+    with mock.patch.object(trees, "VV_BATCH_ENTRIES", 2**13):
         tracemalloc.start()
         try:
             drift_experiment(fam, model, h, 128, [10, 100, 500], seed=1)
@@ -492,14 +492,38 @@ def test_vv_drift_memory_is_bounded_by_one_batch():
     assert peak < 640 * 2**10
 
 
+def drift_batches(case) -> tuple[list[int], measure.DriftReport]:
+    """The paths of each ``vv_log_counts`` recursion of a drift, and its report."""
+    with mock.patch.object(trees, "vv_log_counts", wraps=trees.vv_log_counts) as recursion:
+        report = drift_experiment(*case)
+    return [len(call.args[0]) for call in recursion.call_args_list], report
+
+
 def test_vv_drift_batches_fit_the_node_budget():
-    # one path's level table at V = 3 over the worked family holds 4 x 3 = 12 entries
-    case = (worked_family(), ModelSpec(kind="v_variable", v=3), power(0.8), 8, [10, 40], 4)
-    want = oracle_drift_experiment(*case)
-    with mock.patch.object(trees, "DEFAULT_NODE_BUDGET", 3 * 12):  # three paths a batch, not all eight
-        assert_same_report(drift_experiment(*case), want)
+    # one path's level table over the worked family holds 21 x 3 = 63 entries at V = 20, and 4 x 3 = 12 at V = 3
+    for v, entries in ((20, 3 * 63), (3, 3 * 40)):  # the level table binds at V = 20, the 40 levels at V = 3
+        case = (worked_family(), ModelSpec(kind="v_variable", v=v), power(0.8), 8, [10, 40], 4)
+        with mock.patch.object(trees, "VV_BATCH_ENTRIES", entries):  # three paths a batch, not all eight
+            batches, report = drift_batches(case)
+        assert batches == [3, 3, 2]
+        assert_same_report(report, oracle_drift_experiment(*case))
     with mock.patch.object(trees, "DEFAULT_NODE_BUDGET", 11), pytest.raises(ResourceError, match="12 entries"):
         drift_experiment(*case)
+
+
+def test_vv_drift_at_large_v_runs_one_path_a_batch():
+    # a level at V = 10^5 holds 300,003 entries, past VV_BATCH_ENTRIES: 333 paths a batch would peak near 4.7 GB
+    case = (worked_family(), ModelSpec(kind="v_variable", v=10**5), h1(0.82, 1.0, 0.5), 3, [1, 2], 1)
+    drift_experiment(worked_family(), ModelSpec(kind="v_variable", v=8), *case[2:])  # first-call allocations
+    tracemalloc.start()
+    try:
+        batches, _ = drift_batches(case)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batches == [1, 1, 1]
+    # one path's tables peak near 17 MiB; the three in one batch near 53 MiB
+    assert peak < 30 * 2**20
 
 
 def test_drift_skips_the_dimension_solve():

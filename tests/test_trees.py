@@ -12,7 +12,14 @@ from necktree import streams, trees
 from necktree.errors import ConfigError, HorizonError, ParameterError, PreconditionError, UnsupportedModelError
 from necktree.gauges import power
 from necktree.geometry import percolation_preset
-from necktree.measure import section_infimum
+from necktree.measure import (
+    drift_experiment,
+    ensemble_seeds,
+    level_sums,
+    lil_calibration,
+    packing_level_limsup,
+    section_infimum,
+)
 from necktree.rifs import cumulative_weights, equicontractive_family, log_moment_stats
 from necktree.trees import (
     BlockTemplate,
@@ -124,6 +131,15 @@ def test_level_systems_matches_label_of():
                     long = r.level_systems(3000)
                     assert long.tobytes() == oracle_level_systems(r, 3000).tobytes()
                     assert not np.isin(long, zero).any()
+
+
+@pytest.mark.parametrize("model", [HOM, block_model()], ids=["homogeneous", "neck-block"])
+def test_level_driven_realizations_re_root_without_a_walk(model):
+    offset = 10**5
+    with patch.object(Realization, "_child_state", autospec=True, side_effect=Realization._child_state) as step:
+        r = Realization(family=worked_family(), model=model, seed=5, offset=offset)
+    assert step.call_count == 0
+    assert r.label_of(()) == Realization(family=worked_family(), model=model, seed=5).level_systems(offset + 1)[-1]
 
 
 def test_level_labels_switch_at_the_integer_thresholds():
@@ -309,13 +325,40 @@ def test_neck_list_recursive_unsupported():
         (vv(2), lambda r: neck_list(r, math.nan), ParameterError, "up_to_level must be an integer, got nan"),
         (block_model(), lambda r: first_neck(r, 2.5), ParameterError, "horizon must be an integer, got 2.5"),
         (vv(2), lambda r: first_neck(r, math.nan), ParameterError, "horizon must be an integer, got nan"),
+        (block_model(), lambda r: first_neck(r, -1), ParameterError, "horizon must be >= 0"),
+        (HOM, lambda r: level_sums(r, power(0.5), [1, 2.5]), ParameterError, "depth must be an integer, got 2.5"),
+        (REC, lambda r: level_sums(r, power(0.5), [math.nan]), ParameterError, "depth must be an integer, got nan"),
+        (HOM, lambda r: packing_level_limsup(r, power(0.5), [2.5]), ParameterError,
+         "depth must be an integer, got 2.5"),
+        (REC, lambda r: packing_level_limsup(r, power(0.5), [1, math.nan]), ParameterError,
+         "depth must be an integer, got nan"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2.5], 0), ParameterError,
+         "depth must be an integer, got 2.5"),
+        (vv(2), lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [math.nan], 0), ParameterError,
+         "depth must be an integer, got nan"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2.5, [2], 0), ParameterError,
+         "n_realizations must be an integer, got 2.5"),
+        (HOM, lambda r: lil_calibration(r.family, r.model, 0.5, 2.5, 20, 0), ParameterError,
+         "n_paths must be an integer, got 2.5"),
+        (HOM, lambda r: lil_calibration(r.family, r.model, 0.5, 2, math.nan, 0), ParameterError,
+         "depth must be an integer, got nan"),
+        (HOM, lambda r: ensemble_seeds(r.seed, 2.5), ParameterError, "n must be an integer, got 2.5"),
+        (HOM, lambda r: Realization(r.family, r.model, r.seed, offset=2.5), ParameterError,
+         "offset must be an integer, got 2.5"),
+        (block_model(), lambda r: Realization(r.family, r.model, r.seed, offset=-1), ParameterError,
+         "offset must be >= 0"),
+        (vv(2), lambda r: list(trees.vv_level_counts([r], 0)), ParameterError, "n must be >= 1"),
+        (vv(2), lambda r: list(trees.vv_level_counts([r], 2.5)), ParameterError, "n must be an integer, got 2.5"),
     ],
     ids=["level-systems-recursive", "level-systems-v-variable", "label-of-zero", "label-of-past-n-max",
          "coding-level-negative", "neck-list-negative", "level-systems-negative-homogeneous",
          "level-systems-negative-neck-block", "level-systems-fraction-homogeneous",
          "level-systems-fraction-neck-block", "coding-level-fraction", "coding-level-nan",
          "section-infimum-fraction-cap", "section-infimum-nan-min", "neck-list-fraction", "neck-list-nan",
-         "first-neck-fraction", "first-neck-nan"],
+         "first-neck-fraction", "first-neck-nan", "first-neck-negative", "level-sums-fraction", "level-sums-nan",
+         "packing-limsup-fraction", "packing-limsup-nan", "drift-depth-fraction", "drift-depth-nan",
+         "drift-count-fraction", "lil-paths-fraction", "lil-depth-nan", "ensemble-seeds-fraction",
+         "offset-fraction", "offset-negative", "vv-level-counts-zero", "vv-level-counts-fraction"],
 )
 def test_label_reads_raise_typed_errors(model, call, error, message):
     r = sample(model, 8, worked_family())  # n_max = 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from necktree import measure, trees
+from necktree import trees
 from necktree.errors import HorizonError, ResourceError
 from necktree.gauges import h1, loglog_power, power
 from necktree.measure import _all_level_log_sums, _fast_log_sums
@@ -89,13 +89,15 @@ def vv_batches(draw):
 def test_log_counts_do_not_depend_on_the_batch(rs, depth, entries, per_batch, gauge):
     # Small tables and batches split the levels and the paths at every boundary.
     with mock.patch.object(trees, "VV_TABLE_ENTRIES", entries), \
-            mock.patch.object(measure, "VV_BATCH_ENTRIES", per_batch * depth):
+            mock.patch.object(trees, "VV_BATCH_ENTRIES", per_batch * depth):
         batched = np.concatenate(list(trees.vv_log_counts(rs, depth)))
         sums = list(_fast_log_sums(rs[0].family, rs[0].model, gauge, depth)(rs))
+        level_counts = list(trees.vv_level_counts(rs, depth))
         alone = [np.concatenate(list(trees.vv_log_counts([r], depth)))[:, 0] for r in rs]
     assert batched.shape == (depth, len(rs), rs[0].model.v + 1)
     for p, r in enumerate(rs):
         assert batched[:, p].tobytes() == alone[p].tobytes()
+        assert level_counts[p].tobytes() == np.logaddexp.reduce(alone[p], axis=1).tobytes()
         assert sums[p].tobytes() == oracle_vv_count_log_sums(r, gauge, depth).tobytes()
 
 
