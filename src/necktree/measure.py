@@ -148,8 +148,8 @@ class MassDistributionReport:
 
 def lil_envelope(variance: float, depths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(+, -) envelopes sqrt(2 v k loglog(v k)); NaN where v k <= e."""
-    if variance <= 0:
-        raise ParameterError("variance must be positive")
+    if not 0 < variance < math.inf:
+        raise ParameterError(f"variance must be positive and finite, got {variance!r}")
     k = np.asarray(depths, dtype=float)
     vk = variance * k
     plus = np.full(k.shape, np.nan)
@@ -401,6 +401,7 @@ def drift_experiment(
     depths = _check_depths(depths)
     if trees._require_integer("n_realizations", n_realizations) < 1:
         raise ParameterError("need at least one realization")
+    trees._require_integer("workers", workers)
 
     seeds = ensemble_seeds(seed, n_realizations)
     chunks = _chunk(seeds, workers)

@@ -34,10 +34,9 @@ from .rifs import BlockTemplate, ModelSpec  # noqa: F401  (re-exported)
 NECK_SEARCH_HORIZON = 10**6
 # Nodes a tree walk may visit before it raises ``ResourceError``.
 DEFAULT_NODE_BUDGET = 10**8
-# Entries of one chunk of V-variable tables (paths x levels x (V + 1) buffers x maps).
-VV_TABLE_ENTRIES = 2**12
-# Log counts (paths x levels) of a ``vv_level_counts`` batch, and entries of one level of its tables, unless 1 path.
-VV_BATCH_ENTRIES = 2**18
+# Log counts (paths x levels) of a ``vv_level_counts`` batch, and entries (paths x levels x (V + 1) x maps)
+# of one ``vv_log_counts`` table chunk, unless one path or one level holds more.
+VV_BATCH_ENTRIES = 2**17
 # Nodes of one chunk of a tree level handed out by ``levels``.
 FRONTIER_NODES = 2**14
 # ``levels`` expands a chunk of at most this many nodes on Python ints and floats, not numpy arrays.
@@ -494,19 +493,26 @@ def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
     children's buffers with one ordered scatter over the ``_vv_children``
     table in (path, parent buffer, map) order: each path sees the order of a
     scalar loop over its tree's edges, so results depend neither on the
-    chunking nor on the other paths.  A chunk's table holds at most
-    ``VV_TABLE_ENTRIES`` entries (one level if a level alone holds more), so a
-    long search holds one small table.
+    chunking nor on the other paths.  Chunks start at 1/32 of the levels
+    whose table holds ``VV_BATCH_ENTRIES`` entries and double up to them (one
+    level at least), so a search that stops early draws a small table and a
+    long one holds one bounded table.  ``n = 0`` yields nothing.
     """
+    if _require_integer("n", n) < 0:
+        raise ParameterError("n must be >= 0")
+    if not rs:
+        raise ParameterError("need at least one realization")
     v, n_max, paths = rs[0].model.v, rs[0].family.n_max, len(rs)
-    step = max(1, VV_TABLE_ENTRIES // _vv_level_entries(rs))
+    step = max(1, VV_BATCH_ENTRIES // _vv_level_entries(rs))
     level0 = np.array([r._root_state[0] for r in rs], dtype=np.uint64)
     flat = np.arange(paths * (v + 1)).reshape(paths, v + 1)  # (path, buffer) -> index in a level's row
     log_counts = np.full(flat.size, -np.inf)
     log_counts[flat[:, 0] + [r._root_state[1] for r in rs]] = 0.0
     parents = np.repeat(flat[:, 1:], n_max)  # each edge's parent, in (path, parent buffer, map) order
-    for start in range(0, n, step):
-        _, table = _vv_children(rs, level0 + np.uint64(start), min(step, n - start))
+    start, k = 0, max(1, step >> 5)  # a small first chunk for searches that stop early, doubling to step
+    while start < n:
+        _, table = _vv_children(rs, level0 + np.uint64(start), min(k, n - start))
+        start, k = start + len(table), min(2 * k, step)
         # maps that do not exist point to the path's column 0
         children = (table[:, :, 1:] + flat[:, :1, None]).reshape(len(table), -1)
         counts = np.full((len(table), paths, v + 1), -np.inf)

@@ -179,6 +179,12 @@ def test_lil_envelope_monotone():
     assert np.all(np.diff(plus) > 0)
 
 
+@pytest.mark.parametrize("variance", [0.0, -0.1, math.nan, math.inf])
+def test_lil_envelope_refuses_a_variance_outside_zero_to_infinity(variance):
+    with pytest.raises(ParameterError, match="variance must be positive and finite"):
+        lil_envelope(variance, [100, 1000])
+
+
 # ---- beta defaults -----------------------------------------------------------
 
 

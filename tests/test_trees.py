@@ -349,6 +349,12 @@ def test_neck_list_recursive_unsupported():
          "offset must be >= 0"),
         (vv(2), lambda r: list(trees.vv_level_counts([r], 0)), ParameterError, "n must be >= 1"),
         (vv(2), lambda r: list(trees.vv_level_counts([r], 2.5)), ParameterError, "n must be an integer, got 2.5"),
+        (vv(2), lambda r: list(trees.vv_log_counts([r], 2.5)), ParameterError, "n must be an integer, got 2.5"),
+        (vv(2), lambda r: list(trees.vv_log_counts([r], math.nan)), ParameterError, "n must be an integer, got nan"),
+        (vv(2), lambda r: list(trees.vv_log_counts([r], -1)), ParameterError, "n must be >= 0"),
+        (vv(2), lambda r: list(trees.vv_log_counts([], 3)), ParameterError, "need at least one realization"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, workers=2.5), ParameterError,
+         "workers must be an integer, got 2.5"),
     ],
     ids=["level-systems-recursive", "level-systems-v-variable", "label-of-zero", "label-of-past-n-max",
          "coding-level-negative", "neck-list-negative", "level-systems-negative-homogeneous",
@@ -358,7 +364,9 @@ def test_neck_list_recursive_unsupported():
          "first-neck-fraction", "first-neck-nan", "first-neck-negative", "level-sums-fraction", "level-sums-nan",
          "packing-limsup-fraction", "packing-limsup-nan", "drift-depth-fraction", "drift-depth-nan",
          "drift-count-fraction", "lil-paths-fraction", "lil-depth-nan", "ensemble-seeds-fraction",
-         "offset-fraction", "offset-negative", "vv-level-counts-zero", "vv-level-counts-fraction"],
+         "offset-fraction", "offset-negative", "vv-level-counts-zero", "vv-level-counts-fraction",
+         "vv-log-counts-fraction", "vv-log-counts-nan", "vv-log-counts-negative", "vv-log-counts-empty",
+         "drift-workers-fraction"],
 )
 def test_label_reads_raise_typed_errors(model, call, error, message):
     r = sample(model, 8, worked_family())  # n_max = 3

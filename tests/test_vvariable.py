@@ -1,5 +1,6 @@
 """The table-driven V-variable engine against the scalar per-buffer loops."""
 import tracemalloc
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from necktree import trees
 from necktree.errors import HorizonError, ResourceError
 from necktree.gauges import h1, loglog_power, power
-from necktree.measure import _all_level_log_sums, _fast_log_sums
+from necktree.measure import _all_level_log_sums, _fast_log_sums, drift_experiment
 from necktree.rifs import equicontractive_family
 from necktree.trees import ModelSpec, Realization, first_neck, neck_list
 
@@ -44,7 +45,7 @@ def vv_realizations(draw, max_v: int = 40):
 )
 def test_engine_matches_scalar_loops(r, depth, entries, gauge):
     # Small chunks make every depth cross several chunk boundaries.
-    with mock.patch.object(trees, "VV_TABLE_ENTRIES", entries):
+    with mock.patch.object(trees, "VV_BATCH_ENTRIES", entries):
         got = _all_level_log_sums(r, gauge, depth)
         necks = neck_list(r, depth).necks
         if necks:
@@ -59,7 +60,7 @@ def test_engine_matches_scalar_loops(r, depth, entries, gauge):
 @settings(max_examples=60)
 @given(r=vv_realizations(), depth=st.integers(1, 60), entries=st.integers(1, 400))
 def test_finite_log_counts_are_the_reachable_buffers(r, depth, entries):
-    with mock.patch.object(trees, "VV_TABLE_ENTRIES", entries):
+    with mock.patch.object(trees, "VV_BATCH_ENTRIES", entries):
         counts = np.concatenate(list(trees.vv_log_counts([r], depth)))[:, 0]
     assert counts.shape == (depth, r.model.v + 1)
     reached = [frozenset((row > -np.inf).nonzero()[0].tolist()) for row in counts]
@@ -87,10 +88,12 @@ def vv_batches(draw):
     gauge=st.sampled_from(GAUGES),
 )
 def test_log_counts_do_not_depend_on_the_batch(rs, depth, entries, per_batch, gauge):
-    # Small tables and batches split the levels and the paths at every boundary.
-    with mock.patch.object(trees, "VV_TABLE_ENTRIES", entries), \
-            mock.patch.object(trees, "VV_BATCH_ENTRIES", per_batch * depth):
+    # A drawn size chunks the whole batch on its own.  per_batch * depth keeps at most 3 paths a batch
+    # and fewer than depth levels a chunk (a level holds >= 4 entries): small batches split the paths
+    # and the levels at every boundary.
+    with mock.patch.object(trees, "VV_BATCH_ENTRIES", entries):
         batched = np.concatenate(list(trees.vv_log_counts(rs, depth)))
+    with mock.patch.object(trees, "VV_BATCH_ENTRIES", per_batch * depth):
         sums = list(_fast_log_sums(rs[0].family, rs[0].model, gauge, depth)(rs))
         level_counts = list(trees.vv_level_counts(rs, depth))
         alone = [np.concatenate(list(trees.vv_log_counts([r], depth)))[:, 0] for r in rs]
@@ -103,8 +106,8 @@ def test_log_counts_do_not_depend_on_the_batch(rs, depth, entries, per_batch, ga
 
 def test_engine_matches_scalar_loops_across_default_chunk():
     r = Realization(family=worked_family(), model=ModelSpec(kind="v_variable", v=40), seed=11, offset=2)
-    depth = 200
-    assert depth > trees.VV_TABLE_ENTRIES // (41 * 3)
+    depth = 1100
+    assert depth > trees.VV_BATCH_ENTRIES // (41 * 3)
     got = _all_level_log_sums(r, GAUGES[2], depth)
     assert got.tobytes() == oracle_vv_count_log_sums(r, GAUGES[2], depth).tobytes()
     assert neck_list(r, depth).necks == oracle_vv_necks(r, depth)
@@ -150,3 +153,27 @@ def test_first_neck_memory_is_bounded_by_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_every_table_chunk_follows_the_batch_rule():
+    # 40 paths to 4,000 levels at V = 8 make two batches, one V = 64 path searches 3,000 levels,
+    # and a V = 2 path whose first neck is at level 1 searches the default horizon
+    fam = worked_family()
+    r = Realization(family=fam, model=ModelSpec(kind="v_variable", v=64), seed=1)
+    early = Realization(family=fam, model=ModelSpec(kind="v_variable", v=2), seed=0)
+    with mock.patch.object(trees, "_vv_children", wraps=trees._vv_children) as draw:
+        drift_experiment(fam, ModelSpec(kind="v_variable", v=8), h1(0.82, 1.0, 0.5), 40, [10, 4000], seed=1)
+        neck_list(r, 3000)
+        assert first_neck(early) == 1
+    recursions = [list(calls) for _, calls in groupby(draw.call_args_list, key=lambda c: id(c.args[0]))]
+    paths = [len(calls[0].args[0]) for calls in recursions]
+    assert len(paths) == 4 and sum(paths[:2]) == 40 and paths[2:] == [1, 1]
+    for i, calls in enumerate(recursions):
+        entries = trees._vv_level_entries(calls[0].args[0])
+        step = max(1, trees.VV_BATCH_ENTRIES // entries)
+        ramp = [min(step, max(1, step >> 5) << i) for i in range(len(calls))]
+        levels = [call.args[2] for call in calls]
+        assert all(n * entries <= trees.VV_BATCH_ENTRIES or n == 1 for n in levels)
+        assert levels[:-1] == ramp[:-1] and 1 <= levels[-1] <= ramp[-1]
+        # the long recursions reach full chunks; the early neck search draws one small chunk
+        assert step in levels if i < 3 else levels == [max(1, step >> 5)]
