@@ -250,6 +250,7 @@ def level_sums(
     else streams codings depth-first under ``node_budget``.
     """
     depths = _check_depths(depths)
+    trees._require_integer("node_budget", node_budget)
     full = _all_level_log_sums(r, h, depths[-1])
     if full is not None:
         return _series(r, h, depths, full[np.asarray(depths) - 1])
@@ -268,6 +269,7 @@ def packing_level_limsup(
     the streaming path it runs over the requested depths only.
     """
     depths = _check_depths(depths)
+    trees._require_integer("node_budget", node_budget)
     full = _all_level_log_sums(r, h, depths[-1])
     if full is not None:
         vals = _running_at(np.maximum, full, _stretch_starts(np.asarray(depths) - 1))
@@ -521,93 +523,153 @@ def section_infimum(
 ) -> SectionValue:
     """Infimum of gauge sums over sections, on the depth-capped tree.
 
-    Bottom-up dynamic program: leaves at ``depth_cap`` are forced into the
-    section; a node of depth >= ``depth_min`` may replace its subtree;
-    shallower nodes must recurse.  Extinct subtrees contribute zero.
+    Bottom-up dynamic program over the chunks of ``levels``: leaves at
+    ``depth_cap`` are forced into the section; a node of depth >= ``depth_min``
+    may replace its subtree, and keeps its children's sum on a tie; shallower
+    nodes must recurse.  Extinct subtrees contribute zero.  A chunk's
+    children's values land in its ``_OpenChunk`` one child chunk at a time, and
+    each node's child sum is a log-sum-exp whose bits are those of a
+    ``math.exp`` per term added left to right.  While the walk has visited at
+    most ``argmin_limit`` nodes, each chunk keeps its nodes' choices, and the
+    argmin section is rebuilt from them once, at the end.
     """
-    trees._require_integer("depth_min", depth_min)
-    trees._require_integer("depth_cap", depth_cap)
+    for name, value in (("depth_min", depth_min), ("depth_cap", depth_cap),
+                        ("node_budget", node_budget), ("argmin_limit", argmin_limit)):
+        trees._require_integer(name, value)
     if depth_min < 0 or depth_cap < depth_min:
         raise ParameterError("need 0 <= depth_min <= depth_cap")
+    n_max = r.family.n_max
     # open_[d] is the open chunk at depth d; a chunk closes once the walk
     # returns to its depth or shallower, when all its descendants have been seen.
     open_: list[_OpenChunk] = []
+    kept: Optional[list[_OpenChunk]] = []  # every chunk in walk order, parents first, while the argmin is tracked
 
     def close_to(depth: int) -> None:
         while open_ and open_[-1].chunk.depth >= depth:
             done = open_.pop()
-            open_[-1].take(done.chunk, *done.finish(h, depth_min, depth_cap, track))
+            open_[-1].take(done.chunk, done.finish(h, depth_min, depth_cap))
 
     visited = 0
     for chunk in levels(r, max_depth=depth_cap, node_budget=node_budget):
         visited += len(chunk)
-        # sections are dropped for good once the tree outgrows argmin_limit
-        track = visited <= argmin_limit
         close_to(chunk.depth)
-        open_.append(_OpenChunk(chunk, open_[-1] if open_ else None, track))
+        open_.append(_OpenChunk(chunk, open_[-1] if open_ else None, n_max, depth_cap))
+        # the argmin is dropped for good once the tree outgrows argmin_limit
+        if visited <= argmin_limit:
+            kept.append(open_[-1])
+        else:
+            kept = None
     close_to(1)
-    (val,), sections = open_[0].finish(h, depth_min, depth_cap, track)
-    argmin = tuple(sections[0]) if track else None
-    return SectionValue(value_log=val, depth_min=depth_min, argmin_section=argmin)
+    (val,) = open_[0].finish(h, depth_min, depth_cap)
+    argmin = None if kept is None else _argmin_section(kept)
+    return SectionValue(value_log=float(val), depth_min=depth_min, argmin_section=argmin)
 
 
 class _OpenChunk:
     """A chunk of the section DP whose descendants are still being walked.
 
-    ``parts[i]`` collects node i's children's values, in address order;
-    while sections are tracked, ``sections[i]`` collects their sections and
-    ``addresses[i]`` is node i's address.
+    ``kids[i][j - 1]`` collects the value of child j of node i, and stays -inf
+    where there is no such child: its term exp(-inf) = 0.0 leaves the sum's
+    bits as they are.  ``kids`` is an ``[n, n_max]`` array, or a list of lists
+    in a ``small`` chunk of at most ``trees.SCALAR_NODES`` nodes, where numpy's
+    per-call cost would dominate; a chunk at ``depth_cap`` has none.
+    ``finish`` drops it and keeps ``mine``, whether each node took its own
+    value; ``_argmin_section`` sets ``free``.
     """
 
-    __slots__ = ("chunk", "parts", "sections", "addresses")
+    __slots__ = ("chunk", "up", "small", "kids", "mine", "free")
 
-    def __init__(self, chunk: Chunk, parent: Optional["_OpenChunk"], track: bool) -> None:
+    def __init__(self, chunk: Chunk, up: Optional["_OpenChunk"], n_max: int, depth_cap: int) -> None:
         n = len(chunk)
-        self.chunk = chunk
-        self.parts: list[list[float]] = [[] for _ in range(n)]
-        self.sections = self.addresses = None
-        if track:
-            self.sections = [[] for _ in range(n)]
-            self.addresses = [()] if parent is None else [
-                parent.addresses[p] + (j,) for p, j in zip(chunk.parent.tolist(), chunk.j.tolist())
-            ]
+        self.chunk, self.up, self.small = chunk, up, n <= trees.SCALAR_NODES
+        self.kids = self.mine = self.free = None
+        if chunk.depth < depth_cap:
+            self.kids = [[-math.inf] * n_max for _ in range(n)] if self.small else np.full((n, n_max), -math.inf)
 
-    def take(self, child: Chunk, values: list[float], sections: Optional[list]) -> None:
-        """Collect the values and sections of the nodes of a child chunk."""
-        parents = child.parent.tolist()
-        for p, v in zip(parents, values):
-            self.parts[p].append(v)
-        if sections is not None:
-            for p, s in zip(parents, sections):
-                self.sections[p].extend(s)
+    def take(self, child: Chunk, values) -> None:
+        """Collect the values of the nodes of a child chunk, in one scatter."""
+        if not self.small:
+            self.kids[child.parent, child.j - 1] = values
+            return
+        kids, values = self.kids, values if type(values) is list else values.tolist()
+        for p, j, v in zip(child.parent.tolist(), child.j.tolist(), values):
+            kids[p][j - 1] = v
 
-    def finish(self, h: GaugeFunction, depth_min: int, depth_cap: int, track: bool):
-        """Each node's value and, while tracked, section (else None).
+    def finish(self, h: GaugeFunction, depth_min: int, depth_cap: int):
+        """Each node's value, as a list or an array like ``kids``.
 
         A node at ``depth_cap`` is its own section; one shallower than
         ``depth_min`` takes its children's; any other takes the cheaper of
         the two, its children's on a tie.
         """
-        own = h.eval_log(self.chunk.log_ratio).tolist()
-        if self.chunk.depth == depth_cap:
-            return own, [[a] for a in self.addresses] if track else None
-        recurse = self.chunk.depth < depth_min
-        values, chosen = [], []
-        for i, o in enumerate(own):
-            child_sum = _logsumexp(self.parts[i])
-            mine = not recurse and o < child_sum
-            values.append(o if mine else child_sum)
-            if track:
-                chosen.append([self.addresses[i]] if mine else self.sections[i])
-        return values, chosen if track else None
+        own, kids, self.kids = h.eval_log(self.chunk.log_ratio), self.kids, None
+        may_stop = self.chunk.depth >= depth_min
+        if not self.small:
+            if kids is None:
+                self.mine = np.ones(own.size, dtype=bool)
+                return own
+            child = _log_sum_rows(kids)
+            self.mine = (own < child) & may_stop
+            return np.where(self.mine, own, child)
+        own = own.tolist()
+        if kids is None:
+            self.mine = [True] * len(own)
+            return own
+        values, self.mine = [], []
+        for o, row in zip(own, kids):
+            c = _log_sum(row)
+            self.mine.append(may_stop and o < c)
+            values.append(o if self.mine[-1] else c)
+        return values
 
 
-def _logsumexp(parts: list[float]) -> float:
-    finite = [p for p in parts if p != -math.inf]
-    if not finite:
-        return -math.inf
-    m = max(finite)
-    return m + math.log(sum(math.exp(p - m) for p in finite))
+def _log_sum(row: list[float]) -> float:
+    """log sum exp(row): each term's ``math.exp`` relative to the maximum, added left to right; -inf if all are."""
+    m = max(row)
+    return m if m == -math.inf else m + math.log(sum([math.exp(x - m) for x in row]))
+
+
+def _log_sum_rows(rows: np.ndarray) -> np.ndarray:
+    """``_log_sum`` of each row of a 2-d array, with its bits.
+
+    Terms go through ``math.exp`` and sums through ``math.log``, whose last
+    bits ``np.exp`` and ``np.log`` do not keep; the columns are added one at
+    a time, left to right, as ``sum`` adds a row, not pairwise as ``np.sum``.
+    """
+    m = rows.max(axis=1)
+    dead = m == -math.inf
+    shifted = (rows - np.where(dead, 0.0, m)[:, None]).ravel()
+    terms = np.fromiter(map(math.exp, shifted.tolist()), float, shifted.size).reshape(rows.shape)
+    total = terms[:, 0].copy()
+    for col in terms.T[1:]:
+        total += col
+    total[dead] = 1.0  # log 1 = 0, and -inf + 0 = -inf
+    return m + np.fromiter(map(math.log, total.tolist()), float, total.size)
+
+
+def _argmin_section(kept: list[_OpenChunk]) -> tuple[tuple[int, ...], ...]:
+    """The nodes that took their own value under no ancestor that did, in address order.
+
+    One pass down ``kept``, parents first: ``free[i]`` is node i's address
+    while no node on its path took its own value, else None; ``free`` itself
+    is None when every node of the chunk has such a node on its path, and
+    the chunks below are skipped.  A section is an antichain, so address
+    order is the order of the sorted tuples.
+    """
+    section = []
+    for node in kept:
+        if node.up is None:
+            heads = [()]
+        elif node.up.free is None:
+            continue
+        else:
+            up, chunk = node.up.free, node.chunk
+            heads = [None if up[p] is None else up[p] + (j,) for p, j in zip(chunk.parent.tolist(), chunk.j.tolist())]
+        mine = node.mine if type(node.mine) is list else node.mine.tolist()
+        section += [a for a, m in zip(heads, mine) if m and a is not None]
+        free = [None if m else a for a, m in zip(heads, mine)]
+        node.free = None if free.count(None) == len(free) else free
+    return tuple(sorted(section))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from necktree.measure import (
     SectionValue,
     _check_depths,
     _chunk,
-    _logsumexp,
     ensemble_seeds,
     lil_envelope,
 )
@@ -395,6 +394,14 @@ def oracle_section_infimum(
     (val,), section = stack[0][2], stack[0][3]
     argmin = tuple(section) if visited <= argmin_limit else None
     return SectionValue(value_log=val, depth_min=depth_min, argmin_section=argmin)
+
+
+def _logsumexp(parts: list[float]) -> float:
+    finite = [p for p in parts if p != -math.inf]
+    if not finite:
+        return -math.inf
+    m = max(finite)
+    return m + math.log(sum(math.exp(p - m) for p in finite))
 
 
 def oracle_close_sections(stack: list[list], depth: int, depth_min: int) -> None:

@@ -246,6 +246,18 @@ def test_section_argmin_limit_drops_only_the_section():
     assert limited.value_log == full.value_log
 
 
+def test_section_argmin_limit_boundary_is_the_walked_node_count():
+    r = sample(REC, 5, worked_family())
+    g = power(0.6)
+    nodes = sum(len(chunk) for chunk in trees.levels(r, max_depth=5))
+    full = section_infimum(r, g, 1, 5, argmin_limit=nodes)
+    assert full.argmin_section == section_infimum(r, g, 1, 5).argmin_section
+    assert full.argmin_section
+    limited = section_infimum(r, g, 1, 5, argmin_limit=nodes - 1)
+    assert limited.argmin_section is None
+    assert limited.value_log == full.value_log
+
+
 def test_section_budget():
     fam = worked_family()
     r = sample(HOM, 5, fam)

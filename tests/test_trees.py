@@ -321,6 +321,22 @@ def test_neck_list_recursive_unsupported():
          "depth_cap must be an integer, got 2.5"),
         (REC, lambda r: section_infimum(r, power(0.5), math.nan, 3), ParameterError,
          "depth_min must be an integer, got nan"),
+        (REC, lambda r: section_infimum(r, power(0.5), 1, 3, node_budget=math.nan), ParameterError,
+         "node_budget must be an integer, got nan"),
+        (REC, lambda r: section_infimum(r, power(0.5), 1, 3, node_budget=2.5), ParameterError,
+         "node_budget must be an integer, got 2.5"),
+        (REC, lambda r: section_infimum(r, power(0.5), 1, 3, argmin_limit=math.nan), ParameterError,
+         "argmin_limit must be an integer, got nan"),
+        (HOM, lambda r: section_infimum(r, power(0.5), 1, 3, argmin_limit=2.5), ParameterError,
+         "argmin_limit must be an integer, got 2.5"),
+        (REC, lambda r: level_sums(r, power(0.5), [1, 2], node_budget=math.nan), ParameterError,
+         "node_budget must be an integer, got nan"),
+        (REC, lambda r: level_sums(r, power(0.5), [1, 2], node_budget=2.5), ParameterError,
+         "node_budget must be an integer, got 2.5"),
+        (REC, lambda r: packing_level_limsup(r, power(0.5), [1, 2], node_budget=math.nan), ParameterError,
+         "node_budget must be an integer, got nan"),
+        (REC, lambda r: packing_level_limsup(r, power(0.5), [1, 2], node_budget=2.5), ParameterError,
+         "node_budget must be an integer, got 2.5"),
         (block_model(), lambda r: neck_list(r, 2.5), ParameterError, "up_to_level must be an integer, got 2.5"),
         (vv(2), lambda r: neck_list(r, math.nan), ParameterError, "up_to_level must be an integer, got nan"),
         (block_model(), lambda r: first_neck(r, 2.5), ParameterError, "horizon must be an integer, got 2.5"),
@@ -360,7 +376,10 @@ def test_neck_list_recursive_unsupported():
          "coding-level-negative", "neck-list-negative", "level-systems-negative-homogeneous",
          "level-systems-negative-neck-block", "level-systems-fraction-homogeneous",
          "level-systems-fraction-neck-block", "coding-level-fraction", "coding-level-nan",
-         "section-infimum-fraction-cap", "section-infimum-nan-min", "neck-list-fraction", "neck-list-nan",
+         "section-infimum-fraction-cap", "section-infimum-nan-min", "section-infimum-nan-budget",
+         "section-infimum-fraction-budget", "section-infimum-nan-argmin-limit",
+         "section-infimum-fraction-argmin-limit", "level-sums-nan-budget", "level-sums-fraction-budget",
+         "packing-nan-budget", "packing-fraction-budget", "neck-list-fraction", "neck-list-nan",
          "first-neck-fraction", "first-neck-nan", "first-neck-negative", "level-sums-fraction", "level-sums-nan",
          "packing-limsup-fraction", "packing-limsup-nan", "drift-depth-fraction", "drift-depth-nan",
          "drift-count-fraction", "lil-paths-fraction", "lil-depth-nan", "ensemble-seeds-fraction",

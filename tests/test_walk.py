@@ -198,7 +198,20 @@ def test_level_walker_consumers_match_depth_first_walker(
         got = section_infimum(r, h, depth_min, depth_cap, argmin_limit=argmin_limit)
         want = oracle_section_infimum(r, h, depth_min, depth_cap, argmin_limit=argmin_limit)
         assert (got.value_log, got.argmin_section) == (want.value_log, want.argmin_section)
+        if got.argmin_section is not None:
+            # the section's own gauge sum, read from its addresses alone
+            terms = [math.exp(h.eval_log(_address_log_ratio(r, a))) for a in got.argmin_section]
+            if terms:
+                assert math.log(math.fsum(terms)) == pytest.approx(got.value_log, rel=1e-12, abs=1e-12)
+            else:
+                assert got.value_log == -math.inf
         assert list(stopping_set(r, epsilon)) == list(oracle_stopping_set(r, epsilon))
+
+
+def _address_log_ratio(r, address):
+    """Log ratio of the node at ``address``, its labels read one prefix at a time."""
+    maps = [r.family.systems[r.label_of(address[:i])].maps[j - 1] for i, j in enumerate(address)]
+    return math.fsum(math.log(m.ratio) for m in maps)
 
 
 # ---- stopping counts ----------------------------------------------------------
