@@ -34,7 +34,7 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class GaugeFunction:
-    """A gauge with dimension exponent s, family parameters, cutoff and plateau."""
+    """A gauge with exponent s and family parameters: the formula on (0, r0], the plateau h_bar above the cutoff r0."""
 
     s: float
     family: str
@@ -56,11 +56,15 @@ class GaugeFunction:
         if self.gamma is not None and not math.isfinite(self.gamma):
             raise ConfigError(f"gauge gamma must be finite, got {self.gamma}")
         log_r0 = self._compute_log_r0()
+        if not math.isfinite(log_r0):
+            raise ConfigError(f"{self.describe()}: cutoff log r0 = {log_r0:g} is not finite")
         object.__setattr__(self, "log_r0", log_r0)
         object.__setattr__(self, "r0", math.exp(log_r0))
-        h_bar = math.exp(min(0.0, float(self._formula_log(np.atleast_1d(log_r0))[0])))
-        if h_bar == 0.0:
-            raise ConfigError(f"{self.describe()}: plateau h(r0) underflows to 0 (log r0 = {log_r0:g})")
+        with np.errstate(all="ignore"):
+            log_top = float(self._formula_log(np.atleast_1d(log_r0))[0])
+        h_bar = math.exp(min(0.0, log_top))
+        if not math.isfinite(log_top) or h_bar == 0.0:
+            raise ConfigError(f"{self.describe()}: h(r0) = exp({log_top:g}) is out of range (log r0 = {log_r0:g})")
         object.__setattr__(self, "h_bar", h_bar)
 
     # ---- cutoff -------------------------------------------------------
@@ -77,10 +81,6 @@ class GaugeFunction:
             return -bisect_decreasing(lambda L: target - L * math.log(L), 1.0 + 1e-12, max(_E, target + 2.0))
         # h1 / h1_star: formula valid once loglog(beta L) is positive.
         return -_E / self.beta
-
-    def cutoff(self) -> float:
-        """Validity cutoff r0; h is evaluated by formula for t <= r0."""
-        return self.r0
 
     def correction_coeff(self) -> float:
         """Signed multiplier of the square-root term (0 for power/loglog families)."""
@@ -133,23 +133,22 @@ class GaugeFunction:
         corr = np.sqrt(2.0 * self.beta * L * loglog)
         return base + self.correction_coeff() * corr
 
-    def eval_log(self, log_t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """log h(t) given log t.  Arguments above the cutoff return log h_bar."""
-        scalar = np.isscalar(log_t) or getattr(log_t, "ndim", 0) == 0
-        arr = np.atleast_1d(np.asarray(log_t, dtype=float))
-        if not np.all(np.isfinite(arr)):
+    def eval_log(self, log_t: Union[float, list, np.ndarray]) -> Union[float, np.ndarray]:
+        """log h(t) elementwise over any array-like log t (a scalar gives a float); log h_bar above the cutoff."""
+        x = np.asarray(log_t, dtype=float)
+        if not np.isfinite(x).all():
             raise ParameterError("eval_log needs finite log t")
-        out = np.full(arr.shape, math.log(self.h_bar))
-        inside = arr <= self.log_r0
-        if np.any(inside):
-            out[inside] = self._formula_log(arr[inside])
-        return float(out[0]) if scalar else out
+        inside = x <= self.log_r0
+        # the guard spares plateau-only calls the formula; where() keeps -0.0, which minimum() would not
+        formula = self._formula_log(np.where(inside, x, self.log_r0)) if inside.any() else 0.0
+        out = np.where(inside, formula, math.log(self.h_bar))
+        return float(out) if out.ndim == 0 else out
 
     def doubling_ratio_scan(self, log_t_grid: Union[list, np.ndarray]) -> np.ndarray:
         """h(2t)/h(t) for each grid point; requires the grid within (0, r0/2)."""
         grid = np.asarray(log_t_grid, dtype=float)
-        if grid.size == 0:
-            raise ParameterError("doubling scan needs a non-empty grid")
+        if grid.size == 0 or not np.isfinite(grid).all():
+            raise ParameterError("doubling scan needs a non-empty grid of finite log t")
         if np.any(grid >= self.log_r0 - _LN2):
             raise ParameterError("doubling scan grid must satisfy 2t <= r0")
         return np.exp(self._formula_log(grid + _LN2) - self._formula_log(grid))

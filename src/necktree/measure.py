@@ -246,8 +246,10 @@ def level_sums(
 ) -> LevelSumSeries:
     """Gauged level sums at the requested depths.
 
-    Level-driven equicontractive trees use the O(k) product form; anything
-    else streams codings depth-first under ``node_budget``.
+    Level-driven equicontractive trees use the O(k) product form, and
+    v_variable trees over one ratio the count path of
+    ``trees.vv_level_counts``; anything else streams the tree a level at a
+    time under ``node_budget``.
     """
     depths = _check_depths(depths)
     trees._require_integer("node_budget", node_budget)
@@ -265,17 +267,15 @@ def packing_level_limsup(
 ) -> LevelSumSeries:
     """Running maxima of the level sums, a finite-depth limsup proxy.
 
-    On the fast path the maximum runs over every level up to each depth; on
-    the streaming path it runs over the requested depths only.
+    The value at each requested depth is the largest log level sum over every
+    level from 1 to that depth.
     """
     depths = _check_depths(depths)
     trees._require_integer("node_budget", node_budget)
     full = _all_level_log_sums(r, h, depths[-1])
-    if full is not None:
-        vals = _running_at(np.maximum, full, _stretch_starts(np.asarray(depths) - 1))
-    else:
-        vals = np.maximum.accumulate(_stream_log_sums(r, h, depths, node_budget))
-    series = _series(r, h, depths, vals)
+    if full is None:
+        full = _stream_log_sums(r, h, range(1, depths[-1] + 1), node_budget)
+    series = _series(r, h, depths, _running_at(np.maximum, full, _stretch_starts(np.asarray(depths) - 1)))
     return replace(series, kind="running_max")
 
 

@@ -963,3 +963,22 @@ def oracle_block_tables(model: ModelSpec) -> tuple[np.ndarray, ...]:
     rows = [cumulative_weights(d) for t in model.templates for d in t.levels]
     lengths = np.array([t.length for t in model.templates])
     return oracle_label_thresholds(tcum), oracle_label_thresholds(rows), lengths, np.cumsum(lengths) - lengths
+
+
+# ---- gauge evaluation with a scalar flag and a plateau scatter ------------------------
+# ``GaugeFunction.eval_log`` as it ran before it became one elementwise rule: a
+# scalar flag, a 1-d copy, a plateau-filled output and a masked scatter of the
+# formula values.  Kept verbatim (names aside) as the bit-identity reference.
+
+
+def oracle_eval_log(h: GaugeFunction, log_t):
+    """log h(t) given log t.  Arguments above the cutoff return log h_bar."""
+    scalar = np.isscalar(log_t) or getattr(log_t, "ndim", 0) == 0
+    arr = np.atleast_1d(np.asarray(log_t, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("eval_log needs finite log t")
+    out = np.full(arr.shape, math.log(h.h_bar))
+    inside = arr <= h.log_r0
+    if np.any(inside):
+        out[inside] = h._formula_log(arr[inside])
+    return float(out[0]) if scalar else out

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from necktree.errors import ParameterError
-from necktree.gauges import GaugeFunction, h1, h1_star, loglog_power, power
+from necktree.errors import ConfigError, ParameterError
+from necktree.gauges import H1, H1_STAR, LOGLOG_POWER, POWER, GaugeFunction, h1, h1_star, loglog_power, power
+
+from helpers import oracle_eval_log
 
 S_STAR = 0.8154648
+FAMILIES = (POWER, LOGLOG_POWER, H1, H1_STAR)
 
 
 def mp_h1_log(log_t, s, beta, gamma, sign=1):
@@ -71,7 +76,14 @@ def test_cutoff_h1_is_validity_boundary():
 
 
 def test_cutoff_power():
-    assert power(0.7).cutoff() == 1.0
+    assert power(0.7).r0 == 1.0
+
+
+@pytest.mark.parametrize("make", [lambda: loglog_power(1e-300, 1e300), lambda: h1(0.8, 1e-320, 0.5)])
+def test_gauge_with_a_non_finite_cutoff_is_a_config_error(make):
+    # log r0 = -inf would leave h = 1 everywhere
+    with pytest.raises(ConfigError, match="not finite"):
+        make()
 
 
 def test_doubling_power_exact():
@@ -105,6 +117,12 @@ def test_doubling_grid_must_sit_below_cutoff():
     g = h1(S_STAR, beta=0.05)
     with pytest.raises(ParameterError):
         g.doubling_ratio_scan([math.log(g.r0)])
+
+
+@pytest.mark.parametrize("point", [math.nan, -math.inf])
+def test_doubling_grid_must_be_finite(point):
+    with pytest.raises(ParameterError, match="finite"):
+        power(0.8).doubling_ratio_scan([-5.0, point])
 
 
 def test_monotone_on_certified_region():
@@ -157,3 +175,67 @@ def test_duality_corrections_cancel():
     for lt in (-60.0, -1e3, -1e6):
         total = a.eval_log(lt) + b.eval_log(lt)
         assert total == pytest.approx(2 * S_STAR * lt, rel=1e-12)
+
+
+# ---- one elementwise rule, against the scalar-flag reference --------------------------
+
+
+def test_eval_log_reads_lists_and_tuples_as_arrays():
+    g = power(0.8)
+    want = g.eval_log(np.array([-5.0, -6.0, -7.0]))
+    assert want == pytest.approx([-4.0, -4.8, -5.6], rel=1e-15)
+    assert g.eval_log([-5.0, -6.0, -7.0]).tobytes() == want.tobytes()
+    assert g.eval_log((-5.0, -6.0, -7.0)).tobytes() == want.tobytes()
+
+
+@st.composite
+def gauges(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    beta = None if family == POWER else draw(st.floats(0.01, 5.0))
+    gamma = draw(st.floats(-2.0, 2.0)) if family in (H1, H1_STAR) else None
+    return GaugeFunction(s=draw(st.floats(0.01, 2.0)), family=family, beta=beta, gamma=gamma)
+
+
+def log_ts(h: GaugeFunction):
+    """log t on both sides of the cutoff, with the cutoff, its neighbours, signed zeros and subnormals."""
+    lr = h.log_r0
+    edges = [lr, math.nextafter(lr, -math.inf), math.nextafter(lr, math.inf), 0.0, -0.0, 5e-324, -5e-324]
+    return st.one_of(st.sampled_from(edges), st.floats(lr - 20.0, lr + 20.0), st.floats(-1e7, 10.0))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@given(st.data())
+def test_eval_log_has_the_reference_bits_on_every_shape(data):
+    h = data.draw(gauges())
+    xs = data.draw(st.lists(log_ts(h), max_size=12))
+    x = data.draw(log_ts(h))
+    n = data.draw(st.integers(-10**6, 10))
+    for scalar in (x, n, np.float64(x), np.array(x)):
+        got = h.eval_log(scalar)
+        assert type(got) is float and _bits(got) == _bits(oracle_eval_log(h, scalar))
+    even = xs[: len(xs) // 2 * 2]
+    for arr in (np.array(xs), np.array(even).reshape(2, -1), np.array(xs).reshape(-1, 1), np.empty((2, 0))):
+        got, want = h.eval_log(arr), oracle_eval_log(h, arr)
+        assert got.shape == arr.shape and _bits(got) == _bits(want)
+    want = h.eval_log(np.array(xs))
+    assert _bits(h.eval_log(xs)) == _bits(want) and _bits(h.eval_log(tuple(xs))) == _bits(want)
+    bad = xs + [data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))]
+    with pytest.raises(ParameterError):
+        h.eval_log(np.array(data.draw(st.permutations(bad))))
+
+
+@given(st.sampled_from(FAMILIES), st.floats(), st.floats(), st.floats())
+# the formula at r0 is NaN (2 beta overflows) or -inf (s log r0 overflows): refused, with no RuntimeWarning
+@example(H1, 0.0, 1.7e308, 0.5)
+@example(H1_STAR, 1e10, 1e-300, 0.0)
+def test_gauge_is_well_formed_or_refused(family, s, beta, gamma):
+    try:
+        h = GaugeFunction(
+            s=s, family=family, beta=None if family == POWER else beta, gamma=gamma if family in (H1, H1_STAR) else None
+        )
+    except ConfigError:
+        return
+    assert math.isfinite(h.log_r0) and 0 < h.h_bar <= 1

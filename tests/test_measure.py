@@ -576,7 +576,8 @@ def test_packing_running_max_deterministic_line():
 
 
 def test_packing_running_max_on_the_stream_path():
-    # recursive trees have no fast path: the maximum runs over the requested depths only
+    # recursive trees have no fast path; these sums rise, so the maximum over the
+    # requested depths is the maximum over every level up to them
     r = sample(REC, 4, worked_family())
     h = power(S_HOM)
     depths = [1, 3, 4, 7]
@@ -585,6 +586,18 @@ def test_packing_running_max_on_the_stream_path():
     assert series.kind == "running_max"
     want = np.maximum.accumulate(oracle_stream_log_sums(r, h, depths, DEFAULT_NODE_BUDGET))
     assert series.log_sums.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("s", [0.9, 1.0])
+def test_packing_max_on_the_stream_path_runs_over_every_level(s):
+    # the stream path's maximum covers the levels between requested depths, as the fast path's does
+    fam, h, depths = worked_family(), power(s), [2, 5, 8]
+    idx = np.asarray(depths) - 1
+    for seed in range(20):
+        r = sample(REC, seed, fam)
+        every = oracle_stream_log_sums(r, h, range(1, depths[-1] + 1), DEFAULT_NODE_BUDGET)
+        want = np.maximum.accumulate(every)[idx]
+        assert packing_level_limsup(r, h, depths).log_sums.tobytes() == want.tobytes(), seed
 
 
 def test_packing_running_max_is_monotone():
