@@ -66,16 +66,15 @@ def _maps(family: RIFSFamily) -> tuple[np.ndarray, ...]:
     return ratio, isometry, translation
 
 
-def _then(acc: list, maps: tuple, rows: np.ndarray, sys: np.ndarray, j: np.ndarray) -> None:
-    """Compose rows ``rows`` of ``acc``, in place, with maps ``j`` of systems ``sys`` applied first.
+def _compose_step(acc: Sequence[np.ndarray], maps: tuple, sys: np.ndarray, j: np.ndarray) -> tuple:
+    """Row k of ``acc = (ratio, matrix, translation)`` composed with map ``j[k]`` of system ``sys[k]`` applied first.
 
     Each row repeats the arithmetic of composing two ``Affine``s, so it is
     bit-identical to composing one coding at a time.
     """
-    ratio, matrix, translation = (a[rows] for a in acc)
+    ratio, matrix, translation = acc
     r, q, b = (t[sys, j] for t in maps)
-    acc[0][rows], acc[1][rows] = ratio * r, matrix @ q
-    acc[2][rows] = ratio[:, None] * (matrix @ b[:, :, None])[:, :, 0] + translation
+    return ratio * r, matrix @ q, ratio[:, None] * (matrix @ b[:, :, None])[:, :, 0] + translation
 
 
 def _apply(acc: list, x: np.ndarray) -> np.ndarray:
@@ -85,13 +84,24 @@ def _apply(acc: list, x: np.ndarray) -> np.ndarray:
 
 
 def _cylinders(family: RIFSFamily, letters: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """Row k: the similarity composed from the letters ``letters[k, i] = (sys, j)`` up to the first
-    ``j == 0``, with its cylinder's center and diameter."""
+    """Row k: the similarity composed from a coding's letters ``letters[k, i] = (sys, j)``, which
+    are followed by zeros, with its cylinder's center and diameter.
+
+    Rows are ordered by coding length, longest first, so the rows with an i-th letter are a prefix
+    and letter column i is one ``_compose_step`` on that prefix; the inverse permutation returns
+    the rows in input order.
+    """
     maps = _maps(family)
+    lengths = np.count_nonzero(letters[:, :, 1], axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    sys, j = letters[order].transpose(2, 1, 0)  # [column, row], longest coding first
     acc = [t[0, np.zeros(len(letters), dtype=np.intp)] for t in maps]  # identity rows
-    for sys, j in letters.transpose(1, 2, 0):  # one letter column at a time
-        rows = (j > 0).nonzero()[0]
-        _then(acc, maps, rows, sys[rows], j[rows])
+    for col in range(lengths.max(initial=0)):
+        k = np.count_nonzero(lengths > col)
+        for a, part in zip(acc, _compose_step([a[:k] for a in acc], maps, sys[col, :k], j[col, :k])):
+            a[:k] = part
+    back = np.argsort(order)  # the inverse permutation
+    acc = [a[back] for a in acc]
     dim = family.ambient_dim
     return acc, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim)
 
@@ -155,7 +165,14 @@ def sample_points(
     at step s of descent a is drawn from ``fold(fold(fold(base, i), a), s)``.
     Points descend together a level per step, in blocks of at most
     ``trees.FRONTIER_NODES``, with labels and child states from one ``trees.expander``.
-    A family with a map of ratio 1 has branches that never shrink, so it is refused.
+    Only the rows still descending are kept, as compact arrays of ratios,
+    matrices and translations that one ``_compose_step`` advances; a step
+    where some row stops writes its points and gathers the rest once.  The
+    draws are counter-based, so one ``fold_array`` gives a block of steps:
+    as many as the slowest-shrinking descent needs, at most
+    ``trees.FRONTIER_NODES`` draws, and a descent that outlives its block
+    draws the next.  A family with a map of ratio 1 has branches that never
+    shrink, so it is refused.
     """
     family = r.family
     trees._require_integer("point count", n)
@@ -171,6 +188,8 @@ def sample_points(
     maps, nmaps = _maps(family), family.map_counts
     expand, aux0 = trees.expander(r), r._root_state[1]
     dim = family.ambient_dim
+    scale, center = math.sqrt(dim), np.full(dim, 0.5)
+    steps = math.ceil(math.log(diameter_tol / scale) / math.log(family.c_max))  # of the slowest-shrinking descent
     base = streams.fold(int(seed) & streams.MASK64, streams.TAG_POINT)
     out = np.empty((n, dim))
     for start in range(0, n, trees.FRONTIER_NODES):
@@ -178,22 +197,34 @@ def sample_points(
         for attempt in range(max_retries):
             if not todo.size:
                 break
-            stream = streams.fold_array(streams.fold_array(base, todo), attempt)
-            acc = [t[0, np.zeros(todo.size, dtype=np.intp)] for t in maps]  # identity rows
-            aux = None if aux0 is None else np.full(todo.size, aux0, dtype=np.uint64)
-            live, extinct, step = np.arange(todo.size), np.zeros(todo.size, dtype=bool), 0
-            while live.size:  # the rows still descending, which ``aux`` follows
-                sys, children = expand(step, aux, live.size)
-                big = acc[0][live] * math.sqrt(dim) > diameter_tol
-                extinct[live[big & (nmaps[sys] == 0)]] = True
-                go = (big & (nmaps[sys] > 0)).nonzero()[0]
-                u = streams.u01_array(streams.fold_array(stream[live[go]], step))
-                j = 1 + (u * nmaps[sys[go]]).astype(np.intp)
-                _then(acc, maps, live[go], sys[go], j)
-                aux = None if children is None else children[go, j - 1]
-                live, step = live[go], step + 1
-            out[todo[~extinct]] = _apply([a[~extinct] for a in acc], np.full(dim, 0.5))
-            todo = todo[extinct]
+            rows, extinct = todo, [todo[:0]]  # the points still descending, in order, and the lost ones
+            stream = streams.fold_array(streams.fold_array(base, rows), attempt)
+            acc = tuple(t[0, np.zeros(rows.size, dtype=np.intp)] for t in maps)  # identity rows
+            aux = None if aux0 is None else np.full(rows.size, aux0, dtype=np.uint64)
+            u, first = np.empty((rows.size, 0)), 0  # the block of draws: column k is step first + k
+            here, step = np.arange(rows.size), 0  # row numbers, for ``children[here, j - 1]``
+            while True:
+                sys, children = expand(step, aux, rows.size)
+                big, count = acc[0] * scale > diameter_tol, nmaps[sys]
+                go = big & (count > 0)
+                if not go.all():
+                    done = ~big
+                    out[rows[done]] = _apply([a[done] for a in acc], center)
+                    extinct.append(rows[big & (count == 0)])
+                    rows, stream, sys, count, u = rows[go], stream[go], sys[go], count[go], u[go]
+                    acc, here = tuple(a[go] for a in acc), here[: rows.size]
+                    children = None if children is None else children[go]
+                    if not rows.size:
+                        break
+                if step - first == u.shape[1]:
+                    block = max(1, min(steps - step, trees.FRONTIER_NODES // rows.size))
+                    u = streams.u01_array(streams.fold_array(stream[:, None], np.arange(step, step + block)))
+                    first = step
+                j = 1 + (u[:, step - first] * count).astype(np.intp)
+                acc = _compose_step(acc, maps, sys, j)
+                aux = None if children is None else children[here, j - 1]
+                step += 1
+            todo = np.sort(np.concatenate(extinct))
         if todo.size:
             raise ExtinctionError(f"point {todo[0]}: all {max_retries} descents hit extinct branches")
     return out
@@ -231,12 +262,13 @@ def box_dimension_from_counts(
 
 def box_count_points(points: np.ndarray, scales: Sequence[float]) -> np.ndarray:
     """Occupied-grid-cell counts of a point cloud per scale."""
-    pts = np.asarray(points, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float).T).T  # a 1-d array as one column
     s = np.asarray(scales, dtype=float)
     counts = np.empty(s.size, dtype=np.int64)
     for i, delta in enumerate(s):
         cells = np.floor(pts / delta).astype(np.int64)
-        counts[i] = np.unique(cells, axis=0).shape[0]
+        cells = cells[np.lexsort(cells.T)]  # not np.unique, whose first call imports numpy.ma
+        counts[i] = np.count_nonzero((cells[1:] != cells[:-1]).any(axis=1)) + (len(cells) > 0)
     return counts
 
 
@@ -296,7 +328,7 @@ def export_points_csv(path: str, points: np.ndarray, provenance: str = "") -> No
     with open(path, "w", newline="") as fh:
         if provenance:
             fh.write(f"# {provenance}\n")
-        for row in np.atleast_2d(pts):
+        for row in np.atleast_2d(pts).tolist():
             fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
 
 

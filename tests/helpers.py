@@ -27,9 +27,6 @@ from necktree.geometry import (
     POINT_DIAMETER_TOL,
     Affine,
     Cylinder,
-    _apply,
-    _maps,
-    _then,
     require_geometry,
     sample_points,
     uosc_audit_1d,
@@ -592,18 +589,16 @@ def oracle_chunk_stopping_set(r: Realization, epsilon: float) -> Iterator[Coding
 
 
 def oracle_cylinders(family: RIFSFamily, codings: Sequence[Coding]) -> tuple[list, np.ndarray, np.ndarray]:
-    """Row k: the similarity composed from ``codings[k]``, its cylinder's center and diameter."""
-    maps = _maps(family)
-    acc = [t[0, np.zeros(len(codings), dtype=np.intp)] for t in maps]  # identity rows
-    lengths = np.array([len(c.letters) for c in codings], dtype=np.intp)
-    letters = np.array([a for c in codings for a in c.letters], dtype=np.intp).reshape(-1, 2)
-    first = np.cumsum(lengths) - lengths  # row of each coding's first letter in ``letters``
-    for k in range(lengths.max(initial=0)):
-        rows = (lengths > k).nonzero()[0]
-        sys, j = letters[first[rows] + k].T
-        _then(acc, maps, rows, sys, j)
+    """Row k: the similarity ``oracle_compose`` builds from ``codings[k]``, its cylinder's center and diameter."""
     dim = family.ambient_dim
-    return acc, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim)
+    cyls = [oracle_compose(family, c) for c in codings]
+    acc = [
+        np.array([c.affine.ratio for c in cyls], dtype=float),
+        np.array([c.affine.matrix for c in cyls], dtype=float).reshape(-1, dim, dim),
+        np.array([c.affine.translation for c in cyls], dtype=float).reshape(-1, dim),
+    ]
+    center = np.array([c.center for c in cyls], dtype=float).reshape(-1, dim)
+    return acc, center, np.array([c.diameter for c in cyls], dtype=float)
 
 
 def oracle_log_mass(nu: NaturalMeasure, coding: Coding) -> float:

@@ -573,6 +573,7 @@ def test_percolate_derives_candidate_seeds_lazily(capsys):
 
 NUMPY_MA_PROBE = """
 import json, sys
+import numpy as np
 from necktree.cli import parse_depths
 from necktree.geometry import box_dimension
 from necktree.rifs import equicontractive_family
@@ -581,7 +582,8 @@ from necktree.trees import ModelSpec, sample
 grid = parse_depths(sys.argv[1])
 r = sample(ModelSpec(kind="homogeneous"), 0, equicontractive_family([2], 0.5, [1.0]))
 slope, _ = box_dimension(r, [2.0**-k for k in range(2, 9)])
-print(json.dumps([grid, slope, "numpy.ma" in sys.modules]))
+points_slope, _ = box_dimension(np.random.default_rng(0).random((10**4, 1)), [2.0**-k for k in range(2, 9)])
+print(json.dumps([grid, slope, points_slope, "numpy.ma" in sys.modules]))
 """
 
 
@@ -589,7 +591,8 @@ def test_depth_grids_and_box_scales_do_not_import_numpy_ma():
     # np.unique's first call imports numpy.ma, about 1 MiB
     proc = run_in_fresh_process(["100:10000:log"], code=NUMPY_MA_PROBE)
     assert proc.returncode == 0, proc.stderr
-    grid, slope, imported = json.loads(proc.stdout)
+    grid, slope, points_slope, imported = json.loads(proc.stdout)
     assert grid == [100, 133, 178, 237, 316, 422, 562, 750, 1000, 1334, 1778, 2371, 3162, 4217, 5623, 7499, 10000]
     assert slope == pytest.approx(1.0, abs=1e-9)
+    assert points_slope == pytest.approx(1.0, abs=0.05)
     assert imported is False

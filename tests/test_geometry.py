@@ -7,10 +7,12 @@ from scipy import stats as sstats
 from necktree.errors import ConfigError, ExtinctionError, GeometryError, ParameterError, PreconditionError
 from necktree.geometry import (
     _maps,
+    box_count_points,
     box_dimension,
     box_dimension_from_counts,
     compose,
     export_pgm,
+    export_points_csv,
     percolation_preset,
     rasterize,
     require_geometry,
@@ -268,6 +270,17 @@ def test_box_dimension_parameter_errors():
         box_dimension(np.zeros((10, 1)), [2.0**-k for k in range(2, 9)])
 
 
+def test_box_counts_match_a_set_of_occupied_cells():
+    rng = np.random.default_rng(5)
+    for n, dim in ((0, 1), (1, 2), (2, 1), (500, 1), (500, 2), (2000, 3)):
+        pts = rng.random((n, dim)) ** 3  # bunched toward 0, so cells repeat at every scale
+        scales = [2.0**-k for k in range(1, 12)]
+        want = [len({tuple(c) for c in np.floor(pts / d).astype(np.int64).tolist()}) for d in scales]
+        assert box_count_points(pts, scales).tolist() == want
+        if dim == 1:
+            assert box_count_points(pts[:, 0], scales).tolist() == want
+
+
 def test_box_dimension_extinct_counts():
     with pytest.raises(ExtinctionError):
         box_dimension_from_counts([2.0**-k for k in range(2, 9)], [4, 8, 16, 0, 0, 0, 0])
@@ -300,6 +313,18 @@ def test_percolation_domain():
 
 
 # ---- exports -----------------------------------------------------------------------------
+
+
+def test_points_csv_formats_each_value_as_its_float64(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array([-0.0, 0.0, tiny, -tiny, 2.5e-310, 1 / 3, -2 / 3, 1e300, 123456789.5, 0.1])
+    for dim in (1, 2, 3):
+        pts = values[: len(values) // dim * dim].reshape(-1, dim)
+        out = tmp_path / f"points{dim}.csv"
+        export_points_csv(str(out), pts, "prov")
+        want = "# prov\n" + "".join(",".join(f"{x:.9g}" for x in row) + "\n" for row in pts)
+        assert want.startswith("# prov\n-0")
+        assert out.read_bytes() == want.encode()
 
 
 def test_rasterize_and_pgm(tmp_path):

@@ -1,6 +1,7 @@
 """Row-wise composition of similarities against the one-letter-at-a-time oracle,
 and geometry in ambient dimension 2."""
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest.mock import patch
@@ -182,6 +183,31 @@ def test_mass_check_on_letter_arrays_matches_coding_tuples(r, epsilons, n_balls,
         args = (r, h, nu, n_balls, epsilons, seed)
         got = _report_or_error(mass_distribution_check, *args, assume_uosc=True)
         assert got == _report_or_error(oracle_mass_distribution_check, *args, assume_uosc=True)
+
+
+@settings(max_examples=100)
+@given(
+    realizations(),
+    st.integers(0, 24),
+    st.data(),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([1e-2, 1e-4, 1e-9]),
+    st.integers(1, 3),
+    st.integers(1, 7),
+)
+def test_the_first_points_of_a_sample_are_the_sample_of_that_size(r, n, data, seed, tol, retries, frontier):
+    m = data.draw(st.integers(0, n))
+    # blocks of 1-7 points and draws: the block length depends on the number of rows
+    with patch.object(trees, "FRONTIER_NODES", frontier):
+        whole, part = (
+            _points_or_error(sample_points, r, k, seed, diameter_tol=tol, max_retries=retries) for k in (n, m)
+        )
+    if isinstance(whole, bytes):
+        assert part == whole[: m * r.family.ambient_dim * 8]
+    elif int(re.match(r"point (\d+):", whole[1]).group(1)) < m:
+        assert part == whole
+    else:
+        assert isinstance(part, bytes)
 
 
 def test_extinction_names_the_first_failing_point_across_blocks():
