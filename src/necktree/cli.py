@@ -100,21 +100,22 @@ def _load_model(arg: str):
         obj = {"model": arg}
         model_hash = config.content_hash(json.dumps(obj, sort_keys=True).encode())
     else:
-        obj, model_hash = config.load_json(arg), config.file_hash(arg)
+        obj, model_hash = config.load_json_hashed(arg)
     spec, seed = config.model_from_dict(obj)
     return spec, seed, model_hash
 
 
 def _inputs(ns: argparse.Namespace):
     """Family, model, seed, gauge (or None) and manifest of a command that takes --family."""
-    family = config.family_from_dict(config.load_json(ns.family))
+    obj, family_hash = config.load_json_hashed(ns.family)
+    family = config.family_from_dict(obj)
     model, model_seed, model_hash = _load_model(ns.model)
-    hashes = {"family": config.file_hash(ns.family), "model": model_hash}
+    hashes = {"family": family_hash, "model": model_hash}
     seed = (model_seed or 0) if ns.seed is None else ns.seed
     gauge = None
     if ns.gauge:
-        gauge = config.gauge_from_dict(config.load_json(ns.gauge), family=family, model=model)
-        hashes["gauge"] = config.file_hash(ns.gauge)
+        obj, hashes["gauge"] = config.load_json_hashed(ns.gauge)
+        gauge = config.gauge_from_dict(obj, family=family, model=model)
     manifest = RunManifest(
         command=ns.command, spec_hashes=hashes, master_seed=int(seed),
         tool_version=__version__, started=_now(),
@@ -190,11 +191,27 @@ def _levelsum(ns: argparse.Namespace) -> None:
 def _sections(ns: argparse.Namespace) -> None:
     family, model, seed, gauge, _ = _inputs(ns)
     sv = measure.section_infimum(trees.sample(model, seed, family), gauge, ns.depth_min, ns.depth_cap)
-    print(json.dumps({
-        "value_log": float(sv.value_log),
-        "depth_min": sv.depth_min,
-        "argmin_section": [list(a) for a in sv.argmin_section] if sv.argmin_section else None,
-    }, indent=2))
+    print(_section_json(sv))
+
+
+def _section_json(sv: measure.SectionValue) -> str:
+    """The text of ``json.dumps`` with ``indent=2`` of the value, ``depth_min`` and the section (null if empty).
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder; here the C
+    encoder writes the addresses, lists of ints, with the indented item
+    separator, and the breaks around each address are put in by one
+    replace.  A section holding the root holds nothing else.
+    """
+    section = "null"
+    if sv.argmin_section == ((),):
+        section = "[\n    []\n  ]"
+    elif sv.argmin_section:
+        rows = json.dumps(sv.argmin_section, separators=(",\n      ", ":"))[2:-2]
+        section = "[\n    [\n      " + rows.replace("],\n      [", "\n    ],\n    [\n      ") + "\n    ]\n  ]"
+    return (
+        f'{{\n  "value_log": {json.dumps(float(sv.value_log))},\n  "depth_min": {json.dumps(sv.depth_min)},\n'
+        f'  "argmin_section": {section}\n}}'
+    )
 
 
 def _drift(ns: argparse.Namespace) -> None:

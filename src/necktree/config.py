@@ -28,22 +28,30 @@ from .rifs import HOMOGENEOUS, IFS, BlockTemplate, ModelSpec, RIFSFamily, Simila
 
 
 def load_json(path: Union[str, Path]) -> Any:
+    return load_json_hashed(path)[0]
+
+
+def load_json_hashed(path: Union[str, Path]) -> tuple[Any, str]:
+    """A config file's JSON value and the ``content_hash`` of its bytes, from one read.
+
+    A file that cannot be read, or whose bytes are not UTF-8 JSON, raises ``ConfigError``.
+    """
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}")
+    try:
+        obj = json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    return obj, content_hash(data)
 
 
 def content_hash(data: bytes) -> str:
     """64-bit content hash, hex encoded."""
     return hashlib.blake2b(data, digest_size=8).hexdigest()
-
-
-def file_hash(path: Union[str, Path]) -> str:
-    return content_hash(Path(path).read_bytes())
 
 
 def _require(obj: dict, key: str, where: str) -> Any:

@@ -574,15 +574,15 @@ class _OpenChunk:
     in a ``small`` chunk of at most ``trees.SCALAR_NODES`` nodes, where numpy's
     per-call cost would dominate; a chunk at ``depth_cap`` has none.
     ``finish`` drops it and keeps ``mine``, whether each node took its own
-    value; ``_argmin_section`` sets ``free``.
+    value; ``_argmin_section`` sets ``first``.
     """
 
-    __slots__ = ("chunk", "up", "small", "kids", "mine", "free")
+    __slots__ = ("chunk", "up", "small", "kids", "mine", "first")
 
     def __init__(self, chunk: Chunk, up: Optional["_OpenChunk"], n_max: int, depth_cap: int) -> None:
         n = len(chunk)
         self.chunk, self.up, self.small = chunk, up, n <= trees.SCALAR_NODES
-        self.kids = self.mine = self.free = None
+        self.kids = self.mine = self.first = None
         if chunk.depth < depth_cap:
             self.kids = [[-math.inf] * n_max for _ in range(n)] if self.small else np.full((n, n_max), -math.inf)
 
@@ -650,26 +650,42 @@ def _log_sum_rows(rows: np.ndarray) -> np.ndarray:
 def _argmin_section(kept: list[_OpenChunk]) -> tuple[tuple[int, ...], ...]:
     """The nodes that took their own value under no ancestor that did, in address order.
 
-    One pass down ``kept``, parents first: ``free[i]`` is node i's address
-    while no node on its path took its own value, else None; ``free`` itself
-    is None when every node of the chunk has such a node on its path, and
-    the chunks below are skipped.  A section is an antichain, so address
-    order is the order of the sorted tuples.
+    The nodes of ``kept`` are numbered in its order, each chunk's from its
+    ``first`` on (the root is 0, its own parent), into one array each of
+    parents, ``j``, depths and ``mine``.  ``lifts[k]`` maps a node to the
+    node 2^k levels above it (the root above the root): k doublings tell
+    whether a node within 2^k levels above took its own value, and the
+    binary digits of its distance from a section node lift that node to the
+    ancestor holding column c of its address.  ``trees._address_order``
+    sorts the zero-padded rows.
     """
-    section = []
+    total = 0
     for node in kept:
-        if node.up is None:
-            heads = [()]
-        elif node.up.free is None:
-            continue
-        else:
-            up, chunk = node.up.free, node.chunk
-            heads = [None if up[p] is None else up[p] + (j,) for p, j in zip(chunk.parent.tolist(), chunk.j.tolist())]
-        mine = node.mine if type(node.mine) is list else node.mine.tolist()
-        section += [a for a, m in zip(heads, mine) if m and a is not None]
-        free = [None if m else a for a, m in zip(heads, mine)]
-        node.free = None if free.count(None) == len(free) else free
-    return tuple(sorted(section))
+        node.first, total = total, total + len(node.chunk)
+    rest = kept[1:]  # the root chunk has no parent or j arrays
+    sizes = [len(node.chunk) for node in rest]
+    parent = np.concatenate([[0], *(node.chunk.parent for node in rest)])
+    parent[1:] += np.repeat(np.array([node.up.first for node in rest], dtype=np.intp), sizes)
+    j_of = np.concatenate([[0], *(node.chunk.j for node in rest)])
+    depth_of = np.repeat([node.chunk.depth for node in kept], [1, *sizes])
+    mine = np.concatenate([node.mine for node in kept])
+
+    lifts, above = [parent], mine[parent]
+    above[0] = False
+    for _ in range(int(depth_of.max() - 1).bit_length()):
+        above |= above[lifts[-1]]
+        lifts.append(lifts[-1][lifts[-1]])
+    ids = (mine & ~above).nonzero()[0]
+    if not ids.size:
+        return ()
+    depth = depth_of[ids]
+    dist = depth[:, None] - 1 - np.arange(max(int(depth.max()), 1))  # lexsort needs a column
+    node = ids[:, None]  # np.where broadcasts it along the row
+    for k, lift in enumerate(lifts[:-1]):
+        node = np.where(dist & (1 << k), lift[node], node)
+    rows = np.where(dist >= 0, j_of[node], 0)
+    order = trees._address_order(rows)
+    return tuple([tuple(a[:n]) for a, n in zip(rows[order].tolist(), depth[order].tolist())])
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,7 @@ class RIFSFamily:
 
     Its label tables, read-only: ``label_thresholds``, ``map_counts``, ``log_ratios`` (``[nsystems, n_max]``,
     the log ratio of map j + 1 of system i, 0 past its maps) and ``log_map_counts`` (-inf for no maps).
+    ``map_ratios[i]`` is the tuple of system i's map ratios as floats, which the moment sums read.
     """
 
     systems: tuple[IFS, ...]
@@ -134,6 +135,7 @@ class RIFSFamily:
         object.__setattr__(self, "c_max", max(ratios))
         object.__setattr__(self, "n_max", max(s.nmaps for s in systems))
         log_ratios = [[math.log(m.ratio) for m in s.maps] + [0.0] * (self.n_max - s.nmaps) for s in systems]
+        object.__setattr__(self, "map_ratios", tuple(tuple(float(m.ratio) for m in s.maps) for s in systems))
         _set_tables(self, label_thresholds=_label_thresholds(cumulative_weights(weights)),
                     map_counts=np.array([s.nmaps for s in systems]), log_ratios=np.array(log_ratios),
                     log_map_counts=np.array([math.log(s.nmaps) if s.nmaps else -math.inf for s in systems]))
@@ -263,9 +265,14 @@ def moment(family: RIFSFamily, lambda_index: int, s: float) -> float:
     """Moment sum ``S^s = sum_j (c_j)^s`` of one system."""
     if not 0 <= lambda_index < family.nsystems:
         raise IndexError(f"system index {lambda_index} out of range")
+    return _moments(family, s)[lambda_index]
+
+
+def _moments(family: RIFSFamily, s: float) -> list[float]:
+    """``S^s`` of every system, each ``c ** s`` over ``map_ratios`` added left to right (0.0 for no maps)."""
     if s < 0:
         raise ParameterError("moment exponent s must be >= 0")
-    return float(sum(m.ratio**s for m in family.systems[lambda_index].maps))
+    return [float(sum([c**s for c in row])) for row in family.map_ratios]
 
 
 def bisect_decreasing(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
@@ -297,9 +304,7 @@ def _moment_root(system: IFS) -> Optional[float]:
 
 def log_moments(family: RIFSFamily, s: float) -> np.ndarray:
     """Per-system ``log S^s``, -inf for an empty system."""
-    return np.array(
-        [math.log(v) if (v := moment(family, i, s)) > 0 else -math.inf for i in range(family.nsystems)]
-    )
+    return np.array([math.log(v) if v > 0 else -math.inf for v in _moments(family, s)])
 
 
 def log_moment_stats(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS) -> tuple[float, float]:
@@ -361,7 +366,9 @@ def dimension(family: RIFSFamily, model: ModelSpec | str) -> float:
         es0 = _mean_s0(family)
         if not es0 > 1.0:
             raise PreconditionError(f"recursive model needs E[S^0] > 1, got E[S^0] = {es0}")
-        objective = lambda s: sum(w * moment(family, i, s) for i, w in enumerate(family.weights)) - 1.0
+        rows = list(zip(family.weights, family.map_ratios))
+        # ``_moments`` inlined, as each bisection step calls it; w * 0 adds the 0.0 of an empty system
+        objective = lambda s: sum([w * sum([c**s for c in row]) for w, row in rows]) - 1.0
     else:
         els0 = _mean_log_moment(family, 0.0)[0]
         if not els0 > 0.0:
@@ -407,7 +414,7 @@ def validate(family: RIFSFamily, model: ModelSpec | str) -> ConditionsReport:
     if almost_det is None and supercritical and ratio_bounds_ok:
         s_star = dimension(family, model)
         eps = GAP_EPSILON_FRAC * s_star
-        vals = [moment(family, i, s_star - eps) for i in range(family.nsystems)]
+        vals = _moments(family, s_star - eps)
         sub_unit = [v for v, w in zip(vals, family.weights) if w > 0 and v < 1.0]
         if sub_unit:
             gamma = max(sub_unit)

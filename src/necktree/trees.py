@@ -390,13 +390,23 @@ def _log_epsilon(r: Realization, epsilon: float) -> float:
     return log(epsilon)
 
 
+def _address_order(j: np.ndarray) -> np.ndarray:
+    """The order that puts the nodes of an antichain in address order, from their ``[n, width]`` map indices.
+
+    Row i holds one node's map indices ``j`` and then zeros; maps are
+    numbered from 1, so ``j == 0`` marks the end.  No node of an antichain
+    lies below another and siblings share their parent's system, so one
+    ``np.lexsort`` on the ``j`` columns, the first column as the primary
+    key, gives address order.
+    """
+    return np.lexsort(j[:, ::-1].T)
+
+
 def _stopping_letters(r: Realization, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """The codings of ``stopping_set`` in address order: ``[n, width, 2]`` letters and log ratios.
 
-    Row i holds one coding's letters ``(sys, j)`` and then zeros; maps are
-    numbered from 1, so ``j == 0`` marks the end.  No coding is a prefix of
-    another and siblings share their parent's system, so sorting on the ``j``
-    columns alone gives address order.
+    Row i holds one coding's letters ``(sys, j)`` and then zeros, as
+    ``_address_order`` reads them.
     """
     log_eps = _log_epsilon(r, epsilon)
     parts = []
@@ -410,7 +420,7 @@ def _stopping_letters(r: Realization, epsilon: float) -> tuple[np.ndarray, np.nd
     for _, w in parts:
         letters[start : start + len(w), : w.shape[1]] = w
         start += len(w)
-    order = np.lexsort(letters[:, ::-1, 1].T)
+    order = _address_order(letters[:, :, 1])
     return letters[order], log_ratio[order]
 
 

@@ -45,11 +45,13 @@ from necktree.measure import (
 from necktree.rifs import (
     HOMOGENEOUS,
     IFS,
+    RECURSIVE,
     RIFSFamily,
     SimilarityMap,
     bisect_decreasing,
     cumulative_weights,
     equicontractive_family,
+    eta_hat,
     log_moment_stats,
     validate,
 )
@@ -977,3 +979,60 @@ def oracle_eval_log(h: GaugeFunction, log_t):
     if np.any(inside):
         out[inside] = h._formula_log(arr[inside])
     return float(out[0]) if scalar else out
+
+
+# ---- moment sums over each system's maps ----------------------------------------------
+# ``rifs.moment`` and its readers as they ran before the moment sums read the
+# family's ``map_ratios``: one ``moment`` call per system, each summing
+# ``m.ratio**s`` over the system's maps.  Kept verbatim (names aside) as the
+# bit-identity reference for the homogeneous and recursive models.
+
+
+def oracle_moment(family: RIFSFamily, lambda_index: int, s: float) -> float:
+    """Moment sum ``S^s = sum_j (c_j)^s`` of one system."""
+    return float(sum(m.ratio**s for m in family.systems[lambda_index].maps))
+
+
+def oracle_log_moments(family: RIFSFamily, s: float) -> np.ndarray:
+    """Per-system ``log S^s``, -inf for an empty system."""
+    return np.array(
+        [math.log(v) if (v := oracle_moment(family, i, s)) > 0 else -math.inf for i in range(family.nsystems)]
+    )
+
+
+def oracle_mean_log_moment(family: RIFSFamily, s: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """E[log S^s] under the selection weights, with the weights and per-system ``log S^s`` it sums."""
+    vals = oracle_log_moments(family, s)
+    w = np.asarray(family.weights)
+    if 0.0 in family.weights:
+        vals[w == 0] = 0.0
+    return float(np.dot(w, vals)), w, vals
+
+
+def oracle_dimension(family: RIFSFamily, model: str) -> float:
+    """Root of E[S^s] = 1 (recursive) or E[log S^s] = 0 (homogeneous) by bisection."""
+    if family.c_max >= 1.0:
+        raise PreconditionError("dimension needs all contraction ratios < 1")
+    if model == RECURSIVE:
+        es0 = float(sum(w * s.nmaps for w, s in zip(family.weights, family.systems)))
+        if not es0 > 1.0:
+            raise PreconditionError(f"recursive model needs E[S^0] > 1, got E[S^0] = {es0}")
+        objective = lambda s: sum(w * oracle_moment(family, i, s) for i, w in enumerate(family.weights)) - 1.0
+    else:
+        els0 = oracle_mean_log_moment(family, 0.0)[0]
+        if not els0 > 0.0:
+            raise PreconditionError(f"homogeneous model needs E[log S^0] > 0, got E[log S^0] = {els0}")
+        objective = lambda s: oracle_mean_log_moment(family, s)[0]
+
+    hi = math.log(max(family.n_max, 2)) / math.log(1.0 / family.c_max) + 1.0
+    return bisect_decreasing(objective, 0.0, hi)
+
+
+def oracle_beta_hat(family: RIFSFamily, s: float) -> float:
+    """Var(log S^s) / eta_hat under the selection weights."""
+    mean, w, vals = oracle_mean_log_moment(family, s)
+    var = float(np.dot(w, (vals - mean) ** 2)) if math.isfinite(mean) else math.nan
+    eta = eta_hat(family)
+    if not (var > 0) or eta == 0:
+        raise PreconditionError("beta_hat needs positive variance and contraction")
+    return var / eta

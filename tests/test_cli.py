@@ -9,6 +9,8 @@ from typing import Optional
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necktree import cli, measure, trees
 from necktree.cli import EXIT_CONFIG, EXIT_RESOURCE, EXIT_USAGE, parse_depths, run
@@ -230,6 +232,25 @@ def test_sections_json(configs, capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "value_log" in payload and payload["depth_min"] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([None, (), ((),)]),
+        st.lists(st.lists(st.integers(1, 120), min_size=1, max_size=9).map(tuple), min_size=1, max_size=20).map(tuple),
+    ),
+    st.one_of(st.sampled_from([-math.inf, -0.0]), st.floats(allow_nan=False, allow_infinity=False)),
+    st.integers(0, 12),
+)
+def test_sections_text_is_the_indented_json_dump(section, value_log, depth_min):
+    sv = measure.SectionValue(value_log=value_log, depth_min=depth_min, argmin_section=section)
+    payload = {
+        "value_log": float(value_log),
+        "depth_min": depth_min,
+        "argmin_section": [list(a) for a in section] if section else None,
+    }
+    assert cli._section_json(sv) == json.dumps(payload, indent=2)
 
 
 def test_render_csv_and_pgm(configs):
@@ -511,6 +532,18 @@ def test_malformed_input_is_a_config_error(args, bad, configs, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unreadable_config_is_a_config_error(configs, capsys):
+    tmp, _, model, _, power_gauge = configs
+    (tmp / "ff.json").write_bytes(b"\xff" + json.dumps(WORKED_FAMILY).encode())
+    for family in (tmp, tmp / "ff.json"):
+        assert run([
+            "levelsum", "--family", str(family), "--model", str(model), "--gauge", str(power_gauge), "--depths", "1,2",
+        ]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {family} ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("geometry_fields", [

@@ -8,9 +8,9 @@ from necktree.config import (
     content_hash,
     family_from_dict,
     family_to_dict,
-    file_hash,
     gauge_from_dict,
     load_json,
+    load_json_hashed,
     model_from_dict,
 )
 from necktree.errors import ConfigError
@@ -172,7 +172,7 @@ def test_hashes_stable_and_sensitive(tmp_path):
     assert a != content_hash(b"hello!")
     f = tmp_path / "x.json"
     f.write_text(json.dumps({"model": "recursive"}))
-    assert file_hash(f) == content_hash(f.read_bytes())
+    assert load_json_hashed(f) == ({"model": "recursive"}, content_hash(f.read_bytes()))
 
 
 def test_load_json_errors(tmp_path):
@@ -182,3 +182,10 @@ def test_load_json_errors(tmp_path):
     bad.write_text("{oops")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_json(bad)
+    with pytest.raises(ConfigError, match="cannot be read"):
+        load_json(tmp_path)
+    # not UTF-8, nested past the decoder's recursion limit, an integer past int's digit limit
+    for name, data in (("ff", b"\xff{}"), ("deep", b"[" * 10**5 + b"]" * 10**5), ("digits", b"1" * 5000)):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_json(tmp_path / name)

@@ -20,13 +20,18 @@ from necktree.rifs import (
     dimension,
     equicontractive_family,
     log_moment_stats,
+    log_moments,
     moment,
     validate,
 )
 
 from helpers import (
+    oracle_beta_hat,
     oracle_block_tables,
+    oracle_dimension,
     oracle_homogeneous_dimension,
+    oracle_log_moments,
+    oracle_moment,
     oracle_label_thresholds,
     oracle_log_common_ratios,
     oracle_log_map_counts,
@@ -168,6 +173,30 @@ def test_homogeneous_solver_matches_the_full_statistics_bisection(case):
         if isinstance(want, float):
             want = outcome(lambda: GaugeFunction(s=want, family="h1", beta=beta_hat(family, want, model), gamma=0.25))
         assert repr(outcome(gauge_from_dict, auto, family, model)) == repr(want)
+
+
+@st.composite
+def ratio_row_families(draw):
+    """1-4 systems of 0-4 maps, ratios in (0, 1] with repeats, some weights zero."""
+    ratio = st.one_of(st.sampled_from([0.2, 1 / 3, 0.5, 1.0]), st.floats(0.01, 0.99))
+    n = draw(st.integers(1, 4))
+    systems = [IFS(tuple(SimilarityMap(draw(ratio)) for _ in range(draw(st.integers(0, 4))))) for _ in range(n)]
+    if not any(s.nmaps for s in systems):
+        systems[0] = IFS((SimilarityMap(draw(ratio)),))
+    xs = draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=n, max_size=n).filter(any))
+    return RIFSFamily(systems=tuple(systems), weights=tuple(x / sum(xs) for x in xs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratio_row_families(), st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+def test_moment_sums_over_ratio_rows_keep_their_bits(family, s):
+    for model in ("homogeneous", "recursive"):
+        assert repr(outcome(dimension, family, model)) == repr(outcome(oracle_dimension, family, model))
+    assert [moment(family, i, s) for i in range(family.nsystems)] == [
+        oracle_moment(family, i, s) for i in range(family.nsystems)
+    ]
+    assert log_moments(family, s).tobytes() == oracle_log_moments(family, s).tobytes()
+    assert repr(outcome(beta_hat, family, s)) == repr(outcome(oracle_beta_hat, family, s))
 
 
 def test_log_moment_stats_worked():
