@@ -326,8 +326,9 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("percolate", help="halving percolation preset")
     sp.set_defaults(handler=_percolate)
     sp.add_argument("--p", type=float, required=True, help="retention probability")
-    sp.add_argument("--dim", action="store_true", help="print the almost-sure dimension")
-    sp.add_argument("--boxdim", action="store_true", help="estimate the box dimension")
+    what = sp.add_mutually_exclusive_group()
+    what.add_argument("--dim", action="store_true", help="print the almost-sure dimension")
+    what.add_argument("--boxdim", action="store_true", help="estimate the box dimension")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--seeds", type=int, default=20, help="surviving seeds to average")
     sp.add_argument("--min-scale-exp", type=int, default=14, help="smallest scale 2^-k")

@@ -69,9 +69,9 @@ def _list(raw: Any, where: str) -> list:
 
 
 def _number(raw: Any, where: str, cast: type = float) -> Any:
-    """``cast(raw)``, or a ConfigError naming the field; an ``int`` is neither a boolean nor a fraction."""
-    if cast is int and (isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer()):
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}")
+    """``cast(raw)``, or a ConfigError naming the field; no number is a boolean, and an ``int`` is no fraction."""
+    if isinstance(raw, bool) or cast is int and isinstance(raw, float) and not raw.is_integer():
+        raise ConfigError(f"{where}: expected {'an integer' if cast is int else 'a number'}, got {raw!r}")
     try:
         return cast(raw)
     except (TypeError, ValueError, OverflowError):

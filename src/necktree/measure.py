@@ -710,6 +710,8 @@ def mass_distribution_check(
     mass is compared against h(2 eps).
     """
     family = r.family
+    if not np.array_equal(nu.realization.family.log_map_counts, family.log_map_counts):
+        raise ParameterError("the measure must split mass over the realization's map counts")
     d = family.ambient_dim
     geometry.require_geometry(family)
     if d == 1:

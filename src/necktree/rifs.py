@@ -4,7 +4,9 @@ A family is a finite list of similarity IFSs with selection weights.  The
 moment sums ``S^s = sum_j c_j^s`` drive everything downstream: the dimension
 equations, the gap witness separating the almost-deterministic boundary case
 from the zero-or-infinite regime, and the variance feeding the iterated
-logarithm envelopes.  ``_solver`` maps a tree model to its dimension solver.
+logarithm envelopes.  Each statistic reads per-system values of ``map_ratios``
+rows under one weight vector; ``_solver`` maps a tree model to its dimension
+solver, and ``_statistic`` gives that solver's statistic.
 """
 from __future__ import annotations
 
@@ -81,10 +83,6 @@ class IFS:
     @property
     def nmaps(self) -> int:
         return len(self.maps)
-
-    @property
-    def ratios(self) -> np.ndarray:
-        return np.array([m.ratio for m in self.maps], dtype=float)
 
     @property
     def common_ratio(self) -> Optional[float]:
@@ -210,14 +208,17 @@ class ModelSpec:
             raise ConfigError("template level distribution length must match the number of systems")
 
 
-def _level_family(family: RIFSFamily, model: ModelSpec | str) -> RIFSFamily:
-    """``family`` reweighted for neck_block by q_i = sum_t w_t sum_l p_{t,l,i} / sum_t w_t L_t."""
-    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
-    if spec.kind != NECK_BLOCK:
-        return family
+def _level_weights(family: RIFSFamily, spec: ModelSpec) -> tuple[float, ...]:
+    """A neck_block model's level weights q_i = sum_t w_t sum_l p_{t,l,i} / sum_t w_t L_t, after ``check_levels``."""
     spec.check_levels(family)
     q = sum(t.weight * np.sum(t.levels, axis=0) for t in spec.templates)
-    return replace(family, weights=tuple((q / q.sum()).tolist()))
+    return tuple((q / q.sum()).tolist())
+
+
+def _level_family(family: RIFSFamily, model: ModelSpec | str) -> RIFSFamily:
+    """``family`` reweighted by ``_level_weights`` for neck_block."""
+    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+    return replace(family, weights=_level_weights(family, spec)) if spec.kind == NECK_BLOCK else family
 
 
 def _solver(family: RIFSFamily, model: ModelSpec | str) -> tuple[str, RIFSFamily]:
@@ -288,18 +289,18 @@ def bisect_decreasing(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def _moment_root(system: IFS) -> Optional[float]:
-    """Unique s >= 0 with S^s = 1, or None when no root exists."""
-    if system.nmaps == 0:
+def _moment_root(row: tuple[float, ...]) -> Optional[float]:
+    """Unique s >= 0 with S^s = 1 of one ``map_ratios`` row, or None when no root exists."""
+    if not row:
         return None
-    g = lambda s: sum(m.ratio**s for m in system.maps) - 1.0
-    if system.nmaps == 1:
+    if len(row) == 1:
         # S^0 = 1 exactly; S^s < 1 for s > 0 unless the single ratio is 1.
-        return 0.0 if system.maps[0].ratio < 1.0 else None
-    cmax = max(m.ratio for m in system.maps)
+        return 0.0 if row[0] < 1.0 else None
+    cmax = max(row)
     if cmax >= 1.0:
         return None
-    return bisect_decreasing(g, 0.0, math.log(system.nmaps) / math.log(1.0 / cmax) + 1.0)
+    hi = math.log(len(row)) / math.log(1.0 / cmax) + 1.0
+    return bisect_decreasing(lambda s: sum([c**s for c in row]) - 1.0, 0.0, hi)
 
 
 def log_moments(family: RIFSFamily, s: float) -> np.ndarray:
@@ -307,41 +308,47 @@ def log_moments(family: RIFSFamily, s: float) -> np.ndarray:
     return np.array([math.log(v) if v > 0 else -math.inf for v in _moments(family, s)])
 
 
+def _mean_log_moment(weights: Sequence[float], vals: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The mean of per-system ``vals`` under ``weights``, with the weight array and the values it sums (a copy when
+    some weight is 0, which adds an exact 0, even for an empty system's -inf)."""
+    w = np.asarray(weights, dtype=float)
+    vals = np.where(w == 0, 0.0, vals) if 0.0 in weights else vals
+    return float(np.dot(w, vals)), w, vals
+
+
+def _log_stats(weights: Sequence[float], vals: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of per-system ``vals`` under ``weights``; the variance is NaN when the mean is not finite."""
+    mean, w, vals = _mean_log_moment(weights, vals)
+    return mean, float(np.dot(w, (vals - mean) ** 2)) if math.isfinite(mean) else math.nan
+
+
 def log_moment_stats(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS) -> tuple[float, float]:
     """Mean and variance per level of ``log S^s`` along a ``model`` tree's levels.
 
     neck_block blocks are i.i.d., so by renewal-reward the variance is
     sum_t w_t (sum_l v_{t,l} + (m_t - mean L_t)^2) / sum_t w_t L_t, where
-    level l of template t has variance v_{t,l} and the block has mean m_t.
+    level l of template t has variance v_{t,l} under its probability row and
+    the block has mean m_t; the mean is under ``_level_weights``.
     """
     spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
-    if spec.kind == NECK_BLOCK:
-        mean = log_moment_stats(_level_family(family, spec), s)[0]
-        num = total = 0.0
-        for t in spec.templates:
-            stats = [log_moment_stats(replace(family, weights=dist), s) for dist in t.levels]
-            num += t.weight * (sum(v for _, v in stats) + (sum(m for m, _ in stats) - mean * t.length) ** 2)
-            total += t.weight * t.length
-        return mean, num / total
-    mean, w, vals = _mean_log_moment(family, s)
-    return mean, float(np.dot(w, (vals - mean) ** 2)) if math.isfinite(mean) else math.nan
-
-
-def _mean_log_moment(family: RIFSFamily, s: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """E[log S^s] under the selection weights, with the weights and per-system ``log S^s`` it sums."""
-    vals = log_moments(family, s)
-    w = np.asarray(family.weights)
-    if 0.0 in family.weights:  # a zero weight adds an exact 0, even for an empty system's -inf
-        vals[w == 0] = 0.0
-    return float(np.dot(w, vals)), w, vals
+    if spec.kind != NECK_BLOCK:
+        return _log_stats(family.weights, log_moments(family, s))
+    weights, vals = _level_weights(family, spec), log_moments(family, s)  # a level row of the wrong length first
+    mean = _mean_log_moment(weights, vals)[0]
+    num = total = 0.0
+    for t in spec.templates:
+        stats = [_log_stats(dist, vals) for dist in t.levels]
+        num += t.weight * (sum(v for _, v in stats) + (sum(m for m, _ in stats) - mean * t.length) ** 2)
+        total += t.weight * t.length
+    return mean, num / total
 
 
 def eta_hat(family: RIFSFamily) -> float:
     """|mean log geometric-mean contraction| under the selection weights."""
-    active = [(w, sysm) for w, sysm in zip(family.weights, family.systems) if w > 0]
-    if any(sysm.nmaps == 0 for _, sysm in active):
+    active = [(w, row) for w, row in zip(family.weights, family.map_ratios) if w > 0]
+    if not all(row for _, row in active):
         raise PreconditionError("eta_hat needs every positive-weight system non-empty")
-    return abs(sum(w * float(np.mean(np.log(sysm.ratios))) for w, sysm in active))
+    return abs(sum(w * float(np.mean(np.log(row))) for w, row in active))
 
 
 def beta_hat(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS) -> float:
@@ -353,40 +360,35 @@ def beta_hat(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS)
     return var / eta
 
 
-def _mean_s0(family: RIFSFamily) -> float:
-    return float(sum(w * s.nmaps for w, s in zip(family.weights, family.systems)))
+def _statistic(model: str, family: RIFSFamily):
+    """The statistic of s that ``model``'s solver drives to its root value, with its name at s = 0 and that value:
+    E[S^s] against 1 (recursive) or E[log S^s] against 0 (homogeneous), under the selection weights."""
+    if model == RECURSIVE:  # ``_moments`` inlined for the bisection; w * 0 adds the 0.0 of an empty system
+        rows = list(zip(family.weights, family.map_ratios))
+        return (lambda s: sum([w * sum([c**s for c in row]) for w, row in rows])), "E[S^0]", 1
+    return (lambda s: _mean_log_moment(family.weights, log_moments(family, s))[0]), "E[log S^0]", 0
 
 
 def dimension(family: RIFSFamily, model: ModelSpec | str) -> float:
-    """Almost-sure dimension of ``model``: the root of its ``_solver`` equation."""
+    """Almost-sure dimension of ``model``: the s at which its solver's ``_statistic`` meets its root value."""
     model, family = _solver(family, model)
     if family.c_max >= 1.0:
         raise PreconditionError("dimension needs all contraction ratios < 1")
-    if model == RECURSIVE:
-        es0 = _mean_s0(family)
-        if not es0 > 1.0:
-            raise PreconditionError(f"recursive model needs E[S^0] > 1, got E[S^0] = {es0}")
-        rows = list(zip(family.weights, family.map_ratios))
-        # ``_moments`` inlined, as each bisection step calls it; w * 0 adds the 0.0 of an empty system
-        objective = lambda s: sum([w * sum([c**s for c in row]) for w, row in rows]) - 1.0
-    else:
-        els0 = _mean_log_moment(family, 0.0)[0]
-        if not els0 > 0.0:
-            raise PreconditionError(f"homogeneous model needs E[log S^0] > 0, got E[log S^0] = {els0}")
-        objective = lambda s: _mean_log_moment(family, s)[0]
-
+    stat, name, at_root = _statistic(model, family)
+    if not (at0 := stat(0.0)) > at_root:
+        raise PreconditionError(f"{model} model needs {name} > {at_root}, got {name} = {at0}")
     hi = math.log(max(family.n_max, 2)) / math.log(1.0 / family.c_max) + 1.0
-    return bisect_decreasing(objective, 0.0, hi)
+    return bisect_decreasing(lambda s: stat(s) - at_root, 0.0, hi)
 
 
 def _almost_deterministic_at(family: RIFSFamily) -> Optional[float]:
     """The common root of S^s = 1 of all positive-weight systems (to ``ASSERT_TOL``), or None."""
-    active = [(w, s) for w, s in zip(family.weights, family.systems) if w > 0]
-    roots = [_moment_root(s) for _, s in active]
+    active = [(w, row) for w, row in zip(family.weights, family.map_ratios) if w > 0]
+    roots = [_moment_root(row) for _, row in active]
     if any(r is None for r in roots) or not (0.0 < family.c_min and family.c_max < 1.0):
         return None
     s_bar = float(np.dot([w for w, _ in active], roots)) / sum(w for w, _ in active)
-    if all(abs(sum(m.ratio**s_bar for m in sys.maps) - 1.0) <= ASSERT_TOL for _, sys in active):
+    if all(abs(v - 1.0) <= ASSERT_TOL for w, v in zip(family.weights, _moments(family, s_bar)) if w > 0):
         return s_bar
     return None
 
@@ -402,16 +404,13 @@ def validate(family: RIFSFamily, model: ModelSpec | str) -> ConditionsReport:
     some positive-weight system has S^(s-eps) < 1.
     """
     model, family = _solver(family, model)
-    n_bound_ok = family.n_max >= 2
     ratio_bounds_ok = 0.0 < family.c_min and family.c_max < 1.0
-    recursive_super = _mean_s0(family) > 1.0
-    homogeneous_super = _mean_log_moment(family, 0.0)[0] > 0.0
-
+    stats = {solver: _statistic(solver, family) for solver in (RECURSIVE, HOMOGENEOUS)}
+    supercritical = {solver: stat(0.0) > at_root for solver, (stat, _, at_root) in stats.items()}
     almost_det = _almost_deterministic_at(family)
 
     gap: Optional[tuple[float, float, float]] = None
-    supercritical = recursive_super if model == RECURSIVE else homogeneous_super
-    if almost_det is None and supercritical and ratio_bounds_ok:
+    if almost_det is None and supercritical[model] and ratio_bounds_ok:
         s_star = dimension(family, model)
         eps = GAP_EPSILON_FRAC * s_star
         vals = _moments(family, s_star - eps)
@@ -423,10 +422,10 @@ def validate(family: RIFSFamily, model: ModelSpec | str) -> ConditionsReport:
                 gap = (eps, gamma, p0)
 
     return ConditionsReport(
-        n_bound_ok=n_bound_ok,
+        n_bound_ok=family.n_max >= 2,
         ratio_bounds_ok=ratio_bounds_ok,
-        recursive_supercritical=recursive_super,
-        homogeneous_supercritical=homogeneous_super,
+        recursive_supercritical=supercritical[RECURSIVE],
+        homogeneous_supercritical=supercritical[HOMOGENEOUS],
         almost_deterministic_at=almost_det,
         gap=gap,
     )

@@ -186,8 +186,8 @@ def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
 
 
 def _require_integer(name: str, value) -> int:
-    """``value`` as an int, or ``ParameterError`` unless it is an integer: a depth or count of 2.5 or NaN is refused."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as an int, or ``ParameterError`` unless it is an integer: a count of 2.5, NaN or True is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -198,7 +198,7 @@ def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
     Homogeneous paths reuse buffers and the counter spacing of levels 0..depth-1; offset o moves the state by o GOLDEN.
     neck_block paths read ``_block_labels``; other models raise ``UnsupportedModelError``.
     """
-    if not isinstance(depth, (int, np.integer)) or depth < 0:
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 0:
         raise ParameterError(f"depth must be an integer >= 0, got {depth!r}")
     step = streams.spacing(np.arange(depth))
     x, tmp, out = np.empty_like(step), np.empty_like(step), np.empty(depth, dtype=np.int64)

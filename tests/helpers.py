@@ -5,6 +5,7 @@ import math
 import signal
 from bisect import bisect_right
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import product
 from math import inf, log
 from typing import Iterator, Sequence
@@ -43,11 +44,17 @@ from necktree.measure import (
     lil_envelope,
 )
 from necktree.rifs import (
+    ASSERT_TOL,
+    GAP_EPSILON_FRAC,
     HOMOGENEOUS,
     IFS,
+    NECK_BLOCK,
     RECURSIVE,
+    ConditionsReport,
     RIFSFamily,
     SimilarityMap,
+    _level_family,
+    _solver,
     bisect_decreasing,
     cumulative_weights,
     equicontractive_family,
@@ -1036,3 +1043,107 @@ def oracle_beta_hat(family: RIFSFamily, s: float) -> float:
     if not (var > 0) or eta == 0:
         raise PreconditionError("beta_hat needs positive variance and contraction")
     return var / eta
+
+
+# ---- statistics over IFS objects and rebuilt families ---------------------------------
+# The statistics as they ran before each became per-system values of
+# ``map_ratios`` rows under one weight vector: the neck_block branch of
+# ``log_moment_stats`` rebuilt the family for each template level, the moment
+# root summed over ``SimilarityMap`` objects, ``eta_hat`` read ``IFS.ratios``,
+# and the recursive supercritical check had its own sum at s = 0.  Kept verbatim
+# (names aside) as the bit-identity reference.
+
+
+def oracle_log_moment_stats(family: RIFSFamily, s: float, model=HOMOGENEOUS) -> tuple[float, float]:
+    """Mean and variance per level of ``log S^s`` along a ``model`` tree's levels."""
+    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+    if spec.kind == NECK_BLOCK:
+        mean = oracle_log_moment_stats(_level_family(family, spec), s)[0]
+        num = total = 0.0
+        for t in spec.templates:
+            stats = [oracle_log_moment_stats(replace(family, weights=dist), s) for dist in t.levels]
+            num += t.weight * (sum(v for _, v in stats) + (sum(m for m, _ in stats) - mean * t.length) ** 2)
+            total += t.weight * t.length
+        return mean, num / total
+    mean, w, vals = oracle_mean_log_moment(family, s)
+    return mean, float(np.dot(w, (vals - mean) ** 2)) if math.isfinite(mean) else math.nan
+
+
+def oracle_moment_root(system: IFS):
+    """Unique s >= 0 with S^s = 1, or None when no root exists."""
+    if system.nmaps == 0:
+        return None
+    g = lambda s: sum(m.ratio**s for m in system.maps) - 1.0
+    if system.nmaps == 1:
+        return 0.0 if system.maps[0].ratio < 1.0 else None
+    cmax = max(m.ratio for m in system.maps)
+    if cmax >= 1.0:
+        return None
+    return bisect_decreasing(g, 0.0, math.log(system.nmaps) / math.log(1.0 / cmax) + 1.0)
+
+
+def oracle_almost_deterministic_at(family: RIFSFamily):
+    """The common root of S^s = 1 of all positive-weight systems (to ``ASSERT_TOL``), or None."""
+    active = [(w, s) for w, s in zip(family.weights, family.systems) if w > 0]
+    roots = [oracle_moment_root(s) for _, s in active]
+    if any(r is None for r in roots) or not (0.0 < family.c_min and family.c_max < 1.0):
+        return None
+    s_bar = float(np.dot([w for w, _ in active], roots)) / sum(w for w, _ in active)
+    if all(abs(sum(m.ratio**s_bar for m in sys.maps) - 1.0) <= ASSERT_TOL for _, sys in active):
+        return s_bar
+    return None
+
+
+def oracle_mean_s0(family: RIFSFamily) -> float:
+    return float(sum(w * s.nmaps for w, s in zip(family.weights, family.systems)))
+
+
+def oracle_eta_hat(family: RIFSFamily) -> float:
+    """|mean log geometric-mean contraction| under the selection weights."""
+    active = [(w, sysm) for w, sysm in zip(family.weights, family.systems) if w > 0]
+    if any(sysm.nmaps == 0 for _, sysm in active):
+        raise PreconditionError("eta_hat needs every positive-weight system non-empty")
+    ratios = lambda sysm: np.array([m.ratio for m in sysm.maps], dtype=float)  # the deleted ``IFS.ratios``
+    return abs(sum(w * float(np.mean(np.log(ratios(sysm)))) for w, sysm in active))
+
+
+def oracle_model_beta_hat(family: RIFSFamily, s: float, model) -> float:
+    """Var(log S^s) / eta_hat of ``model``."""
+    _, var = oracle_log_moment_stats(family, s, model)
+    eta = oracle_eta_hat(_level_family(family, model))
+    if not (var > 0) or eta == 0:
+        raise PreconditionError("beta_hat needs positive variance and contraction")
+    return var / eta
+
+
+def oracle_validate(family: RIFSFamily, model) -> ConditionsReport:
+    """The standing assumptions and the degeneracy witnesses on the family ``model``'s solver solves."""
+    model, family = _solver(family, model)
+    n_bound_ok = family.n_max >= 2
+    ratio_bounds_ok = 0.0 < family.c_min and family.c_max < 1.0
+    recursive_super = oracle_mean_s0(family) > 1.0
+    homogeneous_super = oracle_mean_log_moment(family, 0.0)[0] > 0.0
+
+    almost_det = oracle_almost_deterministic_at(family)
+
+    gap = None
+    supercritical = recursive_super if model == RECURSIVE else homogeneous_super
+    if almost_det is None and supercritical and ratio_bounds_ok:
+        s_star = oracle_dimension(family, model)
+        eps = GAP_EPSILON_FRAC * s_star
+        vals = [oracle_moment(family, i, s_star - eps) for i in range(family.nsystems)]
+        sub_unit = [v for v, w in zip(vals, family.weights) if w > 0 and v < 1.0]
+        if sub_unit:
+            gamma = max(sub_unit)
+            p0 = float(sum(w for v, w in zip(vals, family.weights) if w > 0 and v <= gamma))
+            if p0 > 0:
+                gap = (eps, gamma, p0)
+
+    return ConditionsReport(
+        n_bound_ok=n_bound_ok,
+        ratio_bounds_ok=ratio_bounds_ok,
+        recursive_supercritical=recursive_super,
+        homogeneous_supercritical=homogeneous_super,
+        almost_deterministic_at=almost_det,
+        gap=gap,
+    )

@@ -339,6 +339,15 @@ def test_console_entry_point_runs():
     assert proc.returncode == EXIT_USAGE  # no subcommand
 
 
+def test_percolate_dim_and_boxdim_are_one_usage_error(capsys):
+    assert run(["percolate", "--p", "0.8", "--dim", "--boxdim"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: necktree percolate")
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: argument --boxdim: not allowed with argument --dim"
+    ]
+
+
 def test_cli_main_module_percolate():
     proc = run_in_fresh_process(["percolate", "--p", "0.75"])
     assert proc.returncode == 0

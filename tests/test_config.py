@@ -140,10 +140,23 @@ def _family(weight=0.5, **map_fields) -> dict:
     (gauge_from_dict, {"s": INF, "family": "power"}, "s must be finite"),
     (gauge_from_dict, {"s": 0.5, "family": {"h1": {"beta": NAN}}}, "finite beta"),
     (gauge_from_dict, {"s": 0.5, "family": {"h1": {"beta": 0.1, "gamma": NAN}}}, "gamma must be finite"),
+    # a boolean is no number, even where it would read as 1.0
+    (family_from_dict, {"systems": [{"weight": True, "maps": [{"ratio": 0.5}]}]},
+     "weight: expected a number, got True"),
+    (family_from_dict, _family(ratio=True), "ratio: expected a number, got True"),
+    (model_from_dict, {"model": {"neck_block": {"templates": [{"levels": [[True, 0.0]]}]}}},
+     "levels: expected a number, got True"),
+    (model_from_dict, {"model": {"neck_block": {"templates": [{"levels": [[0.5, 0.5]], "weight": True}]}}},
+     "weight: expected a number, got True"),
+    (gauge_from_dict, {"s": True, "family": "power"}, "s: expected a number, got True"),
+    (gauge_from_dict, {"s": 0.5, "family": {"h1": {"beta": True}}}, "beta: expected a number, got True"),
+    (gauge_from_dict, {"s": 0.5, "family": {"h1": {"beta": 0.1, "gamma": True}}},
+     "gamma: expected a number, got True"),
 ], ids=[
     "nan-weight", "inf-weight", "nan-translation", "nan-isometry", "fractional-ambient-dim",
     "fractional-seed", "boolean-v", "fractional-v", "nan-probability", "nan-template-weight",
-    "inf-template-weight", "nan-s", "inf-s", "nan-beta", "nan-gamma",
+    "inf-template-weight", "nan-s", "inf-s", "nan-beta", "nan-gamma", "boolean-weight", "boolean-ratio",
+    "boolean-probability", "boolean-template-weight", "boolean-s", "boolean-beta", "boolean-gamma",
 ])
 def test_non_finite_or_non_integral_numbers_are_config_errors(parse, raw, message):
     with pytest.raises(ConfigError, match=message):

@@ -27,6 +27,7 @@ from helpers import (
     oracle_log_mass,
     oracle_mass_distribution_check,
     oracle_sample_points,
+    worked_family_geometric,
 )
 
 HOM = ModelSpec(kind="homogeneous")
@@ -242,6 +243,21 @@ def test_mass_check_evaluates_the_gauge_once_per_epsilon(dim):
     with patch.object(GaugeFunction, "eval_log", autospec=True, side_effect=GaugeFunction.eval_log) as spy:
         mass_distribution_check(r, h, natural_measure(r), 20, epsilons, seed=1, assume_uosc=True)
     assert spy.call_count == len(epsilons)
+
+
+def test_mass_check_refuses_a_measure_of_another_family():
+    fam = worked_family_geometric()
+    r, h, epsilons = sample(HOM, 3, fam), power(0.8), [1e-2]
+    a, b = fam.systems
+    fewer = RIFSFamily(systems=(b,), weights=(1.0,))
+    swapped = RIFSFamily(systems=(b, a), weights=fam.weights)
+    for other in (fewer, swapped):
+        with pytest.raises(ParameterError, match="the measure must split mass over the realization's map counts"):
+            mass_distribution_check(r, h, natural_measure(sample(HOM, 3, other)), 50, epsilons, seed=3)
+    # a measure of another family with the same map counts splits mass alike
+    twin = RIFSFamily(systems=(a, b), weights=(0.25, 0.75))
+    want = mass_distribution_check(r, h, natural_measure(r), 50, epsilons, seed=3)
+    assert mass_distribution_check(r, h, natural_measure(sample(HOM, 3, twin)), 50, epsilons, seed=3) == want
 
 
 def test_wide_sample_stays_in_bounded_memory():

@@ -14,11 +14,16 @@ from necktree.rifs import (
     ModelSpec,
     RIFSFamily,
     SimilarityMap,
+    RECURSIVE,
+    _almost_deterministic_at,
     _level_family,
+    _moment_root,
+    _statistic,
     beta_hat,
     cumulative_weights,
     dimension,
     equicontractive_family,
+    eta_hat,
     log_moment_stats,
     log_moments,
     moment,
@@ -26,7 +31,14 @@ from necktree.rifs import (
 )
 
 from helpers import (
+    oracle_almost_deterministic_at,
     oracle_beta_hat,
+    oracle_eta_hat,
+    oracle_log_moment_stats,
+    oracle_mean_s0,
+    oracle_model_beta_hat,
+    oracle_moment_root,
+    oracle_validate,
     oracle_block_tables,
     oracle_dimension,
     oracle_homogeneous_dimension,
@@ -197,6 +209,16 @@ def test_moment_sums_over_ratio_rows_keep_their_bits(family, s):
     ]
     assert log_moments(family, s).tobytes() == oracle_log_moments(family, s).tobytes()
     assert repr(outcome(beta_hat, family, s)) == repr(outcome(oracle_beta_hat, family, s))
+    # the statistics read per-system values of ratio rows under one weight vector
+    for model in ("homogeneous", "recursive"):
+        assert repr(outcome(validate, family, model)) == repr(outcome(oracle_validate, family, model))
+    assert repr(outcome(log_moment_stats, family, s)) == repr(outcome(oracle_log_moment_stats, family, s))
+    assert repr(outcome(eta_hat, family)) == repr(outcome(oracle_eta_hat, family))
+    assert [repr(_moment_root(row)) for row in family.map_ratios] == [
+        repr(oracle_moment_root(system)) for system in family.systems
+    ]
+    assert repr(_almost_deterministic_at(family)) == repr(oracle_almost_deterministic_at(family))
+    assert _statistic(RECURSIVE, family)[0](0.0).hex() == oracle_mean_s0(family).hex()
 
 
 def test_log_moment_stats_worked():
@@ -313,3 +335,20 @@ def test_label_tables_match_the_builds_they_replace(case):
     twin = ModelSpec(kind="neck_block", templates=tuple(BlockTemplate(t.levels, t.weight) for t in templates))
     assert twin == model and hash(twin) == hash(model) and {model: 1}[twin] == 1
     assert ModelSpec(kind="homogeneous") != model
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_cases(), st.one_of(st.just(0.0), st.floats(0.0, 4.0)), st.booleans())
+def test_neck_block_statistics_read_each_level_row_with_their_bits(case, s, idle_first):
+    # 0-map systems, zero probabilities and a zero-weight template, against the per-level family rebuild
+    family, templates = case
+    if idle_first:
+        templates = (BlockTemplate(templates[0].levels, weight=0.0),) + templates[1:]
+    model = ModelSpec(kind="neck_block", templates=templates)
+    for got, want in ((log_moment_stats, oracle_log_moment_stats), (beta_hat, oracle_model_beta_hat)):
+        assert repr(outcome(got, family, s, model)) == repr(outcome(want, family, s, model))
+    # a level row of the wrong length is refused first, before a negative exponent
+    wide = ModelSpec(kind="neck_block", templates=(BlockTemplate(((1.0,) + (0.0,) * family.nsystems,)),))
+    for exponent in (s, -1.0):
+        want = outcome(oracle_log_moment_stats, family, exponent, wide)
+        assert want[0] is ConfigError and outcome(log_moment_stats, family, exponent, wide) == want

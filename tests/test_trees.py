@@ -371,6 +371,12 @@ def test_neck_list_recursive_unsupported():
         (vv(2), lambda r: list(trees.vv_log_counts([], 3)), ParameterError, "need at least one realization"),
         (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, workers=2.5), ParameterError,
          "workers must be an integer, got 2.5"),
+        # a boolean is no integer, though Python counts True as 1
+        (REC, lambda r: level_sums(r, power(0.5), [True]), ParameterError, "depth must be an integer, got True"),
+        (block_model(), lambda r: neck_list(r, True), ParameterError, "up_to_level must be an integer, got True"),
+        (HOM, lambda r: Realization(r.family, r.model, r.seed, offset=True), ParameterError,
+         "offset must be an integer, got True"),
+        (block_model(), lambda r: r.level_systems(True), ParameterError, "depth must be an integer >= 0, got True"),
     ],
     ids=["level-systems-recursive", "level-systems-v-variable", "label-of-zero", "label-of-past-n-max",
          "coding-level-negative", "neck-list-negative", "level-systems-negative-homogeneous",
@@ -385,7 +391,8 @@ def test_neck_list_recursive_unsupported():
          "drift-count-fraction", "lil-paths-fraction", "lil-depth-nan", "ensemble-seeds-fraction",
          "offset-fraction", "offset-negative", "vv-level-counts-zero", "vv-level-counts-fraction",
          "vv-log-counts-fraction", "vv-log-counts-nan", "vv-log-counts-negative", "vv-log-counts-empty",
-         "drift-workers-fraction"],
+         "drift-workers-fraction", "level-sums-boolean", "neck-list-boolean", "offset-boolean",
+         "level-systems-boolean"],
 )
 def test_label_reads_raise_typed_errors(model, call, error, message):
     r = sample(model, 8, worked_family())  # n_max = 3
