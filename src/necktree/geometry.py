@@ -15,7 +15,7 @@ import numpy as np
 
 from . import streams, trees
 from .errors import ConfigError, ExtinctionError, GeometryError, ParameterError, PreconditionError
-from .rifs import IFS, RIFSFamily, SimilarityMap
+from .rifs import IFS, RIFSFamily, SimilarityMap, _is_integer
 from .trees import Coding, ModelSpec, Realization, stopping_counts
 
 POINT_DIAMETER_TOL = 1e-9
@@ -180,7 +180,7 @@ def sample_points(
         raise ParameterError(f"point count must be >= 0, got {n}")
     if not 0.0 < diameter_tol < math.inf:
         raise ParameterError(f"diameter_tol must be finite and > 0, got {diameter_tol}")
-    if not isinstance(max_retries, (int, np.integer)) or max_retries < 1:
+    if not _is_integer(max_retries) or max_retries < 1:
         raise ParameterError(f"max_retries must be an integer >= 1, got {max_retries}")
     if family.c_max >= 1.0:
         raise PreconditionError("point sampling needs all contraction ratios < 1")
@@ -334,7 +334,7 @@ def export_points_csv(path: str, points: np.ndarray, provenance: str = "") -> No
 
 def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
     """Occupancy counts of unit-square points on a width x height grid."""
-    if width < 1 or height < 1:
+    if trees._require_integer("raster width", width) < 1 or trees._require_integer("raster height", height) < 1:
         raise ParameterError("raster width and height must be >= 1")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] > 2:

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry, streams, trees
 from .errors import ExtinctionError, GeometryError, ParameterError, PreconditionError
 from .gauges import GaugeFunction
-from .rifs import HOMOGENEOUS, NECK_BLOCK, V_VARIABLE, ModelSpec, RIFSFamily, _level_family, log_moments
+from .rifs import HOMOGENEOUS, NECK_BLOCK, V_VARIABLE, ModelSpec, RIFSFamily, _model_weights, log_moments
 from .rifs import _almost_deterministic_at, beta_hat, eta_hat, log_moment_stats  # noqa: F401  (re-exports)
 from .trees import DEFAULT_NODE_BUDGET, Chunk, Coding, Realization, level_labels, levels, sample, vv_level_counts
 from .trees import _stopping_letters
@@ -30,6 +30,9 @@ DEFAULT_THRESHOLDS = (-20.0, 20.0)
 # (the same last-decade convention used for trend slopes); near the envelope's
 # birth at v k = e the band is degenerate and exceedances carry no information.
 ENVELOPE_CHECK_FRACTION = 0.1
+# lil_calibration's exit and touch: |walk| > EXIT_FACTOR x envelope, and |walk| >= TOUCH_FACTOR x envelope.
+EXIT_FACTOR = 1.5
+TOUCH_FACTOR = 0.5
 
 _E = math.e
 
@@ -397,13 +400,14 @@ def drift_experiment(
     v_variable envelopes use the family's, exact at V = 1 and kept for
     V >= 2 until ROADMAP item 2(d).
     """
-    s_bar = _almost_deterministic_at(_level_family(family, model))
+    s_bar = _almost_deterministic_at(family, _model_weights(family, model)[1])
     if s_bar is not None:
         raise PreconditionError(f"family is almost deterministic at s = {s_bar}; drift is null")
     depths = _check_depths(depths)
     if trees._require_integer("n_realizations", n_realizations) < 1:
         raise ParameterError("need at least one realization")
-    trees._require_integer("workers", workers)
+    if trees._require_integer("workers", workers) < 1:
+        raise ParameterError("need at least one worker")
 
     seeds = ensemble_seeds(seed, n_realizations)
     chunks = _chunk(seeds, workers)
@@ -462,8 +466,6 @@ def lil_calibration(
     n_paths: int,
     depth: int,
     seed: int,
-    exit_factor: float = 1.5,
-    touch_factor: float = 0.5,
 ) -> LilCalibration:
     """Exit/touch fractions of the moment-sum walk against its LIL envelope.
 
@@ -492,8 +494,8 @@ def lil_calibration(
     for sysidx in level_labels((sample(model, ps, family) for ps in ensemble_seeds(seed, n_paths)), depth):
         w = np.cumsum(logs[sysidx])
         a = np.abs(w[checked])
-        n_exit += bool(np.any(a > exit_factor * e))
-        n_touch += bool(np.any(a >= touch_factor * e))
+        n_exit += bool(np.any(a > EXIT_FACTOR * e))
+        n_touch += bool(np.any(a >= TOUCH_FACTOR * e))
         paths.append(_increments(0.0, w))
     inc_mean, inc_var = _increment_mean_var(paths)
     return LilCalibration(
@@ -501,8 +503,8 @@ def lil_calibration(
         increment_var=inc_var,
         frac_exit=n_exit / n_paths,
         frac_touch=n_touch / n_paths,
-        exit_factor=exit_factor,
-        touch_factor=touch_factor,
+        exit_factor=EXIT_FACTOR,
+        touch_factor=TOUCH_FACTOR,
         n_paths=n_paths,
         depth=depth,
         first_checked_depth=first_checked,

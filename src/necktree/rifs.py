@@ -5,13 +5,13 @@ moment sums ``S^s = sum_j c_j^s`` drive everything downstream: the dimension
 equations, the gap witness separating the almost-deterministic boundary case
 from the zero-or-infinite regime, and the variance feeding the iterated
 logarithm envelopes.  Each statistic reads per-system values of ``map_ratios``
-rows under one weight vector; ``_solver`` maps a tree model to its dimension
-solver, and ``_statistic`` gives that solver's statistic.
+rows under a model's one weight vector, from ``_model_weights``; ``_solver``
+maps the model to its dimension solver, and ``_statistic`` gives its statistic.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,18 @@ HOMOGENEOUS = "homogeneous"
 V_VARIABLE = "v_variable"
 NECK_BLOCK = "neck_block"
 _KINDS = (HOMOGENEOUS, RECURSIVE, V_VARIABLE, NECK_BLOCK)
+
+
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer; a count of 2.5, 2.0, NaN or True is none."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int, or ``ParameterError`` unless ``_is_integer``."""
+    if not _is_integer(value):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +132,8 @@ class RIFSFamily:
             raise ConfigError("family needs at least one system")
         if len(weights) != len(systems):
             raise ConfigError("weights and systems must have equal length")
-        if not all(0 <= w < math.inf for w in weights):
-            raise ConfigError(f"weights must be finite and non-negative, got {weights}")
-        if abs(sum(weights) - 1.0) > STRUCT_TOL:
-            raise ConfigError(f"weights must sum to 1, got {sum(weights)!r}")
-        if self.ambient_dim < 1:
+        _check_weights(weights)
+        if not _is_integer(self.ambient_dim) or self.ambient_dim < 1:
             raise ConfigError("ambient_dim must be a positive integer")
         ratios = [m.ratio for s in systems for m in s.maps]
         if not ratios:
@@ -180,7 +189,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.kind == V_VARIABLE and self.v < 1:
+        if self.kind == V_VARIABLE and _require_integer("v", self.v) < 1:
             raise ParameterError("v_variable needs V >= 1")
         if self.kind != NECK_BLOCK:
             return
@@ -208,26 +217,31 @@ class ModelSpec:
             raise ConfigError("template level distribution length must match the number of systems")
 
 
-def _level_weights(family: RIFSFamily, spec: ModelSpec) -> tuple[float, ...]:
-    """A neck_block model's level weights q_i = sum_t w_t sum_l p_{t,l,i} / sum_t w_t L_t, after ``check_levels``."""
+def _check_weights(weights: tuple[float, ...]) -> tuple[float, ...]:
+    """``weights``, or ``ConfigError`` unless they are finite, non-negative and sum to 1."""
+    if not all(0 <= w < math.inf for w in weights):
+        raise ConfigError(f"weights must be finite and non-negative, got {weights}")
+    if abs(sum(weights) - 1.0) > STRUCT_TOL:
+        raise ConfigError(f"weights must sum to 1, got {sum(weights)!r}")
+    return weights
+
+
+def _model_weights(family: RIFSFamily, model: ModelSpec | str) -> tuple[ModelSpec, tuple[float, ...]]:
+    """``model`` as a spec, and its statistics' weights: the selection weights, or neck_block's level weights."""
+    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+    if spec.kind != NECK_BLOCK:
+        return spec, family.weights
     spec.check_levels(family)
-    q = sum(t.weight * np.sum(t.levels, axis=0) for t in spec.templates)
-    return tuple((q / q.sum()).tolist())
+    q = sum(t.weight * np.sum(t.levels, axis=0) for t in spec.templates)  # q_i = sum_t w_t sum_l p_{t,l,i}
+    return spec, _check_weights(tuple((q / q.sum()).tolist()))
 
 
-def _level_family(family: RIFSFamily, model: ModelSpec | str) -> RIFSFamily:
-    """``family`` reweighted by ``_level_weights`` for neck_block."""
-    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
-    return replace(family, weights=_level_weights(family, spec)) if spec.kind == NECK_BLOCK else family
-
-
-def _solver(family: RIFSFamily, model: ModelSpec | str) -> tuple[str, RIFSFamily]:
-    """The dimension solver of ``model`` (a spec or a bare kind name) and the family it solves:
-    E[S^s] = 1 for recursive, else E[log S^s] = 0 on the ``_level_family``; none for v_variable V >= 2."""
-    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+def _solver(family: RIFSFamily, model: ModelSpec | str) -> tuple[str, tuple[float, ...]]:
+    """The dimension solver of ``model`` (recursive or homogeneous; none for v_variable V >= 2) and its weights."""
+    spec, weights = _model_weights(family, model)
     if spec.kind == V_VARIABLE and spec.v >= 2:
         raise ConfigError(f"no dimension solver for v_variable models with V >= 2 (V = {spec.v})")
-    return (RECURSIVE if spec.kind == RECURSIVE else HOMOGENEOUS), _level_family(family, spec)
+    return (RECURSIVE if spec.kind == RECURSIVE else HOMOGENEOUS), weights
 
 
 @dataclass(frozen=True)
@@ -328,12 +342,12 @@ def log_moment_stats(family: RIFSFamily, s: float, model: ModelSpec | str = HOMO
     neck_block blocks are i.i.d., so by renewal-reward the variance is
     sum_t w_t (sum_l v_{t,l} + (m_t - mean L_t)^2) / sum_t w_t L_t, where
     level l of template t has variance v_{t,l} under its probability row and
-    the block has mean m_t; the mean is under ``_level_weights``.
+    the block has mean m_t; the mean is under ``_model_weights``.
     """
-    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+    spec, weights = _model_weights(family, model)  # a level row of the wrong length first
+    vals = log_moments(family, s)
     if spec.kind != NECK_BLOCK:
-        return _log_stats(family.weights, log_moments(family, s))
-    weights, vals = _level_weights(family, spec), log_moments(family, s)  # a level row of the wrong length first
+        return _log_stats(weights, vals)
     mean = _mean_log_moment(weights, vals)[0]
     num = total = 0.0
     for t in spec.templates:
@@ -343,9 +357,9 @@ def log_moment_stats(family: RIFSFamily, s: float, model: ModelSpec | str = HOMO
     return mean, num / total
 
 
-def eta_hat(family: RIFSFamily) -> float:
-    """|mean log geometric-mean contraction| under the selection weights."""
-    active = [(w, row) for w, row in zip(family.weights, family.map_ratios) if w > 0]
+def eta_hat(family: RIFSFamily, model: ModelSpec | str = HOMOGENEOUS) -> float:
+    """|mean log geometric-mean contraction| under ``model``'s weights."""
+    active = [(w, row) for w, row in zip(_model_weights(family, model)[1], family.map_ratios) if w > 0]
     if not all(row for _, row in active):
         raise PreconditionError("eta_hat needs every positive-weight system non-empty")
     return abs(sum(w * float(np.mean(np.log(row))) for w, row in active))
@@ -354,70 +368,69 @@ def eta_hat(family: RIFSFamily) -> float:
 def beta_hat(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS) -> float:
     """Default envelope-matching gauge parameter Var(log S^s) / eta_hat of ``model``."""
     _, var = log_moment_stats(family, s, model)
-    eta = eta_hat(_level_family(family, model))
+    eta = eta_hat(family, model)
     if not (var > 0) or eta == 0:
         raise PreconditionError("beta_hat needs positive variance and contraction")
     return var / eta
 
 
-def _statistic(model: str, family: RIFSFamily):
-    """The statistic of s that ``model``'s solver drives to its root value, with its name at s = 0 and that value:
-    E[S^s] against 1 (recursive) or E[log S^s] against 0 (homogeneous), under the selection weights."""
-    if model == RECURSIVE:  # ``_moments`` inlined for the bisection; w * 0 adds the 0.0 of an empty system
-        rows = list(zip(family.weights, family.map_ratios))
+def _statistic(solver: str, family: RIFSFamily, weights: tuple[float, ...]):
+    """The statistic of s that ``solver`` drives to its root value, with its name at s = 0 and that value:
+    E[S^s] against 1 (recursive) or E[log S^s] against 0 (homogeneous), under ``weights``."""
+    if solver == RECURSIVE:  # ``_moments`` inlined for the bisection; w * 0 adds the 0.0 of an empty system
+        rows = list(zip(weights, family.map_ratios))
         return (lambda s: sum([w * sum([c**s for c in row]) for w, row in rows])), "E[S^0]", 1
-    return (lambda s: _mean_log_moment(family.weights, log_moments(family, s))[0]), "E[log S^0]", 0
+    return (lambda s: _mean_log_moment(weights, log_moments(family, s))[0]), "E[log S^0]", 0
 
 
 def dimension(family: RIFSFamily, model: ModelSpec | str) -> float:
     """Almost-sure dimension of ``model``: the s at which its solver's ``_statistic`` meets its root value."""
-    model, family = _solver(family, model)
+    solver, weights = _solver(family, model)
     if family.c_max >= 1.0:
         raise PreconditionError("dimension needs all contraction ratios < 1")
-    stat, name, at_root = _statistic(model, family)
+    stat, name, at_root = _statistic(solver, family, weights)
     if not (at0 := stat(0.0)) > at_root:
-        raise PreconditionError(f"{model} model needs {name} > {at_root}, got {name} = {at0}")
+        raise PreconditionError(f"{solver} model needs {name} > {at_root}, got {name} = {at0}")
     hi = math.log(max(family.n_max, 2)) / math.log(1.0 / family.c_max) + 1.0
     return bisect_decreasing(lambda s: stat(s) - at_root, 0.0, hi)
 
 
-def _almost_deterministic_at(family: RIFSFamily) -> Optional[float]:
-    """The common root of S^s = 1 of all positive-weight systems (to ``ASSERT_TOL``), or None."""
-    active = [(w, row) for w, row in zip(family.weights, family.map_ratios) if w > 0]
+def _almost_deterministic_at(family: RIFSFamily, weights: tuple[float, ...]) -> Optional[float]:
+    """The common root of S^s = 1 of all systems of positive weight in ``weights`` (to ``ASSERT_TOL``), or None."""
+    active = [(w, row) for w, row in zip(weights, family.map_ratios) if w > 0]
     roots = [_moment_root(row) for _, row in active]
     if any(r is None for r in roots) or not (0.0 < family.c_min and family.c_max < 1.0):
         return None
     s_bar = float(np.dot([w for w, _ in active], roots)) / sum(w for w, _ in active)
-    if all(abs(v - 1.0) <= ASSERT_TOL for w, v in zip(family.weights, _moments(family, s_bar)) if w > 0):
-        return s_bar
-    return None
+    ok = all(abs(v - 1.0) <= ASSERT_TOL for w, v in zip(weights, _moments(family, s_bar)) if w > 0)
+    return s_bar if ok else None
 
 
 def validate(family: RIFSFamily, model: ModelSpec | str) -> ConditionsReport:
     """Check the standing assumptions and locate the degeneracy witnesses.
 
-    The report is on the family ``model``'s solver solves (see ``_solver``).
+    The report reads ``model``'s weights (see ``_model_weights``).
     ``almost_deterministic_at`` is present when all positive-weight systems
     share (to 1e-9) a common root of S^s = 1.  The gap triple (epsilon,
     gamma, p0) witnesses the moment-sum drop available below the dimension;
     it is present only when the family is supercritical for ``model`` and
     some positive-weight system has S^(s-eps) < 1.
     """
-    model, family = _solver(family, model)
+    solver, weights = _solver(family, model)
     ratio_bounds_ok = 0.0 < family.c_min and family.c_max < 1.0
-    stats = {solver: _statistic(solver, family) for solver in (RECURSIVE, HOMOGENEOUS)}
-    supercritical = {solver: stat(0.0) > at_root for solver, (stat, _, at_root) in stats.items()}
-    almost_det = _almost_deterministic_at(family)
+    stats = {name: _statistic(name, family, weights) for name in (RECURSIVE, HOMOGENEOUS)}
+    supercritical = {name: stat(0.0) > at_root for name, (stat, _, at_root) in stats.items()}
+    almost_det = _almost_deterministic_at(family, weights)
 
     gap: Optional[tuple[float, float, float]] = None
-    if almost_det is None and supercritical[model] and ratio_bounds_ok:
+    if almost_det is None and supercritical[solver] and ratio_bounds_ok:
         s_star = dimension(family, model)
         eps = GAP_EPSILON_FRAC * s_star
         vals = _moments(family, s_star - eps)
-        sub_unit = [v for v, w in zip(vals, family.weights) if w > 0 and v < 1.0]
+        sub_unit = [v for v, w in zip(vals, weights) if w > 0 and v < 1.0]
         if sub_unit:
             gamma = max(sub_unit)
-            p0 = float(sum(w for v, w in zip(vals, family.weights) if w > 0 and v <= gamma))
+            p0 = float(sum(w for v, w in zip(vals, weights) if w > 0 and v <= gamma))
             if p0 > 0:
                 gap = (eps, gamma, p0)
 

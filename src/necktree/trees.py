@@ -28,7 +28,7 @@ import numpy as np
 
 from . import streams
 from .errors import HorizonError, ParameterError, PreconditionError, ResourceError, UnsupportedModelError
-from .rifs import HOMOGENEOUS, NECK_BLOCK, RECURSIVE, V_VARIABLE, RIFSFamily
+from .rifs import HOMOGENEOUS, NECK_BLOCK, RECURSIVE, V_VARIABLE, RIFSFamily, _require_integer
 from .rifs import BlockTemplate, ModelSpec  # noqa: F401  (re-exported)
 
 NECK_SEARCH_HORIZON = 10**6
@@ -183,13 +183,6 @@ class Realization:
 def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
     """Draw a realization of ``model`` over ``family`` from a 64-bit seed."""
     return Realization(family=family, model=model, seed=seed)
-
-
-def _require_integer(name: str, value) -> int:
-    """``value`` as an int, or ``ParameterError`` unless it is an integer: a count of 2.5, NaN or True is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:

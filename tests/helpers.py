@@ -53,8 +53,6 @@ from necktree.rifs import (
     ConditionsReport,
     RIFSFamily,
     SimilarityMap,
-    _level_family,
-    _solver,
     bisect_decreasing,
     cumulative_weights,
     equicontractive_family,
@@ -1050,8 +1048,32 @@ def oracle_beta_hat(family: RIFSFamily, s: float) -> float:
 # ``map_ratios`` rows under one weight vector: the neck_block branch of
 # ``log_moment_stats`` rebuilt the family for each template level, the moment
 # root summed over ``SimilarityMap`` objects, ``eta_hat`` read ``IFS.ratios``,
-# and the recursive supercritical check had its own sum at s = 0.  Kept verbatim
-# (names aside) as the bit-identity reference.
+# and the recursive supercritical check had its own sum at s = 0.  A neck_block
+# model's other statistics ran on the whole family rebuilt with its level
+# weights (``_level_family``), and its solver handed that family on
+# (``oracle_solver``).  Kept verbatim (names aside) as the bit-identity reference.
+
+
+def _level_weights(family: RIFSFamily, spec: ModelSpec) -> tuple[float, ...]:
+    """A neck_block model's level weights q_i = sum_t w_t sum_l p_{t,l,i} / sum_t w_t L_t, after ``check_levels``."""
+    spec.check_levels(family)
+    q = sum(t.weight * np.sum(t.levels, axis=0) for t in spec.templates)
+    return tuple((q / q.sum()).tolist())
+
+
+def _level_family(family: RIFSFamily, model) -> RIFSFamily:
+    """``family`` reweighted by ``_level_weights`` for neck_block."""
+    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+    return replace(family, weights=_level_weights(family, spec)) if spec.kind == NECK_BLOCK else family
+
+
+def oracle_solver(family: RIFSFamily, model) -> tuple[str, RIFSFamily]:
+    """The dimension solver of ``model`` (a spec or a bare kind name) and the family it solves:
+    E[S^s] = 1 for recursive, else E[log S^s] = 0 on the ``_level_family``; none for v_variable V >= 2."""
+    spec = model if isinstance(model, ModelSpec) else ModelSpec(model)
+    if spec.kind == V_VARIABLE and spec.v >= 2:
+        raise ConfigError(f"no dimension solver for v_variable models with V >= 2 (V = {spec.v})")
+    return (RECURSIVE if spec.kind == RECURSIVE else HOMOGENEOUS), _level_family(family, spec)
 
 
 def oracle_log_moment_stats(family: RIFSFamily, s: float, model=HOMOGENEOUS) -> tuple[float, float]:
@@ -1118,7 +1140,7 @@ def oracle_model_beta_hat(family: RIFSFamily, s: float, model) -> float:
 
 def oracle_validate(family: RIFSFamily, model) -> ConditionsReport:
     """The standing assumptions and the degeneracy witnesses on the family ``model``'s solver solves."""
-    model, family = _solver(family, model)
+    model, family = oracle_solver(family, model)
     n_bound_ok = family.n_max >= 2
     ratio_bounds_ok = 0.0 < family.c_min and family.c_max < 1.0
     recursive_super = oracle_mean_s0(family) > 1.0

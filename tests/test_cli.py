@@ -524,6 +524,8 @@ DRIFT_ARGS = [
         None,
     ),
     (["percolate", "--p", "0.7", "--boxdim", "--seeds", "0"], None),
+    ([*DRIFT_ARGS, "--workers", "0"], None),
+    ([*DRIFT_ARGS, "--workers", "-3"], None),
     (
         ["levelsum", "--family", "{bad}", "--model", "{model}", "--gauge", "{power}", "--depths", "1,2"],
         {"systems": [{**WORKED_FAMILY["systems"][0], "weight": math.nan}, WORKED_FAMILY["systems"][1]]},
@@ -532,7 +534,7 @@ DRIFT_ARGS = [
     "depths", "thresholds-words", "thresholds-three", "thresholds-nan", "thresholds-inf",
     "pack-thresholds-nan", "pack-thresholds-inf", "family-ratio", "model-v", "model-seed",
     "gauge-s", "family-list", "map-number", "systems-number", "levels-number", "raster-width",
-    "percolate-seeds", "family-nan-weight",
+    "percolate-seeds", "drift-workers-zero", "drift-workers-negative", "family-nan-weight",
 ])
 def test_malformed_input_is_a_config_error(args, bad, configs, capsys):
     (configs[0] / "bad.json").write_text(json.dumps(bad))

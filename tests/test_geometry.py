@@ -202,8 +202,10 @@ def test_sample_points_refuses_a_map_that_never_shrinks():
         ({"max_retries": 0}, "max_retries must be an integer >= 1"),
         ({"max_retries": 2.5}, "max_retries must be an integer >= 1"),
         ({"n": 2.5}, "point count must be an integer, got 2.5"),
+        ({"max_retries": True}, "max_retries must be an integer >= 1, got True"),
     ],
-    ids=["negative-tol", "nan-tol", "infinite-tol", "no-retries", "fraction-retries", "fraction-count"],
+    ids=["negative-tol", "nan-tol", "infinite-tol", "no-retries", "fraction-retries", "fraction-count",
+         "boolean-retries"],
 )
 def test_sample_points_refuses_bad_descent_limits(kwargs, message):
     r = sample(HOM, 0, halves_family())
@@ -339,3 +341,14 @@ def test_rasterize_and_pgm(tmp_path):
     assert len(data) == len(b"P5\n# prov\n4 4\n255\n") + 16
     export_pgm(str(out) + "2", counts, "prov")
     assert data == (tmp_path / "img.pgm2").read_bytes()
+
+
+@pytest.mark.parametrize("size, message", [
+    ((2.5, 3), "raster width must be an integer, got 2.5"),
+    ((3, math.nan), "raster height must be an integer, got nan"),
+    ((True, 3), "raster width must be an integer, got True"),
+    ((0, 3), "raster width and height must be >= 1"),
+], ids=["fraction-width", "nan-height", "boolean-width", "zero-width"])
+def test_rasterize_refuses_sizes_that_are_not_counts(size, message):
+    with pytest.raises(ParameterError, match=message):
+        rasterize(np.array([[0.1, 0.1]]), *size)

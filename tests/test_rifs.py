@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from necktree.config import gauge_from_dict
@@ -16,7 +16,7 @@ from necktree.rifs import (
     SimilarityMap,
     RECURSIVE,
     _almost_deterministic_at,
-    _level_family,
+    _model_weights,
     _moment_root,
     _statistic,
     beta_hat,
@@ -31,6 +31,7 @@ from necktree.rifs import (
 )
 
 from helpers import (
+    _level_family,
     oracle_almost_deterministic_at,
     oracle_beta_hat,
     oracle_eta_hat,
@@ -217,8 +218,8 @@ def test_moment_sums_over_ratio_rows_keep_their_bits(family, s):
     assert [repr(_moment_root(row)) for row in family.map_ratios] == [
         repr(oracle_moment_root(system)) for system in family.systems
     ]
-    assert repr(_almost_deterministic_at(family)) == repr(oracle_almost_deterministic_at(family))
-    assert _statistic(RECURSIVE, family)[0](0.0).hex() == oracle_mean_s0(family).hex()
+    assert repr(_almost_deterministic_at(family, family.weights)) == repr(oracle_almost_deterministic_at(family))
+    assert _statistic(RECURSIVE, family, family.weights)[0](0.0).hex() == oracle_mean_s0(family).hex()
 
 
 def test_log_moment_stats_worked():
@@ -337,8 +338,18 @@ def test_label_tables_match_the_builds_they_replace(case):
     assert ModelSpec(kind="homogeneous") != model
 
 
+# Systems 0 and 1 share the root s = 1 of S^s = 1 and system 2 has another; the level rows leave
+# system 2 out, so the model is almost deterministic though the selection weights are not.
+_SHARED_ROOT_CASE = (
+    RIFSFamily((IFS((SimilarityMap(0.5),) * 2), IFS((SimilarityMap(1 / 3),) * 3), IFS((SimilarityMap(1 / 3),) * 2)),
+               (0.25, 0.25, 0.5)),
+    (BlockTemplate(((0.5, 0.5, 0.0),)), BlockTemplate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), weight=0.5)),
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(table_cases(), st.one_of(st.just(0.0), st.floats(0.0, 4.0)), st.booleans())
+@example(_SHARED_ROOT_CASE, 1.0, False)
 def test_neck_block_statistics_read_each_level_row_with_their_bits(case, s, idle_first):
     # 0-map systems, zero probabilities and a zero-weight template, against the per-level family rebuild
     family, templates = case
@@ -347,8 +358,31 @@ def test_neck_block_statistics_read_each_level_row_with_their_bits(case, s, idle
     model = ModelSpec(kind="neck_block", templates=templates)
     for got, want in ((log_moment_stats, oracle_log_moment_stats), (beta_hat, oracle_model_beta_hat)):
         assert repr(outcome(got, family, s, model)) == repr(outcome(want, family, s, model))
+    # the other statistics read the level weights, against the whole family rebuilt with them
+    level = lambda: _level_family(family, model)
+    for got, want in (
+        (lambda: dimension(family, model), lambda: oracle_dimension(level(), "homogeneous")),
+        (lambda: validate(family, model), lambda: oracle_validate(family, model)),
+        (lambda: eta_hat(family, model), lambda: oracle_eta_hat(level())),
+        (lambda: _almost_deterministic_at(family, _model_weights(family, model)[1]),
+         lambda: oracle_almost_deterministic_at(level())),
+    ):
+        assert repr(outcome(got)) == repr(outcome(want))
     # a level row of the wrong length is refused first, before a negative exponent
     wide = ModelSpec(kind="neck_block", templates=(BlockTemplate(((1.0,) + (0.0,) * family.nsystems,)),))
     for exponent in (s, -1.0):
         want = outcome(oracle_log_moment_stats, family, exponent, wide)
         assert want[0] is ConfigError and outcome(log_moment_stats, family, exponent, wide) == want
+
+
+def test_level_weights_that_do_not_normalize_are_config_errors():
+    # template weights whose level weights underflow to 0 or overflow to inf leave no weight vector to read,
+    # so every statistic of the model refuses them alike
+    family = equicontractive_family([2, 3, 1], 1 / 3, [0.3, 0.3, 0.4])
+    tiny = ModelSpec(kind="neck_block", templates=(BlockTemplate(((0.4, 0.4, 0.2),), weight=5e-324),))
+    huge = ModelSpec(kind="neck_block", templates=(BlockTemplate(((1.0, 0.0, 0.0),), weight=1e308),) * 2)
+    calls = (dimension, validate, eta_hat, lambda f, m: beta_hat(f, 0.5, m), lambda f, m: log_moment_stats(f, 0.5, m))
+    for model in (tiny, huge):
+        for call in calls:
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="must be finite"):
+                call(family, model)

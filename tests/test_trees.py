@@ -20,7 +20,7 @@ from necktree.measure import (
     packing_level_limsup,
     section_infimum,
 )
-from necktree.rifs import cumulative_weights, equicontractive_family, log_moment_stats
+from necktree.rifs import RIFSFamily, cumulative_weights, equicontractive_family, log_moment_stats
 from necktree.trees import (
     BlockTemplate,
     ModelSpec,
@@ -377,6 +377,20 @@ def test_neck_list_recursive_unsupported():
         (HOM, lambda r: Realization(r.family, r.model, r.seed, offset=True), ParameterError,
          "offset must be an integer, got True"),
         (block_model(), lambda r: r.level_systems(True), ParameterError, "depth must be an integer >= 0, got True"),
+        # counts given to the value types: V and the ambient dimension
+        (HOM, lambda r: ModelSpec("v_variable", v=2.5), ParameterError, "v must be an integer, got 2.5"),
+        (HOM, lambda r: ModelSpec("v_variable", v=math.nan), ParameterError, "v must be an integer, got nan"),
+        (HOM, lambda r: ModelSpec("v_variable", v=True), ParameterError, "v must be an integer, got True"),
+        (HOM, lambda r: RIFSFamily(r.family.systems, r.family.weights, ambient_dim=1.5), ConfigError,
+         "ambient_dim must be a positive integer"),
+        (HOM, lambda r: RIFSFamily(r.family.systems, r.family.weights, ambient_dim=math.nan), ConfigError,
+         "ambient_dim must be a positive integer"),
+        (HOM, lambda r: RIFSFamily(r.family.systems, r.family.weights, ambient_dim=True), ConfigError,
+         "ambient_dim must be a positive integer"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, workers=0), ParameterError,
+         "need at least one worker"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, workers=-3), ParameterError,
+         "need at least one worker"),
     ],
     ids=["level-systems-recursive", "level-systems-v-variable", "label-of-zero", "label-of-past-n-max",
          "coding-level-negative", "neck-list-negative", "level-systems-negative-homogeneous",
@@ -392,7 +406,8 @@ def test_neck_list_recursive_unsupported():
          "offset-fraction", "offset-negative", "vv-level-counts-zero", "vv-level-counts-fraction",
          "vv-log-counts-fraction", "vv-log-counts-nan", "vv-log-counts-negative", "vv-log-counts-empty",
          "drift-workers-fraction", "level-sums-boolean", "neck-list-boolean", "offset-boolean",
-         "level-systems-boolean"],
+         "level-systems-boolean", "v-fraction", "v-nan", "v-boolean", "ambient-dim-fraction", "ambient-dim-nan",
+         "ambient-dim-boolean", "drift-workers-zero", "drift-workers-negative"],
 )
 def test_label_reads_raise_typed_errors(model, call, error, message):
     r = sample(model, 8, worked_family())  # n_max = 3
