@@ -4,9 +4,9 @@ The gauged level sum  sum_{e at level k} h(c_e)  is the workhorse: its
 liminf tracks the gauged Hausdorff measure and its limsup the packing
 pre-measure, up to constants.  Everything here runs in log-space and, for
 homogeneous equicontractive families, in O(k) per depth via the product
-form of the level sum.  A drift ensemble does its path-independent work
-(the fast path's tables and, over one ratio, its gauge term) once per chunk
-of paths, not once per path.
+form of the level sum.  The fast path draws each path's gauge-free log count
+and log ratio, and ``_gauged`` alone adds the gauge term, once per chunk of
+paths when they share one ratio.
 """
 from __future__ import annotations
 
@@ -161,38 +161,43 @@ def lil_envelope(variance: float, depths: Sequence[int]) -> tuple[np.ndarray, np
     return plus, -plus
 
 
-def _fast_log_sums(
-    family: RIFSFamily, model: ModelSpec, h: GaugeFunction, kmax: int
-) -> Optional[Callable[[Iterable[Realization]], Iterator[np.ndarray]]]:
-    """A function yielding the fast path's log level sums at levels 1..kmax of each realization, or None.
+def _level_walks(rs: Iterable[Realization], kmax: int, table: np.ndarray) -> Iterator[np.ndarray]:
+    """cumsum(table[labels]) over levels 0..kmax-1 of each realization in turn, in one buffer each path overwrites."""
+    walk = np.empty((kmax, *table.shape[1:]))
+    for labels in level_labels(rs, kmax):
+        # labels are in range, and "clip" writes into ``walk`` without a buffer
+        np.cumsum(np.take(table, labels, axis=0, out=walk, mode="clip"), axis=0, out=walk)
+        yield walk
 
-    Level-driven equicontractive trees use the product form
-    cumsum(log N) + h(cumsum(log c)), one path at a time in one buffer that
-    each path overwrites; v_variable trees over one ratio c add the gauge
-    term h(c^k) to the log counts log Z_k of ``trees.vv_level_counts``.  When
-    every level-k coding has the ratio c^k, the gauge term is computed here,
-    once.  On the product form that term has the bits of the per-path cumsum
-    up to the first extinct level, past which the sum is -inf either way.
+
+def _fast_log_sums(family: RIFSFamily, model: ModelSpec, kmax: int) -> Optional[tuple[Callable, Optional[np.ndarray]]]:
+    """The fast path's gauge-free part at levels 1..kmax, ``(paths, log_ratio)``, or None.
+
+    ``paths(rs)`` yields each realization's (R, lr), the log count and log ratio of its level-k codings, whose log
+    level sums are R + h(lr) (``_gauged``); ``log_ratio`` is the lr all paths share over one ratio c, or None.
+    Level-driven equicontractive trees walk cumsum(log N) and, over several ratios, cumsum(log c) on the same labels;
+    v_variable trees over one ratio read R = log Z_k from ``trees.vv_level_counts``.  The shared lr has the bits of
+    the per-path cumsum up to the first extinct level, past which the sum is -inf either way.
     """
     c = family.uniform_ratio
     if model.kind in (HOMOGENEOUS, NECK_BLOCK) and family.is_equicontractive():
-        logn, logc = family.log_map_counts, family.log_ratios[:, 0]
-        # the count path's gauge term, arange * log c, differs in its last bits; pinned bytes hold each form
-        gauge = None if c is None else h.eval_log(np.cumsum(np.full(kmax, math.log(c))))
-
-        def closed_form(rs: Iterable[Realization]) -> Iterator[np.ndarray]:
-            sums = np.empty(kmax)
-            for sysidx in level_labels(rs, kmax):
-                # labels are in range, and "clip" writes into ``sums`` without a buffer
-                np.cumsum(np.take(logn, sysidx, out=sums, mode="clip"), out=sums)
-                sums += h.eval_log(np.cumsum(logc[sysidx])) if gauge is None else gauge
-                yield sums
-
-        return closed_form
+        if c is None:
+            table = np.stack([family.log_map_counts, family.log_ratios[:, 0]], axis=1)
+            return (lambda rs: ((w[:, 0], w[:, 1]) for w in _level_walks(rs, kmax, table))), None
+        lr = np.cumsum(np.full(kmax, math.log(c)))
+        return (lambda rs: ((w, lr) for w in _level_walks(rs, kmax, family.log_map_counts))), lr
     if model.kind == V_VARIABLE and c is not None:
-        gauge = h.eval_log(np.arange(1, kmax + 1) * math.log(c))
-        return lambda rs: (z + gauge for z in vv_level_counts(rs, kmax))
+        # arange * log c differs from the cumsum in its last bits; pinned bytes hold each form
+        lr = np.arange(1, kmax + 1) * math.log(c)
+        return (lambda rs: ((z, lr) for z in vv_level_counts(rs, kmax))), lr
     return None
+
+
+def _gauged(fast: tuple, h: GaugeFunction, rs: Iterable[Realization]) -> Iterator[np.ndarray]:
+    """Log level sums R + h(lr) of each path of ``fast``; a shared lr's gauge term is evaluated once per call."""
+    paths, log_ratio = fast
+    gauge = None if log_ratio is None else h.eval_log(log_ratio)
+    return (R + (h.eval_log(lr) if gauge is None else gauge) for R, lr in paths(rs))
 
 
 class _LogSumAcc:
@@ -237,8 +242,8 @@ def _stream_log_sums(
 
 def _all_level_log_sums(r: Realization, h: GaugeFunction, kmax: int) -> Optional[np.ndarray]:
     """Fast-path log sums at every level 1..kmax, or None when unavailable."""
-    sums = _fast_log_sums(r.family, r.model, h, kmax)
-    return None if sums is None else next(sums([r]))
+    fast = _fast_log_sums(r.family, r.model, kmax)
+    return None if fast is None else next(_gauged(fast, h, [r]))
 
 
 def level_sums(
@@ -362,15 +367,15 @@ def _path_stats(
 def _drift_chunk(args) -> list:
     """Path statistics of a chunk of seeds, with the path-independent work done once."""
     family, model, h, seeds, depths = args
-    sums = _fast_log_sums(family, model, h, depths[-1])
-    if sums is None:
+    fast = _fast_log_sums(family, model, depths[-1])
+    if fast is None:
         raise PreconditionError(
             "drift experiments need a closed-form level-sum path "
             "(level-driven equicontractive, or v_variable with one ratio)"
         )
     start, idx = h.eval_log(0.0), np.asarray(depths) - 1
     starts = _stretch_starts(idx)
-    paths = sums(sample(model, s, family) for s in seeds)
+    paths = _gauged(fast, h, (sample(model, s, family) for s in seeds))
     return [_path_stats(next(paths), start, idx, starts, s) for s in seeds]
 
 
@@ -391,14 +396,15 @@ def drift_experiment(
     envelope), medians of the running extrema, and the fractions of paths
     whose running extrema crossed the thresholds.
 
-    Each chunk of paths builds the fast path's tables and, over one ratio,
-    its gauge term once, then draws each path's labels or, if v_variable,
-    its ``trees.vv_level_counts``.  Each path reads its running extrema at
-    the grid depths only, in seed order, and the first path whose level sums
-    reach -inf (its tree dies out) raises ``ExtinctionError`` naming its
-    seed.  The envelope variance is ``log_moment_stats``'s for the model;
-    v_variable envelopes use the family's, exact at V = 1 and kept for
-    V >= 2 until ROADMAP item 2(d).
+    ``thresholds`` must be two finite numbers, checked before any path is
+    drawn.  Each path walks its labels or, if v_variable, reads its
+    ``trees.vv_level_counts``; ``_gauged`` adds the gauge term, once per
+    chunk of paths over one ratio.  Each path reads its running extrema at
+    the grid depths only, in seed order, and the first path whose level
+    sums reach -inf (its tree dies out) raises ``ExtinctionError`` naming
+    its seed.  The envelope variance is ``log_moment_stats``'s for the
+    model; v_variable envelopes use the family's, exact at V = 1 and kept
+    for V >= 2 until ROADMAP item 2(d).
     """
     s_bar = _almost_deterministic_at(family, _model_weights(family, model)[1])
     if s_bar is not None:
@@ -408,6 +414,10 @@ def drift_experiment(
         raise ParameterError("need at least one realization")
     if trees._require_integer("workers", workers) < 1:
         raise ParameterError("need at least one worker")
+    lo_hi = thresholds if isinstance(thresholds, (tuple, list)) and len(thresholds) == 2 else (None,)
+    if not all(isinstance(t, (int, float, np.integer, np.floating)) and type(t) is not bool and math.isfinite(t)
+               for t in lo_hi):
+        raise ParameterError(f"thresholds must be two finite numbers lo,hi, got {thresholds!r}")
 
     seeds = ensemble_seeds(seed, n_realizations)
     chunks = _chunk(seeds, workers)
@@ -491,8 +501,7 @@ def lil_calibration(
     e = env[checked]
     n_exit = n_touch = 0
     paths = []
-    for sysidx in level_labels((sample(model, ps, family) for ps in ensemble_seeds(seed, n_paths)), depth):
-        w = np.cumsum(logs[sysidx])
+    for w in _level_walks((sample(model, ps, family) for ps in ensemble_seeds(seed, n_paths)), depth, logs):
         a = np.abs(w[checked])
         n_exit += bool(np.any(a > EXIT_FACTOR * e))
         n_touch += bool(np.any(a >= TOUCH_FACTOR * e))

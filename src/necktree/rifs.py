@@ -196,8 +196,8 @@ class ModelSpec:
         if not self.templates:
             raise ConfigError("neck_block model needs at least one template")
         tw = [t.weight for t in self.templates]
-        if not all(0 <= w < math.inf for w in tw) or sum(tw) <= 0:
-            raise ConfigError(f"template weights must be finite and non-negative with positive sum, got {tw}")
+        if not all(0 <= w < math.inf for w in tw) or not 0 < sum(tw) < math.inf:
+            raise ConfigError(f"template weights must be finite and non-negative with a positive finite sum, got {tw}")
         for t in self.templates:
             if t.length < 1:
                 raise ConfigError("block templates need at least one level")

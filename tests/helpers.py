@@ -34,12 +34,18 @@ from necktree.geometry import (
 )
 from necktree.measure import (
     DEFAULT_THRESHOLDS,
+    ENVELOPE_CHECK_FRACTION,
+    EXIT_FACTOR,
+    TOUCH_FACTOR,
     DriftReport,
+    LilCalibration,
     MassDistributionReport,
     NaturalMeasure,
     SectionValue,
     _check_depths,
     _chunk,
+    _increment_mean_var,
+    _increments,
     ensemble_seeds,
     lil_envelope,
 )
@@ -56,8 +62,10 @@ from necktree.rifs import (
     bisect_decreasing,
     cumulative_weights,
     equicontractive_family,
+    _require_integer,
     eta_hat,
     log_moment_stats,
+    log_moments,
     validate,
 )
 from necktree.trees import (
@@ -67,6 +75,7 @@ from necktree.trees import (
     Realization,
     _codings,
     _log_epsilon,
+    level_labels,
     levels,
     sample,
 )
@@ -812,6 +821,57 @@ def oracle_drift_experiment(
         gauge=h.describe(),
         model_kind=model.kind,
         variance=variance,
+    )
+
+
+# ---- the moment-sum walk by its own label loop -----------------------------------
+# lil_calibration as it was before its walk shared the fast path's label walk:
+# a fresh cumsum(log S^s[labels]) per path.  Kept verbatim as the bit-identity reference.
+
+
+def oracle_lil_calibration(
+    family: RIFSFamily,
+    model: ModelSpec,
+    s: float,
+    n_paths: int,
+    depth: int,
+    seed: int,
+) -> LilCalibration:
+    """Exit/touch fractions of the moment-sum walk against its LIL envelope."""
+    _require_integer("depth", depth)
+    if _require_integer("n_paths", n_paths) < 1:
+        raise ParameterError("need at least one path")
+    _, variance = log_moment_stats(family, s, model)
+    if not variance > 0:
+        raise PreconditionError("calibration needs Var(log S^s) > 0")
+    logs = log_moments(family, s)
+    k = np.arange(1, depth + 1)
+    env = lil_envelope(variance, k)[0]
+    checked = ~np.isnan(env) & (k >= math.ceil(ENVELOPE_CHECK_FRACTION * depth))
+    if not np.any(checked):
+        raise ParameterError("depth too small for any envelope comparison")
+    first_checked = int(np.argmax(checked)) + 1
+
+    e = env[checked]
+    n_exit = n_touch = 0
+    paths = []
+    for sysidx in level_labels((sample(model, ps, family) for ps in ensemble_seeds(seed, n_paths)), depth):
+        w = np.cumsum(logs[sysidx])
+        a = np.abs(w[checked])
+        n_exit += bool(np.any(a > EXIT_FACTOR * e))
+        n_touch += bool(np.any(a >= TOUCH_FACTOR * e))
+        paths.append(_increments(0.0, w))
+    inc_mean, inc_var = _increment_mean_var(paths)
+    return LilCalibration(
+        increment_mean=inc_mean,
+        increment_var=inc_var,
+        frac_exit=n_exit / n_paths,
+        frac_touch=n_touch / n_paths,
+        exit_factor=EXIT_FACTOR,
+        touch_factor=TOUCH_FACTOR,
+        n_paths=n_paths,
+        depth=depth,
+        first_checked_depth=first_checked,
     )
 
 

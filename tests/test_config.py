@@ -136,6 +136,9 @@ def _family(weight=0.5, **map_fields) -> dict:
      "template weights must be finite"),
     (model_from_dict, {"model": {"neck_block": {"templates": [{"levels": [[0.5, 0.5]], "weight": INF}]}}},
      "template weights must be finite"),
+    (model_from_dict,
+     {"model": {"neck_block": {"templates": [{"levels": [[0.5, 0.5]], "weight": 1e308}] * 2}}},
+     "template weights must be finite and non-negative with a positive finite sum"),
     (gauge_from_dict, {"s": NAN, "family": "power"}, "s must be finite"),
     (gauge_from_dict, {"s": INF, "family": "power"}, "s must be finite"),
     (gauge_from_dict, {"s": 0.5, "family": {"h1": {"beta": NAN}}}, "finite beta"),
@@ -155,8 +158,8 @@ def _family(weight=0.5, **map_fields) -> dict:
 ], ids=[
     "nan-weight", "inf-weight", "nan-translation", "nan-isometry", "fractional-ambient-dim",
     "fractional-seed", "boolean-v", "fractional-v", "nan-probability", "nan-template-weight",
-    "inf-template-weight", "nan-s", "inf-s", "nan-beta", "nan-gamma", "boolean-weight", "boolean-ratio",
-    "boolean-probability", "boolean-template-weight", "boolean-s", "boolean-beta", "boolean-gamma",
+    "inf-template-weight", "overflowing-template-weights", "nan-s", "inf-s", "nan-beta", "nan-gamma",
+    "boolean-weight", "boolean-ratio", "boolean-probability", "boolean-template-weight", "boolean-s", "boolean-beta", "boolean-gamma",
 ])
 def test_non_finite_or_non_integral_numbers_are_config_errors(parse, raw, message):
     with pytest.raises(ConfigError, match=message):

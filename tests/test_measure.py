@@ -17,12 +17,13 @@ from necktree.errors import (
     ResourceError,
     UnsupportedModelError,
 )
-from necktree.gauges import h1, h1_star, loglog_power, power
+from necktree.gauges import GaugeFunction, h1, h1_star, loglog_power, power
 from necktree.geometry import percolation_preset
 from necktree.measure import (
     DEFAULT_NODE_BUDGET,
     _all_level_log_sums,
     _fast_log_sums,
+    _gauged,
     _stream_log_sums,
     beta_hat,
     drift_experiment,
@@ -43,6 +44,7 @@ from helpers import (
     min_section_sum_log,
     oracle_closed_form_log_sums,
     oracle_drift_experiment,
+    oracle_lil_calibration,
     oracle_log_mass,
     oracle_mass_check_1d,
     oracle_stream_log_sums,
@@ -491,7 +493,7 @@ def test_fast_path_draws_paths_as_it_yields_them():
     with mock.patch.object(trees, "VV_BATCH_ENTRIES", 3 * 50):
         for model, batch in ((HOM, 1), (VV2, 3)):
             drawn.clear()
-            sums = _fast_log_sums(worked_family(), model, power(S_HOM), 50)(realizations(model))
+            sums = _gauged(_fast_log_sums(worked_family(), model, 50), power(S_HOM), realizations(model))
             for i, _ in enumerate(sums):
                 assert len(drawn) == min(7, (i // batch + 1) * batch)
 
@@ -624,6 +626,59 @@ def test_lil_calibration_statistics():
 def test_lil_calibration_needs_a_path():
     with pytest.raises(ParameterError, match="at least one path"):
         lil_calibration(worked_family(), HOM, S_HOM, n_paths=0, depth=100, seed=5)
+
+
+THREE_SYSTEMS = equicontractive_family([2, 3, 1], 1 / 3, [0.3, 0.3, 0.4])  # TWO_TEMPLATES's three systems
+PER_SYSTEM_RATIOS = RIFSFamily(
+    systems=tuple(IFS(tuple(SimilarityMap(c) for _ in range(n))) for n, c in ((2, 0.2), (3, 0.25), (2, 1 / 3))),
+    weights=(0.4, 0.3, 0.3),
+)
+
+
+@pytest.mark.parametrize("family, model, s", [
+    (worked_family(), HOM, S_HOM),
+    (THREE_SYSTEMS, TWO_TEMPLATES, 0.7),
+    # no fast path: its maps' ratios differ within a system
+    (RIFSFamily(systems=(IFS((SimilarityMap(0.5), SimilarityMap(0.3))),
+                         IFS((SimilarityMap(0.4), SimilarityMap(0.35), SimilarityMap(0.2)))),
+                weights=(0.5, 0.5)), HOM, 0.9),
+], ids=["worked-homogeneous", "neck-block", "non-equicontractive"])
+def test_lil_calibration_keeps_the_bits_of_its_own_label_loop(family, model, s):
+    got = lil_calibration(family, model, s, n_paths=40, depth=600, seed=3)
+    want = oracle_lil_calibration(family, model, s, n_paths=40, depth=600, seed=3)
+    for field in dataclasses.fields(got):
+        assert float(getattr(got, field.name)).hex() == float(getattr(want, field.name)).hex(), field.name
+
+
+@pytest.mark.parametrize("model", [REC, VV2])
+def test_lil_calibration_needs_level_labels(model):
+    with pytest.raises(UnsupportedModelError, match="no per-level label sequence"):
+        lil_calibration(worked_family(), model, S_HOM, n_paths=2, depth=100, seed=5)
+
+
+@pytest.mark.parametrize("family, model", [
+    (worked_family(), HOM),
+    (PER_SYSTEM_RATIOS, HOM),
+    (THREE_SYSTEMS, TWO_TEMPLATES),
+    (worked_family(), VV2),
+], ids=["one-ratio", "per-system-ratios", "neck-block", "v-variable"])
+def test_fast_path_is_gauge_free(family, model):
+    kmax, rs = 200, [sample(model, seed, family) for seed in range(3)]
+    with mock.patch.object(GaugeFunction, "eval_log", side_effect=AssertionError("gauge evaluated")):
+        paths, log_ratio = _fast_log_sums(family, model, kmax)
+        drawn = [(R.copy(), lr.copy()) for R, lr in paths(rs)]  # the closed form overwrites one buffer
+    assert len(drawn) == len(rs) and (log_ratio is None) == (family.uniform_ratio is None)
+    # one R stream serves every gauge: each gauge's sums are R + h(lr), with the bytes of its level_sums
+    for h in (power(0.7), h1(0.8, 0.5, 0.3)):
+        for r, (R, lr) in zip(rs, drawn):
+            assert (R + h.eval_log(lr)).tobytes() == level_sums(r, h, range(1, kmax + 1)).log_sums.tobytes()
+
+
+def test_drift_checks_thresholds_before_drawing_a_path():
+    with mock.patch.object(measure, "sample", side_effect=AssertionError("path drawn")):
+        for bad in ((math.nan, math.nan), (1.0,), None):
+            with pytest.raises(ParameterError, match="thresholds must be two finite numbers"):
+                drift_experiment(worked_family(), HOM, power(S_HOM), 4, [10], seed=0, thresholds=bad)
 
 
 # ---- natural measure and mass distribution ----------------------------------------

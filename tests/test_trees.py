@@ -391,6 +391,24 @@ def test_neck_list_recursive_unsupported():
          "need at least one worker"),
         (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, workers=-3), ParameterError,
          "need at least one worker"),
+        # drift thresholds are exactly two finite numbers, checked before any path is drawn
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, thresholds=(math.nan, math.nan)),
+         ParameterError, r"thresholds must be two finite numbers lo,hi, got \(nan, nan\)"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, thresholds=(1.0,)),
+         ParameterError, r"thresholds must be two finite numbers lo,hi, got \(1.0,\)"),
+        (vv(2), lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, thresholds=None),
+         ParameterError, "thresholds must be two finite numbers lo,hi, got None"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, thresholds=(-1.0, math.inf)),
+         ParameterError, r"thresholds must be two finite numbers lo,hi, got \(-1.0, inf\)"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, thresholds=(False, 1.0)),
+         ParameterError, r"thresholds must be two finite numbers lo,hi, got \(False, 1.0\)"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, thresholds=("-1", "1")),
+         ParameterError, r"thresholds must be two finite numbers lo,hi, got \('-1', '1'\)"),
+        (HOM, lambda r: drift_experiment(r.family, r.model, power(0.5), 2, [2], 0, thresholds=(-1.0, 1.0, 2.0)),
+         ParameterError, "thresholds must be two finite numbers"),
+        # template weights whose sum overflows to inf
+        (HOM, lambda r: ModelSpec("neck_block", templates=(BlockTemplate(((0.5, 0.5),), weight=1e308),) * 2),
+         ConfigError, "template weights must be finite and non-negative with a positive finite sum"),
     ],
     ids=["level-systems-recursive", "level-systems-v-variable", "label-of-zero", "label-of-past-n-max",
          "coding-level-negative", "neck-list-negative", "level-systems-negative-homogeneous",
@@ -407,7 +425,9 @@ def test_neck_list_recursive_unsupported():
          "vv-log-counts-fraction", "vv-log-counts-nan", "vv-log-counts-negative", "vv-log-counts-empty",
          "drift-workers-fraction", "level-sums-boolean", "neck-list-boolean", "offset-boolean",
          "level-systems-boolean", "v-fraction", "v-nan", "v-boolean", "ambient-dim-fraction", "ambient-dim-nan",
-         "ambient-dim-boolean", "drift-workers-zero", "drift-workers-negative"],
+         "ambient-dim-boolean", "drift-workers-zero", "drift-workers-negative", "drift-thresholds-nan",
+         "drift-thresholds-one", "drift-thresholds-none", "drift-thresholds-inf", "drift-thresholds-boolean",
+         "drift-thresholds-strings", "drift-thresholds-three", "template-weights-overflow"],
 )
 def test_label_reads_raise_typed_errors(model, call, error, message):
     r = sample(model, 8, worked_family())  # n_max = 3

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from necktree import trees
 from necktree.errors import HorizonError, ResourceError
 from necktree.gauges import h1, loglog_power, power
-from necktree.measure import _all_level_log_sums, _fast_log_sums, drift_experiment
+from necktree.measure import _all_level_log_sums, _fast_log_sums, _gauged, drift_experiment
 from necktree.rifs import equicontractive_family
 from necktree.trees import ModelSpec, Realization, first_neck, neck_list
 
@@ -94,7 +94,7 @@ def test_log_counts_do_not_depend_on_the_batch(rs, depth, entries, per_batch, ga
     with mock.patch.object(trees, "VV_BATCH_ENTRIES", entries):
         batched = np.concatenate(list(trees.vv_log_counts(rs, depth)))
     with mock.patch.object(trees, "VV_BATCH_ENTRIES", per_batch * depth):
-        sums = list(_fast_log_sums(rs[0].family, rs[0].model, gauge, depth)(rs))
+        sums = list(_gauged(_fast_log_sums(rs[0].family, rs[0].model, depth), gauge, rs))
         level_counts = list(trees.vv_level_counts(rs, depth))
         alone = [np.concatenate(list(trees.vv_log_counts([r], depth)))[:, 0] for r in rs]
     assert batched.shape == (depth, len(rs), rs[0].model.v + 1)
