@@ -175,6 +175,7 @@ def _fast_log_sums(family: RIFSFamily, model: ModelSpec, kmax: int) -> Optional[
 
     ``paths(rs)`` yields each realization's (R, lr), the log count and log ratio of its level-k codings, whose log
     level sums are R + h(lr) (``_gauged``); ``log_ratio`` is the lr all paths share over one ratio c, or None.
+    A walked R, and lr when it follows the path, lie in one buffer that the next path overwrites: copy to keep.
     Level-driven equicontractive trees walk cumsum(log N) and, over several ratios, cumsum(log c) on the same labels;
     v_variable trees over one ratio read R = log Z_k from ``trees.vv_level_counts``.  The shared lr has the bits of
     the per-path cumsum up to the first extinct level, past which the sum is -inf either way.
@@ -414,9 +415,9 @@ def drift_experiment(
         raise ParameterError("need at least one realization")
     if trees._require_integer("workers", workers) < 1:
         raise ParameterError("need at least one worker")
-    lo_hi = thresholds if isinstance(thresholds, (tuple, list)) and len(thresholds) == 2 else (None,)
-    if not all(isinstance(t, (int, float, np.integer, np.floating)) and type(t) is not bool and math.isfinite(t)
-               for t in lo_hi):
+    if not (isinstance(thresholds, (tuple, list)) and len(thresholds) == 2 and all(
+            isinstance(t, (int, float, np.integer, np.floating)) and type(t) is not bool and math.isfinite(t)
+            for t in thresholds)):
         raise ParameterError(f"thresholds must be two finite numbers lo,hi, got {thresholds!r}")
 
     seeds = ensemble_seeds(seed, n_realizations)

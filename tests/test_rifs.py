@@ -376,13 +376,17 @@ def test_neck_block_statistics_read_each_level_row_with_their_bits(case, s, idle
 
 
 def test_level_weights_that_do_not_normalize_are_config_errors():
-    # template weights whose level weights underflow to 0 leave no weight vector to read, so every statistic of
-    # the model refuses them alike; weights whose sum overflows to inf are refused when the spec is built
+    # template weights whose level weights underflow to 0 or overflow to inf leave no weight vector to read,
+    # so every statistic of the model refuses them alike. A template weight sum that overflows is refused when
+    # the spec is built; one finite template weight over several levels still builds, and its level weights
+    # overflow
     family = equicontractive_family([2, 3, 1], 1 / 3, [0.3, 0.3, 0.4])
     tiny = ModelSpec(kind="neck_block", templates=(BlockTemplate(((0.4, 0.4, 0.2),), weight=5e-324),))
+    huge = ModelSpec(kind="neck_block", templates=(BlockTemplate(((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)), weight=1e308),))
     with pytest.raises(ConfigError, match="must be finite"):
         ModelSpec(kind="neck_block", templates=(BlockTemplate(((1.0, 0.0, 0.0),), weight=1e308),) * 2)
     calls = (dimension, validate, eta_hat, lambda f, m: beta_hat(f, 0.5, m), lambda f, m: log_moment_stats(f, 0.5, m))
-    for call in calls:
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="must be finite"):
-            call(family, tiny)
+    for model in (tiny, huge):
+        for call in calls:
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="must be finite"):
+                call(family, model)
