@@ -324,12 +324,10 @@ def percolation_preset(p: float) -> tuple[RIFSFamily, ModelSpec]:
 
 
 def export_points_csv(path: str, points: np.ndarray, provenance: str = "") -> None:
-    pts = np.asarray(points, dtype=float)
+    rows = np.atleast_2d(np.asarray(points, dtype=float)).tolist()
+    text = "".join([",".join([f"{x:.9g}" for x in row]) + "\n" for row in rows])
     with open(path, "w", newline="") as fh:
-        if provenance:
-            fh.write(f"# {provenance}\n")
-        for row in np.atleast_2d(pts).tolist():
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+        fh.write(f"# {provenance}\n{text}" if provenance else text)
 
 
 def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:

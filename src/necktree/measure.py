@@ -176,6 +176,8 @@ def _fast_log_sums(family: RIFSFamily, model: ModelSpec, kmax: int) -> Optional[
     ``paths(rs)`` yields each realization's (R, lr), the log count and log ratio of its level-k codings, whose log
     level sums are R + h(lr) (``_gauged``); ``log_ratio`` is the lr all paths share over one ratio c, or None.
     A walked R, and lr when it follows the path, lie in one buffer that the next path overwrites: copy to keep.
+    ``_gauged`` adds the gauge term into R, so R is consumed; a caller that gauges one R several times adds each
+    gauge term out of place.
     Level-driven equicontractive trees walk cumsum(log N) and, over several ratios, cumsum(log c) on the same labels;
     v_variable trees over one ratio read R = log Z_k from ``trees.vv_level_counts``.  The shared lr has the bits of
     the per-path cumsum up to the first extinct level, past which the sum is -inf either way.
@@ -195,10 +197,14 @@ def _fast_log_sums(family: RIFSFamily, model: ModelSpec, kmax: int) -> Optional[
 
 
 def _gauged(fast: tuple, h: GaugeFunction, rs: Iterable[Realization]) -> Iterator[np.ndarray]:
-    """Log level sums R + h(lr) of each path of ``fast``; a shared lr's gauge term is evaluated once per call."""
+    """Log level sums R + h(lr) of each path of ``fast``; a shared lr's gauge term is evaluated once per call.
+
+    The gauge term is added into R, which is consumed: the yielded sums are R's buffer, a walk buffer that the next
+    path overwrites or a fresh count-path row.  Several gauges over one R stream each add theirs out of place.
+    """
     paths, log_ratio = fast
     gauge = None if log_ratio is None else h.eval_log(log_ratio)
-    return (R + (h.eval_log(lr) if gauge is None else gauge) for R, lr in paths(rs))
+    return (np.add(R, h.eval_log(lr) if gauge is None else gauge, out=R) for R, lr in paths(rs))
 
 
 class _LogSumAcc:
@@ -334,9 +340,10 @@ def ensemble_seeds(master_seed: int, n: int) -> list[int]:
     return list(itertools.islice(seed_stream(master_seed), n))
 
 
-def _increments(start: float, walk: np.ndarray) -> tuple[float, float, int]:
-    """Sum, sum of squares and number of the increments of a walk from ``start``."""
-    incs = np.empty_like(walk)
+def _increments(start: float, walk: np.ndarray, out: Optional[np.ndarray] = None) -> tuple[float, float, int]:
+    """Sum, sum of squares and number of the increments of a walk from ``start``, computed in ``out`` (a contiguous
+    float array of the walk's length, overwritten) or in a new array."""
+    incs = np.empty_like(walk) if out is None else out
     incs[0] = walk[0] - start
     np.subtract(walk[1:], walk[:-1], out=incs[1:])
     total = float(np.sum(incs))
@@ -351,9 +358,10 @@ def _increment_mean_var(paths: list[tuple[float, float, int]]) -> tuple[float, f
 
 
 def _path_stats(
-    full: np.ndarray, start: float, idx: np.ndarray, starts: np.ndarray, path_seed: int
+    full: np.ndarray, start: float, idx: np.ndarray, starts: np.ndarray, path_seed: int, incs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float, int]]:
-    """Grid values at ``idx``, running min/max from its ``_stretch_starts``, and increment sums of one path."""
+    """Grid values at ``idx``, running min/max from its ``_stretch_starts``, and increment sums of one path, whose
+    increments overwrite ``incs``."""
     if full[-1] == -math.inf:
         level = int(np.argmax(full == -math.inf)) + 1
         raise ExtinctionError(f"drift path with seed {path_seed} dies out at level {level}")
@@ -361,7 +369,7 @@ def _path_stats(
         full[idx],
         _running_at(np.minimum, full, starts),
         _running_at(np.maximum, full, starts),
-        _increments(start, full),
+        _increments(start, full, incs),
     )
 
 
@@ -375,9 +383,9 @@ def _drift_chunk(args) -> list:
             "(level-driven equicontractive, or v_variable with one ratio)"
         )
     start, idx = h.eval_log(0.0), np.asarray(depths) - 1
-    starts = _stretch_starts(idx)
+    starts, incs = _stretch_starts(idx), np.empty(depths[-1])
     paths = _gauged(fast, h, (sample(model, s, family) for s in seeds))
-    return [_path_stats(next(paths), start, idx, starts, s) for s in seeds]
+    return [_path_stats(next(paths), start, idx, starts, s, incs) for s in seeds]
 
 
 def drift_experiment(
@@ -499,14 +507,14 @@ def lil_calibration(
         raise ParameterError("depth too small for any envelope comparison")
     first_checked = int(np.argmax(checked)) + 1
 
-    e = env[checked]
+    e, incs = env[checked], np.empty(depth)
     n_exit = n_touch = 0
     paths = []
     for w in _level_walks((sample(model, ps, family) for ps in ensemble_seeds(seed, n_paths)), depth, logs):
         a = np.abs(w[checked])
         n_exit += bool(np.any(a > EXIT_FACTOR * e))
         n_touch += bool(np.any(a >= TOUCH_FACTOR * e))
-        paths.append(_increments(0.0, w))
+        paths.append(_increments(0.0, w, incs))
     inc_mean, inc_var = _increment_mean_var(paths)
     return LilCalibration(
         increment_mean=inc_mean,

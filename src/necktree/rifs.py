@@ -232,8 +232,10 @@ def _model_weights(family: RIFSFamily, model: ModelSpec | str) -> tuple[ModelSpe
     if spec.kind != NECK_BLOCK:
         return spec, family.weights
     spec.check_levels(family)
-    q = sum(t.weight * np.sum(t.levels, axis=0) for t in spec.templates)  # q_i = sum_t w_t sum_l p_{t,l,i}
-    return spec, _check_weights(tuple((q / q.sum()).tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # level weights that overflow are refused just below
+        q = sum(t.weight * np.sum(t.levels, axis=0) for t in spec.templates)  # q_i = sum_t w_t sum_l p_{t,l,i}
+        q = q / q.sum()
+    return spec, _check_weights(tuple(q.tolist()))
 
 
 def _solver(family: RIFSFamily, model: ModelSpec | str) -> tuple[str, tuple[float, ...]]:
@@ -322,17 +324,23 @@ def log_moments(family: RIFSFamily, s: float) -> np.ndarray:
     return np.array([math.log(v) if v > 0 else -math.inf for v in _moments(family, s)])
 
 
-def _mean_log_moment(weights: Sequence[float], vals: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """The mean of per-system ``vals`` under ``weights``, with the weight array and the values it sums (a copy when
-    some weight is 0, which adds an exact 0, even for an empty system's -inf)."""
+def _weight_array(weights: Sequence[float]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``weights`` as a float array, and the mask of its zeros (None when no weight is 0)."""
     w = np.asarray(weights, dtype=float)
-    vals = np.where(w == 0, 0.0, vals) if 0.0 in weights else vals
+    return w, (w == 0 if 0.0 in weights else None)
+
+
+def _mean_log_moment(weight_array: tuple, vals: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The mean of per-system ``vals`` under a ``_weight_array``, with the weights and the values it sums (a copy
+    when some weight is 0, which adds an exact 0, even for an empty system's -inf)."""
+    w, zero = weight_array
+    vals = vals if zero is None else np.where(zero, 0.0, vals)
     return float(np.dot(w, vals)), w, vals
 
 
 def _log_stats(weights: Sequence[float], vals: np.ndarray) -> tuple[float, float]:
     """Mean and variance of per-system ``vals`` under ``weights``; the variance is NaN when the mean is not finite."""
-    mean, w, vals = _mean_log_moment(weights, vals)
+    mean, w, vals = _mean_log_moment(_weight_array(weights), vals)
     return mean, float(np.dot(w, (vals - mean) ** 2)) if math.isfinite(mean) else math.nan
 
 
@@ -348,7 +356,7 @@ def log_moment_stats(family: RIFSFamily, s: float, model: ModelSpec | str = HOMO
     vals = log_moments(family, s)
     if spec.kind != NECK_BLOCK:
         return _log_stats(weights, vals)
-    mean = _mean_log_moment(weights, vals)[0]
+    mean = _mean_log_moment(_weight_array(weights), vals)[0]
     num = total = 0.0
     for t in spec.templates:
         stats = [_log_stats(dist, vals) for dist in t.levels]
@@ -376,11 +384,13 @@ def beta_hat(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS)
 
 def _statistic(solver: str, family: RIFSFamily, weights: tuple[float, ...]):
     """The statistic of s that ``solver`` drives to its root value, with its name at s = 0 and that value:
-    E[S^s] against 1 (recursive) or E[log S^s] against 0 (homogeneous), under ``weights``."""
+    E[S^s] against 1 (recursive) or E[log S^s] against 0 (homogeneous), under ``weights``, whose array the
+    homogeneous statistic builds once per solve."""
     if solver == RECURSIVE:  # ``_moments`` inlined for the bisection; w * 0 adds the 0.0 of an empty system
         rows = list(zip(weights, family.map_ratios))
         return (lambda s: sum([w * sum([c**s for c in row]) for w, row in rows])), "E[S^0]", 1
-    return (lambda s: _mean_log_moment(weights, log_moments(family, s))[0]), "E[log S^0]", 0
+    weight_array = _weight_array(weights)
+    return (lambda s: _mean_log_moment(weight_array, log_moments(family, s))[0]), "E[log S^0]", 0
 
 
 def dimension(family: RIFSFamily, model: ModelSpec | str) -> float:

@@ -195,6 +195,7 @@ def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
         raise ParameterError(f"depth must be an integer >= 0, got {depth!r}")
     step = streams.spacing(np.arange(depth))
     x, tmp, out = np.empty_like(step), np.empty_like(step), np.empty(depth, dtype=np.int64)
+    family, bounds = None, []
     for r in rs:
         kind = r.model.kind
         if kind == NECK_BLOCK:
@@ -202,12 +203,21 @@ def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
             continue
         if kind != HOMOGENEOUS:
             raise UnsupportedModelError(f"{kind} model has no per-level label sequence")
+        if r.family is not family:
+            # The label counts the thresholds t <= x >> 11 of the raw draw x, as the recursive draws'
+            # searchsorted(side="right") does, and x >> 11 >= t exactly when x >= t << 11.  Thresholds of 2^53
+            # (the last, and those of trailing zero weights) are never reached and are dropped: 2^53 << 11 = 2^64
+            # is past uint64, in which it would wrap to 0.
+            family = r.family
+            bounds = [int(t) << 11 for t in family.label_thresholds[:-1] if t < 2**53]
         np.add(step, np.uint64((r._h + r.offset * streams.GOLDEN) & streams.MASK64), out=x)
-        np.right_shift(streams.mix_array(x, tmp), 11, out=x)
-        # thresholds <= x, as the recursive draws' searchsorted(side="right") counts them; the last, 2^53, never is
-        out.fill(0)
-        for t in r.family.label_thresholds[:-1]:
-            out += x >= t
+        draws = streams.mix_array(x, tmp)
+        if bounds:
+            np.greater_equal(draws, bounds[0], out=out, casting="unsafe")
+        else:
+            out.fill(0)
+        for b in bounds[1:]:
+            out += draws >= b
         yield out
 
 

@@ -390,3 +390,17 @@ def test_level_weights_that_do_not_normalize_are_config_errors():
         for call in calls:
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="must be finite"):
                 call(family, model)
+
+
+def test_level_weights_that_overflow_are_refused_with_no_warning():
+    # a finite template weight sum whose level weights overflow, as the fuzz test draws it: every statistic
+    # refuses it with a typed error alone, and no overflow warning escapes first
+    family = equicontractive_family([2, 3, 1], 1 / 3, [0.3, 0.3, 0.4])
+    model = ModelSpec(kind="neck_block", templates=(
+        BlockTemplate(((1.0, 0.0, 0.0),), weight=1.0),
+        BlockTemplate(((1 / 3,) * 3, (1.0, 0.0, 0.0)), weight=1e308),
+    ))
+    calls = (dimension, validate, eta_hat, lambda f, m: beta_hat(f, 0.5, m), lambda f, m: log_moment_stats(f, 0.5, m))
+    for call in calls:
+        with np.errstate(all="raise"), pytest.raises(ConfigError, match="weights must"):
+            call(family, model)

@@ -143,8 +143,9 @@ def test_level_driven_realizations_re_root_without_a_walk(model):
 
 
 def test_level_labels_switch_at_the_integer_thresholds():
-    # zero weights first, in the middle and last, and cumulative weights that are not dyadic
-    for w in ([0.0, 0.3, 0.7], [0.3, 0.0, 0.7], [0.3, 0.7, 0.0], [0.1, 0.2, 0.7]):
+    # zero weights first, in the middle and last, cumulative weights that are not dyadic, and every threshold
+    # before the last at 2^53, which leaves no bound to compare a draw with
+    for w in ([0.0, 0.3, 0.7], [0.3, 0.0, 0.7], [0.3, 0.7, 0.0], [0.1, 0.2, 0.7], [1.0, 0.0, 0.0]):
         fam = equicontractive_family([2, 3, 1], 1 / 3, w)
         draws = {0, streams.MASK64}
         for c in cumulative_weights(fam.weights)[:-1]:
@@ -163,6 +164,19 @@ def test_level_labels_switch_at_the_integer_thresholds():
             labels, _ = trees.expander(sample(REC, 0, fam))(0, np.zeros(x.size, dtype=np.uint64), x.size)
         assert labels.tolist() == want
         assert not np.isin(want, [i for i, wi in enumerate(w) if wi == 0]).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=5).filter(any),
+    offset=st.integers(0, 3),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_level_labels_match_the_searchsorted_oracle(weights, offset, seed):
+    # 1-5 systems with zeros anywhere, so thresholds of 0 and of 2^53 before the last
+    fam = equicontractive_family([2] * len(weights), 1 / 3, [w / sum(weights) for w in weights])
+    r = Realization(family=fam, model=HOM, seed=seed, offset=offset)
+    assert r.level_systems(3000).tobytes() == oracle_level_systems(r, 3000).tobytes()
 
 
 # ---- coding levels ----------------------------------------------------------
