@@ -390,7 +390,7 @@ def _drift_chunk(args) -> list:
 
 def drift_experiment(
     family: RIFSFamily,
-    model: ModelSpec,
+    model: ModelSpec | str,
     h: GaugeFunction,
     n_realizations: int,
     depths: Sequence[int],
@@ -415,7 +415,8 @@ def drift_experiment(
     model; v_variable envelopes use the family's, exact at V = 1 and kept
     for V >= 2 until ROADMAP item 2(d).
     """
-    s_bar = _almost_deterministic_at(family, _model_weights(family, model)[1])
+    model, weights = _model_weights(family, model)
+    s_bar = _almost_deterministic_at(family, weights)
     if s_bar is not None:
         raise PreconditionError(f"family is almost deterministic at s = {s_bar}; drift is null")
     depths = _check_depths(depths)
@@ -480,7 +481,7 @@ def _chunk(items: list, workers: int, size: int = 64) -> list[list]:
 
 def lil_calibration(
     family: RIFSFamily,
-    model: ModelSpec,
+    model: ModelSpec | str,
     s: float,
     n_paths: int,
     depth: int,
@@ -493,6 +494,7 @@ def lil_calibration(
     onward (and only where it is defined, v k > e); near its birth the band
     is degenerate and exceedances carry no information.
     """
+    model = _model_weights(family, model)[0]
     trees._require_integer("depth", depth)
     if trees._require_integer("n_paths", n_paths) < 1:
         raise ParameterError("need at least one path")

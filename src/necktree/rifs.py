@@ -234,7 +234,10 @@ def _model_weights(family: RIFSFamily, model: ModelSpec | str) -> tuple[ModelSpe
     spec.check_levels(family)
     with np.errstate(over="ignore", invalid="ignore"):  # level weights that overflow are refused just below
         q = sum(t.weight * np.sum(t.levels, axis=0) for t in spec.templates)  # q_i = sum_t w_t sum_l p_{t,l,i}
-        q = q / q.sum()
+        total = q.sum()
+        if not math.isfinite(total):
+            raise ConfigError("neck_block level weights must be finite: their sum overflows")
+        q = q / total
     return spec, _check_weights(tuple(q.tolist()))
 
 

@@ -185,6 +185,27 @@ def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
     return Realization(family=family, model=model, seed=seed)
 
 
+def _label_bounds(family: RIFSFamily) -> list[int]:
+    """The raw-draw bounds of ``family``'s labels: draw x has label ``sum(x >= b for b in bounds)``.
+
+    The label counts the thresholds t <= x >> 11, as ``Realization._pick`` does, and x >> 11 >= t exactly when
+    x >= t << 11.  Thresholds of 2^53 (the last, and those of trailing zero weights) are never reached and are
+    dropped: 2^53 << 11 = 2^64 is past uint64, in which it would wrap to 0.
+    """
+    return [int(t) << 11 for t in family.label_thresholds[:-1] if t < 2**53]
+
+
+def _count_labels(draws: np.ndarray, bounds: list[int], out: np.ndarray) -> np.ndarray:
+    """The labels of raw ``draws`` under ``_label_bounds``, counted into the integer array ``out``."""
+    if bounds:
+        np.greater_equal(draws, bounds[0], out=out, casting="unsafe")
+    else:
+        out.fill(0)
+    for b in bounds[1:]:
+        out += draws >= b
+    return out
+
+
 def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
     """System indices of levels 0..depth-1 of each realization in turn; a yielded array may be overwritten by the next.
 
@@ -204,21 +225,9 @@ def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
         if kind != HOMOGENEOUS:
             raise UnsupportedModelError(f"{kind} model has no per-level label sequence")
         if r.family is not family:
-            # The label counts the thresholds t <= x >> 11 of the raw draw x, as the recursive draws'
-            # searchsorted(side="right") does, and x >> 11 >= t exactly when x >= t << 11.  Thresholds of 2^53
-            # (the last, and those of trailing zero weights) are never reached and are dropped: 2^53 << 11 = 2^64
-            # is past uint64, in which it would wrap to 0.
-            family = r.family
-            bounds = [int(t) << 11 for t in family.label_thresholds[:-1] if t < 2**53]
+            family, bounds = r.family, _label_bounds(r.family)
         np.add(step, np.uint64((r._h + r.offset * streams.GOLDEN) & streams.MASK64), out=x)
-        draws = streams.mix_array(x, tmp)
-        if bounds:
-            np.greater_equal(draws, bounds[0], out=out, casting="unsafe")
-        else:
-            out.fill(0)
-        for b in bounds[1:]:
-            out += draws >= b
-        yield out
+        yield _count_labels(streams.mix_array(x, tmp), bounds, out)
 
 
 # ---- tree walks -------------------------------------------------------------
@@ -237,13 +246,14 @@ def expander(r: Realization):
     counters = np.arange(r.family.n_max + 1, dtype=np.uint64)  # a recursive node's draws: its label, then children
     counters[0] = streams.TAG_LABEL_DRAW
     thresholds, nmaps = r.family.label_thresholds.tolist(), r.family.map_counts.tolist()
+    bounds = np.array(_label_bounds(r.family), dtype=np.uint64)  # searched with raw draws, unshifted
     spacing = streams.spacing(counters).tolist()  # fold(a, counters[i]) is mix64(a + spacing[i])
     window = np.zeros(0, dtype=np.int64)
 
     def expand(depth: int, aux: Optional[np.ndarray], n: int):
         if kind == RECURSIVE:
             states = streams.fold_array(aux[:, None], counters)
-            return r.family.label_thresholds.searchsorted(states[:, 0] >> 11, side="right"), states[:, 1:]
+            return bounds.searchsorted(states[:, 0], side="right"), states[:, 1:]
         if kind == V_VARIABLE:
             labels, table = _vv_children([r], np.array([level0 + depth], dtype=np.uint64), 1)
             return labels[0, 0, aux - 1], table[0, 0, aux].astype(np.uint64)
@@ -481,16 +491,25 @@ def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> tuple
     """
     _vv_level_entries(rs)
     r = rs[0]
-    v, js = r.model.v, np.arange(1, r.family.n_max + 1)
+    v, n_max = r.model.v, r.family.n_max
     levels = (level0 + np.arange(n, dtype=np.uint64)[:, None])[:, :, None]  # [k, p, 1]
     bufs = np.arange(1, v + 1, dtype=np.uint64)
     hl, ha = np.array([(q._hl, q._ha) for q in rs], dtype=np.uint64)[:, :, None].transpose(1, 0, 2)
     x = streams.fold_array(streams.fold_array(hl, levels), bufs)
-    labels = r.family.label_thresholds.searchsorted(x >> 11, side="right")
-    states = streams.fold_array(streams.fold_array(ha, levels), bufs)[..., None]
-    u = streams.u01_array(streams.fold_array(states, js))
-    table = np.zeros((n, len(rs), v + 1, js.size), dtype=np.int32)
-    table[:, :, 1:] = np.where(js <= r.family.map_counts[labels][..., None], 1 + (u * v).astype(np.int32), 0)
+    labels = _count_labels(x, _label_bounds(r.family), np.empty(x.shape, dtype=np.intp))
+    states = streams.fold_array(streams.fold_array(ha, levels), bufs)
+    # draws in [j - 1, k, p, b - 1] order, so that each numpy pass runs over whole levels, not n_max entries
+    x = streams.fold_array(states, np.arange(1, n_max + 1, dtype=np.uint64)[:, None, None, None])
+    x >>= np.uint64(11)
+    table = np.empty((n, len(rs), v + 1, n_max), dtype=np.int32)
+    table[:, :, 0] = 0
+    drawn = table[:, :, 1:].transpose(3, 0, 1, 2)
+    # (x >> 11) 2^-53 is exact, so one product with 2^-53 V rounds as u01(x) * V does; the cast truncates as int()
+    np.multiply(x, v * 2.0**-53, out=drawn, casting="unsafe")
+    drawn += 1
+    nmaps = r.family.map_counts[labels]
+    for j in range(r.family.map_counts.min(), n_max):  # every system has maps 1..min
+        drawn[j] *= nmaps > j
     return labels, table
 
 
@@ -506,10 +525,11 @@ def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
     children's buffers with one ordered scatter over the ``_vv_children``
     table in (path, parent buffer, map) order: each path sees the order of a
     scalar loop over its tree's edges, so results depend neither on the
-    chunking nor on the other paths.  Chunks start at 1/32 of the levels
-    whose table holds ``VV_BATCH_ENTRIES`` entries and double up to them (one
-    level at least), so a search that stops early draws a small table and a
-    long one holds one bounded table.  ``n = 0`` yields nothing.
+    chunking nor on the other paths.  Call ``step`` the levels whose table
+    holds ``VV_BATCH_ENTRIES`` entries (one level at least).  When ``n <=
+    step`` one table holds all n levels.  Longer recursions start at 1/32 of
+    step and double up to it, so a search that stops early draws a small
+    table and a long one holds one bounded table.  ``n = 0`` yields nothing.
     """
     if _require_integer("n", n) < 0:
         raise ParameterError("n must be >= 0")
@@ -522,12 +542,12 @@ def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
     log_counts = np.full(flat.size, -np.inf)
     log_counts[flat[:, 0] + [r._root_state[1] for r in rs]] = 0.0
     parents = np.repeat(flat[:, 1:], n_max)  # each edge's parent, in (path, parent buffer, map) order
-    start, k = 0, max(1, step >> 5)  # a small first chunk for searches that stop early, doubling to step
+    start, k = 0, step if n <= step else max(1, step >> 5)
     while start < n:
         _, table = _vv_children(rs, level0 + np.uint64(start), min(k, n - start))
         start, k = start + len(table), min(2 * k, step)
         # maps that do not exist point to the path's column 0
-        children = (table[:, :, 1:] + flat[:, :1, None]).reshape(len(table), -1)
+        children = (table[:, :, 1:].reshape(len(table), paths, -1) + flat[:, :1]).reshape(len(table), -1)
         counts = np.full((len(table), paths, v + 1), -np.inf)
         for row, edges in zip(counts.reshape(len(table), -1), children):
             np.logaddexp.at(row, edges, log_counts[parents])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from necktree import measure, rifs, trees
 from necktree.errors import (
+    ConfigError,
     ExtinctionError,
     NecktreeError,
     ParameterError,
@@ -297,6 +298,35 @@ def test_drift_rejects_almost_deterministic():
 def test_drift_rejects_recursive_model():
     with pytest.raises(PreconditionError):
         drift_experiment(worked_family(), REC, power(0.8), 10, [10], seed=0)
+
+
+def _report_bytes(report) -> list:
+    return [np.asarray(getattr(report, f.name)).tobytes() for f in dataclasses.fields(report)]
+
+
+def test_ensembles_take_a_model_name():
+    # a model name reads as its spec, and an unknown one is a typed error
+    fam = worked_family()
+    by_name = drift_experiment(fam, "homogeneous", power(S_HOM), 2, [10, 20], 1)
+    assert _report_bytes(by_name) == _report_bytes(drift_experiment(fam, HOM, power(S_HOM), 2, [10, 20], 1))
+    by_name = lil_calibration(fam, "homogeneous", 0.8, 2, 100, 1)
+    assert _report_bytes(by_name) == _report_bytes(lil_calibration(fam, HOM, 0.8, 2, 100, 1))
+    with pytest.raises(ConfigError, match="unknown model kind"):
+        drift_experiment(fam, "homogenous", power(S_HOM), 2, [10, 20], 1)
+    with pytest.raises(ConfigError, match="unknown model kind"):
+        lil_calibration(fam, "homogenous", 0.8, 2, 100, 1)
+
+
+def test_ensembles_name_level_weights_that_overflow():
+    fam = equicontractive_family([2, 3, 1], 1 / 3, [0.3, 0.3, 0.4])
+    model = ModelSpec(kind="neck_block", templates=(
+        BlockTemplate(((1.0, 0.0, 0.0),), weight=1.0),
+        BlockTemplate(((1 / 3,) * 3, (1.0, 0.0, 0.0)), weight=1e308),
+    ))
+    with pytest.raises(ConfigError, match="neck_block level weights must be finite: their sum overflows"):
+        drift_experiment(fam, model, power(0.8), 2, [10, 20], 1)
+    with pytest.raises(ConfigError, match="their sum overflows"):
+        lil_calibration(fam, model, 0.8, 2, 100, 1)
 
 
 def test_drift_worker_count_invariance():

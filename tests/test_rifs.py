@@ -404,3 +404,11 @@ def test_level_weights_that_overflow_are_refused_with_no_warning():
     for call in calls:
         with np.errstate(all="raise"), pytest.raises(ConfigError, match="weights must"):
             call(family, model)
+
+
+def test_float_sum_adds_left_to_right():
+    # CPython 3.12 and later give 2.0 here: their float sum() compensates rounding, while 3.11 adds left to right
+    assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
+        "sum() of floats no longer adds left to right, so the pinned bytes of measure._log_sum, rifs._moments, "
+        "rifs._moment_root and rifs._statistic's recursive objective would move"
+    )

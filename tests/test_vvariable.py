@@ -128,6 +128,49 @@ def test_children_table_matches_scalar_draws():
             assert table[k, b].tolist() == expect
 
 
+@settings(max_examples=40)
+@given(
+    counts=st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(lambda c: max(c) >= 1),
+    data=st.data(),
+    v=st.integers(1, 13),
+    n=st.integers(1, 4),
+)
+def test_children_tables_match_scalar_draws_bit_for_bit(counts, data, v, n):
+    # 0-map systems, zero weights anywhere (trailing ones too), any V, offsets and several paths
+    weights = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0]), min_size=len(counts), max_size=len(counts))
+                        .filter(any))
+    family = equicontractive_family(counts, 1 / 3, [w / sum(weights) for w in weights])
+    model = ModelSpec(kind="v_variable", v=v)
+    rs = [Realization(family=family, model=model, seed=data.draw(st.integers(0, 2**64 - 1)), offset=o)
+          for o in data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))]
+    level0 = np.array([r._root_state[0] for r in rs], dtype=np.uint64)
+    labels, table = trees._vv_children(rs, level0, n)
+    assert labels.shape == (n, len(rs), v) and table.shape == (n, len(rs), v + 1, family.n_max)
+    assert table.dtype == np.int32 and not table[:, :, 0].any()
+    for p, r in enumerate(rs):
+        for k in range(n):
+            level = int(level0[p]) + k
+            for b in range(1, v + 1):
+                sys = r._vv_label(level, b)
+                assert labels[k, p, b - 1] == sys
+                want = [r._vv_assign(level, b, j) if j <= counts[sys] else 0 for j in range(1, family.n_max + 1)]
+                assert table[k, p, b].tolist() == want
+
+
+@pytest.mark.parametrize("v", [1, 8])
+def test_counts_agree_across_the_one_table_boundary(v):
+    # n = step draws one table; n = step + 1 draws doubling chunks, and gives the same levels
+    rs = [Realization(family=worked_family(), model=ModelSpec(kind="v_variable", v=v), seed=s, offset=s) for s in (4, 5)]
+    step = trees.VV_BATCH_ENTRIES // trees._vv_level_entries(rs)
+    with mock.patch.object(trees, "_vv_children", wraps=trees._vv_children) as draw:
+        one = list(trees.vv_log_counts(rs, step))
+        assert draw.call_count == 1
+        more = np.concatenate(list(trees.vv_log_counts(rs, step + 1)))
+        assert draw.call_count > 2
+    assert len(one) == 1 and more.shape == (step + 1, 2, v + 1)
+    assert one[0].tobytes() == more[:step].tobytes()
+
+
 def test_a_level_table_over_the_node_budget_is_a_resource_error():
     # one level at V = 3 over the worked family holds 1 x 4 x 3 = 12 entries
     r = Realization(family=worked_family(), model=ModelSpec(kind="v_variable", v=3), seed=3)
@@ -177,3 +220,10 @@ def test_every_table_chunk_follows_the_batch_rule():
         assert levels[:-1] == ramp[:-1] and 1 <= levels[-1] <= ramp[-1]
         # the long recursions reach full chunks; the early neck search draws one small chunk
         assert step in levels if i < 3 else levels == [max(1, step >> 5)]
+    # a recursion that fits one full chunk draws it as one table: a V = 32 neck list and a drift to level 150
+    with mock.patch.object(trees, "_vv_children", wraps=trees._vv_children) as draw:
+        neck_list(Realization(family=fam, model=ModelSpec(kind="v_variable", v=32), seed=2), 150)
+        drift_experiment(fam, ModelSpec(kind="v_variable", v=32), h1(0.82, 1.0, 0.5), 2, [10, 150], seed=1)
+    assert [len(call.args[0]) for call in draw.call_args_list] == [1, 2]
+    for call in draw.call_args_list:
+        assert call.args[2] == 150 <= trees.VV_BATCH_ENTRIES // trees._vv_level_entries(call.args[0])
