@@ -175,9 +175,7 @@ def sample_points(
     shrink, so it is refused.
     """
     family = r.family
-    trees._require_integer("point count", n)
-    if n < 0:
-        raise ParameterError(f"point count must be >= 0, got {n}")
+    trees._require_count("point count", n)
     if not 0.0 < diameter_tol < math.inf:
         raise ParameterError(f"diameter_tol must be finite and > 0, got {diameter_tol}")
     if not _is_integer(max_retries) or max_retries < 1:

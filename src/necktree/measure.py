@@ -267,7 +267,7 @@ def level_sums(
     time under ``node_budget``.
     """
     depths = _check_depths(depths)
-    trees._require_integer("node_budget", node_budget)
+    trees._require_count("node_budget", node_budget)
     full = _all_level_log_sums(r, h, depths[-1])
     if full is not None:
         return _series(r, h, depths, full[np.asarray(depths) - 1])
@@ -286,7 +286,7 @@ def packing_level_limsup(
     level from 1 to that depth.
     """
     depths = _check_depths(depths)
-    trees._require_integer("node_budget", node_budget)
+    trees._require_count("node_budget", node_budget)
     full = _all_level_log_sums(r, h, depths[-1])
     if full is None:
         full = _stream_log_sums(r, h, range(1, depths[-1] + 1), node_budget)
@@ -335,8 +335,7 @@ def seed_stream(master_seed: int) -> Iterator[int]:
 
 
 def ensemble_seeds(master_seed: int, n: int) -> list[int]:
-    if trees._require_integer("n", n) < 0:
-        raise ParameterError("n must be >= 0")
+    trees._require_count("n", n)
     return list(itertools.islice(seed_stream(master_seed), n))
 
 
@@ -555,9 +554,9 @@ def section_infimum(
     most ``argmin_limit`` nodes, each chunk keeps its nodes' choices, and the
     argmin section is rebuilt from them once, at the end.
     """
-    for name, value in (("depth_min", depth_min), ("depth_cap", depth_cap),
-                        ("node_budget", node_budget), ("argmin_limit", argmin_limit)):
+    for name, value in (("depth_min", depth_min), ("depth_cap", depth_cap), ("argmin_limit", argmin_limit)):
         trees._require_integer(name, value)
+    trees._require_count("node_budget", node_budget)
     if depth_min < 0 or depth_cap < depth_min:
         raise ParameterError("need 0 <= depth_min <= depth_cap")
     n_max = r.family.n_max

@@ -44,6 +44,13 @@ def _require_integer(name: str, value) -> int:
     return int(value)
 
 
+def _require_count(name: str, value) -> int:
+    """``value`` as an int, or ``ParameterError`` unless it is an integer >= 0."""
+    if _require_integer(name, value) < 0:
+        raise ParameterError(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SimilarityMap:
     """A contracting similarity ``x -> ratio * Q x + b``.
@@ -109,8 +116,8 @@ class IFS:
 class RIFSFamily:
     """A finite family of IFSs with selection weights (the randomness source).
 
-    Its label tables, read-only: ``label_thresholds``, ``map_counts``, ``log_ratios`` (``[nsystems, n_max]``,
-    the log ratio of map j + 1 of system i, 0 past its maps) and ``log_map_counts`` (-inf for no maps).
+    Its label tables, read-only: ``label_bounds``, ``map_counts``, ``log_ratios`` (``[nsystems, n_max]``, the
+    log ratio of map j + 1 of system i, 0 past its maps) and ``log_map_counts`` (-inf for no maps).
     ``map_ratios[i]`` is the tuple of system i's map ratios as floats, which the moment sums read.
     """
 
@@ -143,7 +150,7 @@ class RIFSFamily:
         object.__setattr__(self, "n_max", max(s.nmaps for s in systems))
         log_ratios = [[math.log(m.ratio) for m in s.maps] + [0.0] * (self.n_max - s.nmaps) for s in systems]
         object.__setattr__(self, "map_ratios", tuple(tuple(float(m.ratio) for m in s.maps) for s in systems))
-        _set_tables(self, label_thresholds=_label_thresholds(cumulative_weights(weights)),
+        _set_tables(self, label_bounds=_label_bounds(cumulative_weights(weights)),
                     map_counts=np.array([s.nmaps for s in systems]), log_ratios=np.array(log_ratios),
                     log_map_counts=np.array([math.log(s.nmaps) if s.nmaps else -math.inf for s in systems]))
 
@@ -178,8 +185,8 @@ class ModelSpec:
     """A tree model kind with its V or block templates; only ``check_levels`` needs a family.
 
     A neck_block spec's read-only tables lie outside its fields, so equal specs hash alike:
-    ``template_thresholds``, the template ``lengths``, and the thresholds of level off of template t
-    in row ``first_rows[t] + off`` of ``level_thresholds``.
+    ``template_bounds`` (as ``_label_bounds``), the template ``lengths``, and the thresholds of level off of
+    template t in row ``first_rows[t] + off`` of ``level_thresholds``.
     """
 
     kind: str
@@ -208,7 +215,7 @@ class ModelSpec:
         lengths = np.array([t.length for t in self.templates])
         rows = [cumulative_weights(d) for t in self.templates for d in t.levels]
         tcum = cumulative_weights(np.asarray(tw, dtype=float) / sum(tw))
-        _set_tables(self, template_thresholds=_label_thresholds(tcum), level_thresholds=_label_thresholds(rows),
+        _set_tables(self, template_bounds=_label_bounds(tcum), level_thresholds=_label_thresholds(rows),
                     lengths=lengths, first_rows=np.cumsum(lengths) - lengths)
 
     def check_levels(self, family: RIFSFamily) -> None:
@@ -272,6 +279,14 @@ def _label_thresholds(cum) -> np.ndarray:
     """``ceil(c 2^53)`` for each cumulative weight c: ``bisect_right(cum, u01(x))`` counts those ``<= x >> 11``,
     as c 2^53 is exact and ``x >> 11`` an integer; c = 1.0 gives 2^53, which no draw reaches."""
     return np.ceil(np.asarray(cum) * 2.0**53).astype(np.uint64)
+
+
+def _label_bounds(cum) -> np.ndarray:
+    """The bounds ``t << 11`` of the ``_label_thresholds`` t < 2^53: a raw draw x (``u01``'s input) has label
+    ``#{b : x >= b}``, as x >> 11 >= t exactly when x >= t << 11.  No draw reaches a threshold of 2^53 or more
+    (the last, and those of trailing zero weights), and 2^53 << 11 would wrap to 0 in uint64."""
+    t = _label_thresholds(cum)
+    return t[t < 2**53] << np.uint64(11)
 
 
 def _set_tables(value, **tables: np.ndarray) -> None:

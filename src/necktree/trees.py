@@ -28,7 +28,7 @@ import numpy as np
 
 from . import streams
 from .errors import HorizonError, ParameterError, PreconditionError, ResourceError, UnsupportedModelError
-from .rifs import HOMOGENEOUS, NECK_BLOCK, RECURSIVE, V_VARIABLE, RIFSFamily, _require_integer
+from .rifs import HOMOGENEOUS, NECK_BLOCK, RECURSIVE, V_VARIABLE, RIFSFamily, _require_count, _require_integer
 from .rifs import BlockTemplate, ModelSpec  # noqa: F401  (re-exported)
 
 NECK_SEARCH_HORIZON = 10**6
@@ -86,8 +86,7 @@ class Realization:
     offset: int = 0
 
     def __post_init__(self) -> None:
-        if _require_integer("offset", self.offset) < 0:
-            raise ParameterError("offset must be >= 0")
+        _require_count("offset", self.offset)
         seed = int(self.seed) & streams.MASK64
         object.__setattr__(self, "seed", seed)
         kind = self.model.kind
@@ -113,12 +112,12 @@ class Realization:
 
     def _pick(self, x: int) -> int:
         """The label of raw draw ``x``."""
-        return bisect_right(self.family.label_thresholds, x >> 11)
+        return bisect_right(self.family.label_bounds, x)
 
     def _blocks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Template index and first absolute level of neck_block blocks 0..n-1."""
-        x = streams.fold_array(self._hb, np.arange(n)) >> 11
-        template = self.model.template_thresholds.searchsorted(x, side="right")
+        x = streams.fold_array(self._hb, np.arange(n))
+        template = self.model.template_bounds.searchsorted(x, side="right")
         lengths = self.model.lengths[template]
         return template, np.cumsum(lengths) - lengths
 
@@ -130,6 +129,8 @@ class Realization:
         off = levels - first[block]
         x = streams.fold_array(streams.fold_array(self._hbl, block), off)
         rows = model.level_thresholds[model.first_rows[template[block]] + off]
+        # shifted thresholds, not raw-draw bounds: each row would drop its own suffix of unreachable thresholds
+        # (t >= 2^53), and no uint64 bound can pad the rows to one width, as every uint64 value is a reachable draw
         return (x[:, None] >> 11 >= rows).sum(axis=1)
 
     def _vv_label(self, level: int, buf: int) -> int:
@@ -185,19 +186,9 @@ def sample(model: ModelSpec, seed: int, family: RIFSFamily) -> Realization:
     return Realization(family=family, model=model, seed=seed)
 
 
-def _label_bounds(family: RIFSFamily) -> list[int]:
-    """The raw-draw bounds of ``family``'s labels: draw x has label ``sum(x >= b for b in bounds)``.
-
-    The label counts the thresholds t <= x >> 11, as ``Realization._pick`` does, and x >> 11 >= t exactly when
-    x >= t << 11.  Thresholds of 2^53 (the last, and those of trailing zero weights) are never reached and are
-    dropped: 2^53 << 11 = 2^64 is past uint64, in which it would wrap to 0.
-    """
-    return [int(t) << 11 for t in family.label_thresholds[:-1] if t < 2**53]
-
-
-def _count_labels(draws: np.ndarray, bounds: list[int], out: np.ndarray) -> np.ndarray:
-    """The labels of raw ``draws`` under ``_label_bounds``, counted into the integer array ``out``."""
-    if bounds:
+def _count_labels(draws: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The labels of raw ``draws`` under ``RIFSFamily.label_bounds``, counted into the integer array ``out``."""
+    if bounds.size:
         np.greater_equal(draws, bounds[0], out=out, casting="unsafe")
     else:
         out.fill(0)
@@ -216,7 +207,6 @@ def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
         raise ParameterError(f"depth must be an integer >= 0, got {depth!r}")
     step = streams.spacing(np.arange(depth))
     x, tmp, out = np.empty_like(step), np.empty_like(step), np.empty(depth, dtype=np.int64)
-    family, bounds = None, []
     for r in rs:
         kind = r.model.kind
         if kind == NECK_BLOCK:
@@ -224,10 +214,8 @@ def level_labels(rs: Iterable[Realization], depth: int) -> Iterator[np.ndarray]:
             continue
         if kind != HOMOGENEOUS:
             raise UnsupportedModelError(f"{kind} model has no per-level label sequence")
-        if r.family is not family:
-            family, bounds = r.family, _label_bounds(r.family)
         np.add(step, np.uint64((r._h + r.offset * streams.GOLDEN) & streams.MASK64), out=x)
-        yield _count_labels(streams.mix_array(x, tmp), bounds, out)
+        yield _count_labels(streams.mix_array(x, tmp), r.family.label_bounds, out)
 
 
 # ---- tree walks -------------------------------------------------------------
@@ -245,15 +233,14 @@ def expander(r: Realization):
     kind, level0 = r.model.kind, r._root_state[0]
     counters = np.arange(r.family.n_max + 1, dtype=np.uint64)  # a recursive node's draws: its label, then children
     counters[0] = streams.TAG_LABEL_DRAW
-    thresholds, nmaps = r.family.label_thresholds.tolist(), r.family.map_counts.tolist()
-    bounds = np.array(_label_bounds(r.family), dtype=np.uint64)  # searched with raw draws, unshifted
+    bounds, bound_list, nmaps = r.family.label_bounds, r.family.label_bounds.tolist(), r.family.map_counts.tolist()
     spacing = streams.spacing(counters).tolist()  # fold(a, counters[i]) is mix64(a + spacing[i])
     window = np.zeros(0, dtype=np.int64)
 
     def expand(depth: int, aux: Optional[np.ndarray], n: int):
         if kind == RECURSIVE:
-            states = streams.fold_array(aux[:, None], counters)
-            return bounds.searchsorted(states[:, 0], side="right"), states[:, 1:]
+            states = streams.fold_array(aux, counters[:, None])  # counter-major: row 0 holds the label draws
+            return bounds.searchsorted(states[0], side="right"), states[1:].T
         if kind == V_VARIABLE:
             labels, table = _vv_children([r], np.array([level0 + depth], dtype=np.uint64), 1)
             return labels[0, 0, aux - 1], table[0, 0, aux].astype(np.uint64)
@@ -262,7 +249,7 @@ def expander(r: Realization):
     def node(depth: int, a: Optional[int]):
         nonlocal window
         if kind == RECURSIVE:
-            sys = bisect_right(thresholds, streams.mix64(a + spacing[0]) >> 11)
+            sys = bisect_right(bound_list, streams.mix64(a + spacing[0]))
             return sys, [streams.mix64(a + s) for s in spacing[1 : nmaps[sys] + 1]]
         if kind == V_VARIABLE:
             sys = r._vv_label(level0 + depth, a)
@@ -379,9 +366,7 @@ def levels(
 
 def coding_level(r: Realization, k: int) -> Iterator[Coding]:
     """Stream all live codings at level ``k`` in address order, under ``DEFAULT_NODE_BUDGET``."""
-    _require_integer("level", k)
-    if k < 0:
-        raise ParameterError("level must be >= 0")
+    _require_count("level", k)
     for chunk in levels(r, max_depth=k, node_budget=DEFAULT_NODE_BUDGET):
         if chunk.depth == k:
             yield from _codings(chunk.letters(np.arange(len(chunk))), chunk.log_ratio)
@@ -496,7 +481,7 @@ def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> tuple
     bufs = np.arange(1, v + 1, dtype=np.uint64)
     hl, ha = np.array([(q._hl, q._ha) for q in rs], dtype=np.uint64)[:, :, None].transpose(1, 0, 2)
     x = streams.fold_array(streams.fold_array(hl, levels), bufs)
-    labels = _count_labels(x, _label_bounds(r.family), np.empty(x.shape, dtype=np.intp))
+    labels = _count_labels(x, r.family.label_bounds, np.empty(x.shape, dtype=np.intp))
     states = streams.fold_array(streams.fold_array(ha, levels), bufs)
     # draws in [j - 1, k, p, b - 1] order, so that each numpy pass runs over whole levels, not n_max entries
     x = streams.fold_array(states, np.arange(1, n_max + 1, dtype=np.uint64)[:, None, None, None])
@@ -516,8 +501,9 @@ def _vv_children(rs: Sequence[Realization], level0: np.ndarray, n: int) -> tuple
 def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
     """Per-buffer log counts of the codings at levels 1..n below each root, in chunks.
 
-    ``rs`` are v_variable realizations of one model and family, each with its
-    own seed and offset.  Each chunk is a ``[k, len(rs), V + 1]`` array over k
+    ``rs`` are v_variable realizations (else ``UnsupportedModelError``) of one
+    model over families with one label and map-count table (else
+    ``ParameterError``), each with its own seed and offset.  Each chunk is a ``[k, len(rs), V + 1]`` array over k
     consecutive levels: entry ``[i, p, b]`` is the log of the number of
     codings of path p at that level whose node reads buffer b, -inf where none
     does (so b is reachable exactly when it is finite), and -inf in column 0,
@@ -531,10 +517,13 @@ def vv_log_counts(rs: Sequence[Realization], n: int) -> Iterator[np.ndarray]:
     step and double up to it, so a search that stops early draws a small
     table and a long one holds one bounded table.  ``n = 0`` yields nothing.
     """
-    if _require_integer("n", n) < 0:
-        raise ParameterError("n must be >= 0")
+    _require_count("n", n)
     if not rs:
         raise ParameterError("need at least one realization")
+    if any(r.model.kind != V_VARIABLE for r in rs):
+        raise UnsupportedModelError("V-variable counts need v_variable realizations")
+    if len({(r.model, r.family.label_bounds.tobytes(), r.family.map_counts.tobytes()) for r in rs}) > 1:
+        raise ParameterError("V-variable counts need realizations of one model over one family's label and map tables")
     v, n_max, paths = rs[0].model.v, rs[0].family.n_max, len(rs)
     step = max(1, VV_BATCH_ENTRIES // _vv_level_entries(rs))
     level0 = np.array([r._root_state[0] for r in rs], dtype=np.uint64)
@@ -600,17 +589,13 @@ def neck_list(r: Realization, up_to_level: int) -> NeckList:
 
     The v_variable search holds one ``vv_log_counts`` chunk at a time.
     """
-    _require_integer("up_to_level", up_to_level)
-    if up_to_level < 0:
-        raise ParameterError("up_to_level must be >= 0")
+    _require_count("up_to_level", up_to_level)
     return NeckList(tuple(_necks(r, up_to_level)))
 
 
 def first_neck(r: Realization, horizon: int = NECK_SEARCH_HORIZON) -> int:
     """Smallest neck level; raises ``HorizonError`` when none lies within ``horizon`` levels."""
-    _require_integer("horizon", horizon)
-    if horizon < 0:
-        raise ParameterError("horizon must be >= 0")
+    _require_count("horizon", horizon)
     for rel in _necks(r, horizon):
         return rel
     raise HorizonError(f"no neck found within {horizon} levels")

@@ -997,6 +997,11 @@ def oracle_label_thresholds(cum) -> np.ndarray:
     return np.ceil(np.asarray(cum) * 2.0**53).astype(np.uint64)
 
 
+def oracle_label_bounds(thresholds: np.ndarray) -> np.ndarray:
+    """The raw-draw bounds ``t << 11`` of the thresholds t < 2^53, as the walkers listed them from the thresholds."""
+    return np.array([int(t) << 11 for t in thresholds[:-1] if t < 2**53], dtype=np.uint64)
+
+
 def oracle_walk_tables(family: RIFSFamily) -> tuple[np.ndarray, np.ndarray]:
     """Map counts and the ``[nsystems, n_max]`` log ratios of the level walker."""
     systems = family.systems

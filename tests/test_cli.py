@@ -464,7 +464,15 @@ def test_command_bytes_are_pinned(name, configs, capsys):
         ["percolate", "--p", "0.2", "--boxdim", "--seeds", "1", "--min-scale-exp", "10"],
         EXIT_RESOURCE, "resource error: too many extinct seeds\n",
     ),
-], ids=["levelsum-budget", "percolate-extinct"])
+    ([
+        "levelsum", "--family", "{fam}", "--model", "recursive", "--gauge", "{power}",
+        "--depths", "1:14:1", "--budget", "-1",
+    ], EXIT_CONFIG, "config error: node_budget must be >= 0, got -1\n"),
+    ([
+        "levelsum", "--family", "{fam}", "--model", "recursive", "--gauge", "{power}",
+        "--depths", "1:14:1", "--budget", "0",
+    ], EXIT_RESOURCE, "resource error: node budget 0 exceeded while streaming level 0\n"),
+], ids=["levelsum-budget", "percolate-extinct", "levelsum-negative-budget", "levelsum-zero-budget"])
 def test_error_exit_and_stderr_are_pinned(args, code, stderr, configs, capsys):
     argv, _ = _argv(args, configs)
     assert run(argv) == code

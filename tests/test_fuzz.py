@@ -1,12 +1,13 @@
-"""Fuzz the ensemble, level-sum, section and geometry entry points: each example returns or raises a typed error,
-in bounded time."""
+"""Fuzz the ensemble, level-sum, section, neck and geometry entry points: each example returns or raises a typed
+error, in bounded time."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from necktree.errors import NecktreeError
+from necktree.errors import ConfigError, NecktreeError, ResourceError
 from necktree.gauges import h1, power
 from necktree.geometry import sample_points
 from necktree.measure import (
@@ -19,12 +20,12 @@ from necktree.measure import (
     section_infimum,
 )
 from necktree.rifs import IFS, RIFSFamily, SimilarityMap
-from necktree.trees import BlockTemplate, ModelSpec, Realization
+from necktree.trees import BlockTemplate, ModelSpec, Realization, neck_list
 
 from helpers import time_limit
 
 RATIOS, COUNTS = [1 / 3, 0.5, 0.25, 0.2, 1.0], [2, 3, 1, 0]
-CALLS = ["drift", "lil", "level_sums", "packing", "points", "sections", "mass"]
+CALLS = ["drift", "lil", "level_sums", "packing", "points", "sections", "mass", "necks"]
 # mass-check radii: ordinary ones next to radii outside (0, 1) and an empty grid
 EPSILONS = [(0.1,), (0.02, 0.3), (), (0.0,), (1.5, 0.1)]
 # odd thresholds next to ordinary ones: not finite, too few or too many, reversed, booleans, strings, None
@@ -68,12 +69,16 @@ def cases(draw):
     }
 
 
-def maps(c: float, n: int, mixed: bool, dim: int, spread: bool) -> tuple:
+def maps(c: float, n: int, mixed: bool, dim: int, spread: bool, geometry: str | None = None) -> tuple:
     """n maps of ratio c (times 0.8^j if mixed) in ``dim`` dimensions, at the origin or spread along the first
-    axis so that map j's image of the unit cube starts at j (1 - c_j) / (n - 1)."""
+    axis so that map j's image of the unit cube starts at j (1 - c_j) / (n - 1).  ``geometry`` spoils each map:
+    "scaled" gives it the non-orthogonal isometry 2 I, "outside" moves its image 2 along the first axis, out of
+    the unit cube, and "wrong_dim" gives it an isometry of dimension dim + 1."""
     ratios = [c * 0.8**j if mixed else c for j in range(n)]
     starts = [j * (1 - r) / (n - 1) if spread and n > 1 else 0.0 for j, r in enumerate(ratios)]
-    return tuple(SimilarityMap(r, translation=np.array([b] + [0.0] * (dim - 1))) for r, b in zip(ratios, starts))
+    starts = [b + 2.0 for b in starts] if geometry == "outside" else starts
+    q = {"scaled": 2 * np.eye(dim), "wrong_dim": np.eye(dim + 1)}.get(geometry)
+    return tuple(SimilarityMap(r, q, np.array([b] + [0.0] * (dim - 1))) for r, b in zip(ratios, starts))
 
 
 def build_and_call(case: dict):
@@ -82,7 +87,8 @@ def build_and_call(case: dict):
     if not sum(weights):  # zero weights, but not all of them
         weights = weights[:-1] + [1.0]
     family = RIFSFamily(
-        systems=tuple(IFS(maps(c, n, mixed, case["dim"], case["spread"])) for c, n, mixed in case["systems"]),
+        systems=tuple(IFS(maps(c, n, mixed, case["dim"], case["spread"], case.get("geometry")))
+                      for c, n, mixed in case["systems"]),
         weights=tuple(w / sum(weights) for w in weights),
         ambient_dim=case["dim"],
     )
@@ -107,6 +113,8 @@ def build_and_call(case: dict):
         return section_infimum(r, h, case["depth_min"], case["depth_cap"], node_budget=10**4)
     if case["call"] == "mass":
         return mass_distribution_check(r, h, natural_measure(r), n, case["epsilons"], seed, assume_uosc=True)
+    if case["call"] == "necks":
+        return neck_list(r, depths[-1])
     walk = level_sums if case["call"] == "level_sums" else packing_level_limsup
     return walk(r, h, depths, node_budget=10**4)
 
@@ -137,3 +145,23 @@ def test_entry_points_return_or_raise_a_typed_error(case):
             build_and_call(case)
         except NecktreeError:
             pass
+
+
+# Refused before any work: V = 10^9, past the node budget, in the count and neck paths, where a single path's
+# level table would hold more than 10^8 entries (V in 10^5..3.3 x 10^7 fits the budget but not memory, so none
+# is drawn), and geometry that ``SimilarityMap`` or ``require_geometry`` refuses.
+REFUSED = {
+    **{f"huge-v-{call}": ({**BASE, "kind": "v_variable", "v": 10**9, "call": call}, ResourceError, "level table")
+       for call in ("drift", "level_sums", "necks")},
+    "huge-v-level-sums-mixed-ratios": (
+        {**BASE, "kind": "v_variable", "v": 10**9, "call": "level_sums", "systems": [(0.5, 2, True), (0.25, 3, False)],
+         "weights": [0.5, 0.5]}, ResourceError, "level table"),
+    **{f"{geometry}-{call}": ({**BASE, "kind": "recursive", "call": call, "dim": 2, "geometry": geometry}, ConfigError,
+                              None) for geometry in ("scaled", "outside", "wrong_dim") for call in ("points", "mass")},
+}
+
+
+@pytest.mark.parametrize("case, error, message", REFUSED.values(), ids=REFUSED.keys())
+def test_entry_points_refuse_what_they_cannot_hold(case, error, message):
+    with time_limit(20), pytest.raises(error, match=message):
+        build_and_call(case)

@@ -45,6 +45,7 @@ from helpers import (
     oracle_homogeneous_dimension,
     oracle_log_moments,
     oracle_moment,
+    oracle_label_bounds,
     oracle_label_thresholds,
     oracle_log_common_ratios,
     oracle_log_map_counts,
@@ -322,7 +323,7 @@ def test_label_tables_match_the_builds_they_replace(case):
     family, templates = case
     nmaps, log_c = oracle_walk_tables(family)
     _assert_tables(family, {
-        "label_thresholds": oracle_label_thresholds(cumulative_weights(family.weights)),
+        "label_bounds": oracle_label_bounds(oracle_label_thresholds(cumulative_weights(family.weights))),
         "map_counts": nmaps,
         "log_ratios": log_c,
         "log_map_counts": oracle_log_map_counts(family),
@@ -330,8 +331,9 @@ def test_label_tables_match_the_builds_they_replace(case):
     if family.is_equicontractive():  # the closed form reads the first column as its log ratios
         assert family.log_ratios[:, 0].tobytes() == oracle_log_common_ratios(family).tobytes()
     model = ModelSpec(kind="neck_block", templates=templates)
-    names = ("template_thresholds", "level_thresholds", "lengths", "first_rows")
-    _assert_tables(model, dict(zip(names, oracle_block_tables(model))))
+    names = ("template_bounds", "level_thresholds", "lengths", "first_rows")
+    template_thresholds, *rest = oracle_block_tables(model)
+    _assert_tables(model, dict(zip(names, (oracle_label_bounds(template_thresholds), *rest))))
     # the tables stay out of equality and hashing
     twin = ModelSpec(kind="neck_block", templates=tuple(BlockTemplate(t.levels, t.weight) for t in templates))
     assert twin == model and hash(twin) == hash(model) and {model: 1}[twin] == 1

@@ -1,10 +1,11 @@
 import math
+from bisect import bisect_right
 from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
@@ -35,6 +36,7 @@ from necktree.trees import (
 
 from helpers import (
     brute_force_stopping,
+    oracle_label_thresholds,
     oracle_level_systems,
     oracle_neck_block_label,
     oracle_neck_block_necks,
@@ -160,7 +162,7 @@ def test_level_labels_switch_at_the_integer_thresholds():
         with patch.object(streams, "mix_array", lambda draws, tmp=None: x):
             assert sample(HOM, 0, fam).level_systems(x.size).tolist() == want
         # a recursive node's label is its first draw
-        with patch.object(streams, "fold_array", lambda state, counters: np.repeat(x[:, None], 4, axis=1)):
+        with patch.object(streams, "fold_array", lambda state, counters: np.repeat(x[None, :], 4, axis=0)):
             labels, _ = trees.expander(sample(REC, 0, fam))(0, np.zeros(x.size, dtype=np.uint64), x.size)
         assert labels.tolist() == want
         assert not np.isin(want, [i for i, wi in enumerate(w) if wi == 0]).any()
@@ -177,6 +179,31 @@ def test_level_labels_match_the_searchsorted_oracle(weights, offset, seed):
     fam = equicontractive_family([2] * len(weights), 1 / 3, [w / sum(weights) for w in weights])
     r = Realization(family=fam, model=HOM, seed=seed, offset=offset)
     assert r.level_systems(3000).tobytes() == oracle_level_systems(r, 3000).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=5).filter(any))
+@example(weights=[0.0, 0.5, 0.5])
+@example(weights=[0.5, 0.0, 0.5])
+@example(weights=[0.3, 0.7, 0.0, 0.0])
+@example(weights=[0.1, 0.2, 0.7])
+def test_every_label_reader_follows_the_threshold_rule_at_its_edges(weights):
+    # family and template weights with zeros first, in the middle and last; draws 0, 2^64 - 1 and either side of
+    # every bound, read by each label reader against the shifted-threshold rule
+    total = sum(weights)
+    family = equicontractive_family([2] * len(weights), 1 / 3, [w / total for w in weights])
+    model = ModelSpec("neck_block", templates=tuple(BlockTemplate(((1.0,),), weight=w) for w in weights))
+    r = sample(REC, 0, family)
+    for bounds, cum, pick in ((family.label_bounds, cumulative_weights(family.weights), r._pick),
+                              (model.template_bounds, cumulative_weights(np.asarray(weights) / total), None)):
+        draws = {0, streams.MASK64} | {x for b in bounds.tolist() for x in (b - 1, b) if x >= 0}
+        x = np.array(sorted(draws), dtype=np.uint64)
+        want = [bisect_right(oracle_label_thresholds(cum), v >> 11) for v in x.tolist()]
+        assert trees._count_labels(x, bounds, np.empty(x.size, dtype=np.int64)).tolist() == want
+        assert bounds.searchsorted(x, side="right").tolist() == want
+        assert [bisect_right(bounds.tolist(), v) for v in x.tolist()] == want
+        if pick is not None:
+            assert [pick(v) for v in x.tolist()] == want
 
 
 # ---- coding levels ----------------------------------------------------------
@@ -423,6 +450,13 @@ def test_neck_list_recursive_unsupported():
         # template weights whose sum overflows to inf
         (HOM, lambda r: ModelSpec("neck_block", templates=(BlockTemplate(((0.5, 0.5),), weight=1e308),) * 2),
          ConfigError, "template weights must be finite and non-negative with a positive finite sum"),
+        # a negative node budget is refused before any walk, on the closed form too; a budget of 0 is spent by the root
+        (REC, lambda r: level_sums(r, power(0.5), [1, 2], node_budget=-1), ParameterError,
+         "node_budget must be >= 0, got -1"),
+        (HOM, lambda r: packing_level_limsup(r, power(0.5), [1, 2], node_budget=-1), ParameterError,
+         "node_budget must be >= 0, got -1"),
+        (REC, lambda r: section_infimum(r, power(0.5), 1, 3, node_budget=-1), ParameterError,
+         "node_budget must be >= 0, got -1"),
     ],
     ids=["level-systems-recursive", "level-systems-v-variable", "label-of-zero", "label-of-past-n-max",
          "coding-level-negative", "neck-list-negative", "level-systems-negative-homogeneous",
@@ -441,7 +475,8 @@ def test_neck_list_recursive_unsupported():
          "level-systems-boolean", "v-fraction", "v-nan", "v-boolean", "ambient-dim-fraction", "ambient-dim-nan",
          "ambient-dim-boolean", "drift-workers-zero", "drift-workers-negative", "drift-thresholds-nan",
          "drift-thresholds-one", "drift-thresholds-none", "drift-thresholds-inf", "drift-thresholds-boolean",
-         "drift-thresholds-strings", "drift-thresholds-three", "template-weights-overflow"],
+         "drift-thresholds-strings", "drift-thresholds-three", "template-weights-overflow", "level-sums-negative-budget",
+         "packing-negative-budget", "section-infimum-negative-budget"],
 )
 def test_label_reads_raise_typed_errors(model, call, error, message):
     r = sample(model, 8, worked_family())  # n_max = 3

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from necktree import trees
-from necktree.errors import HorizonError, ResourceError
+from necktree.errors import HorizonError, ParameterError, ResourceError, UnsupportedModelError
 from necktree.gauges import h1, loglog_power, power
 from necktree.measure import _all_level_log_sums, _fast_log_sums, _gauged, drift_experiment
 from necktree.rifs import equicontractive_family
@@ -183,6 +183,25 @@ def test_a_level_table_over_the_node_budget_is_a_resource_error():
         assert neck_list(r, 5).necks == oracle_vv_necks(r, 5)
         with pytest.raises(ResourceError, match="24 entries"):  # two paths in one batch
             next(trees.vv_log_counts([r, r], 5))
+
+
+def test_a_batch_of_mixed_models_or_families_is_refused():
+    # a batch once counted every path under its first path's V, family and tables: behind a V = 2 path at seed 2,
+    # the V = 8 path read log Z_2..Z_4 = 1.79, 2.71, 3.50 against 1.95, 2.77, 3.83 alone
+    family = worked_family()
+    r2, r8 = (Realization(family=family, model=ModelSpec(kind="v_variable", v=v), seed=2) for v in (2, 8))
+    assert np.round(next(trees.vv_level_counts([r8], 4))[1:], 2).tolist() == [1.95, 2.77, 3.83]
+    other = Realization(family=equicontractive_family([3, 2, 1], 1 / 3, [0.2, 0.3, 0.5]), model=r2.model, seed=2)
+    for batch in ([r2, r8], [r2, other]):
+        with pytest.raises(ParameterError, match="of one model over one family's label and map tables"):
+            next(trees.vv_level_counts(batch, 4))
+        with pytest.raises(ParameterError, match="of one model over one family's label and map tables"):
+            next(trees.vv_log_counts(batch, 4))
+    for kind in ("homogeneous", "recursive"):
+        r = Realization(family=family, model=ModelSpec(kind=kind), seed=2)
+        for batch in ([r], [r2, r]):
+            with pytest.raises(UnsupportedModelError, match="need v_variable realizations"):
+                next(trees.vv_level_counts(batch, 4))
 
 
 def test_first_neck_memory_is_bounded_by_one_chunk():
