@@ -73,7 +73,9 @@ def _compose_step(acc: Sequence[np.ndarray], maps: tuple, sys: np.ndarray, j: np
     bit-identical to composing one coding at a time.
     """
     ratio, matrix, translation = acc
-    r, q, b = (t[sys, j] for t in maps)
+    dim, flat = translation.shape[1], sys * maps[0].shape[1] + j  # map [sys, j] in row-major order
+    r = maps[0].reshape(-1).take(flat)
+    q, b = maps[1].reshape(-1, dim, dim).take(flat, 0), maps[2].reshape(-1, dim).take(flat, 0)
     return ratio * r, matrix @ q, ratio[:, None] * (matrix @ b[:, :, None])[:, :, 0] + translation
 
 
@@ -104,6 +106,30 @@ def _cylinders(family: RIFSFamily, letters: np.ndarray) -> tuple[list, np.ndarra
     acc = [a[back] for a in acc]
     dim = family.ambient_dim
     return acc, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim)
+
+
+def _stopping_cylinders(r: Realization, epsilons: Sequence[float]) -> list[tuple[np.ndarray, ...]]:
+    """Per ε: the letters of ``trees.stopping_set``'s codings and their cylinders' centers and diameters, in one walk.
+
+    The bytes are those of ``trees._stopping_letters`` and ``_cylinders``.  Each chunk's similarity rows are one
+    ``_compose_step`` on its parent chunk's rows.  The walk is depth-first, so a chunk's parent is the last chunk
+    a level up, and only the rows of the last chunk of each depth are kept.
+    """
+    maps, dim = _maps(r.family), r.family.ambient_dim
+    held = []  # held[d]: the rows of the last chunk at depth d
+
+    def rows(chunk: trees.Chunk) -> tuple:
+        del held[chunk.depth :]
+        if chunk.up is None:
+            held.append(tuple(t[0, :1] for t in maps))  # the identity
+        else:
+            held.append(_compose_step([a[chunk.parent] for a in held[-1]], maps, chunk.sys, chunk.j))
+        return held[-1]
+
+    return [
+        (letters, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim))
+        for letters, *acc in trees._stopping_sets(r, epsilons, rows)
+    ]
 
 
 def require_geometry(family: RIFSFamily) -> None:

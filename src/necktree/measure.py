@@ -23,7 +23,6 @@ from .gauges import GaugeFunction
 from .rifs import HOMOGENEOUS, NECK_BLOCK, V_VARIABLE, ModelSpec, RIFSFamily, _model_weights, log_moments
 from .rifs import _almost_deterministic_at, beta_hat, eta_hat, log_moment_stats  # noqa: F401  (re-exports)
 from .trees import DEFAULT_NODE_BUDGET, Chunk, Coding, Realization, level_labels, levels, sample, vv_level_counts
-from .trees import _stopping_letters
 
 DEFAULT_THRESHOLDS = (-20.0, 20.0)
 # Envelope exit/touch comparisons start this far into the requested horizon
@@ -747,11 +746,9 @@ def mass_distribution_check(
     bound = (4.0 / family.c_min) ** d
     max_count = 0
     sup_ratio = 0.0
-    for eps in eps_list:
-        letters, _ = _stopping_letters(r, eps)
+    for eps, (letters, cent, diam) in zip(eps_list, geometry._stopping_cylinders(r, eps_list)):
         if not len(letters):
             continue
-        _, cent, diam = geometry._cylinders(family, letters)
         masses = np.array([math.exp(x) for x in nu.log_masses(letters).tolist()])
         h_2eps = math.exp(h.eval_log(math.log(2 * eps)))
         if d == 1:

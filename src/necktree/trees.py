@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
 from math import exp, inf, log
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -400,26 +400,58 @@ def _address_order(j: np.ndarray) -> np.ndarray:
     return np.lexsort(j[:, ::-1].T)
 
 
-def _stopping_letters(r: Realization, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """The codings of ``stopping_set`` in address order: ``[n, width, 2]`` letters and log ratios.
+def _stop_ranges(chunk: Chunk, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node i of ``chunk`` stops at the log ε ``grid[first[i]:past[i]]`` of an ascending grid.
 
-    Row i holds one coding's letters ``(sys, j)`` and then zeros, as
-    ``_address_order`` reads them.
+    A node stops at ε when its log ratio <= log ε < its parent's; the root stops at no ε.
     """
-    log_eps = _log_epsilon(r, epsilon)
-    parts = []
-    for chunk in levels(r, log_stop=log_eps, node_budget=DEFAULT_NODE_BUDGET):
-        stopped = (chunk.log_ratio <= log_eps).nonzero()[0]
-        if stopped.size:
-            parts.append((chunk.log_ratio[stopped], chunk.letters(stopped)))
-    log_ratio = np.concatenate([np.zeros(0), *(lr for lr, _ in parts)])
-    width = max((w.shape[1] for _, w in parts), default=1)  # lexsort needs a column
-    letters, start = np.zeros((log_ratio.size, width, 2), dtype=np.intp), 0
-    for _, w in parts:
-        letters[start : start + len(w), : w.shape[1]] = w
-        start += len(w)
+    first = grid.searchsorted(chunk.log_ratio)
+    return first, first if chunk.up is None else grid.searchsorted(chunk.up.log_ratio[chunk.parent])
+
+
+def _in_address_order(parts: Sequence[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """One antichain from parts ``(letters, *rows)`` of its nodes, with every array in address order.
+
+    Letters ``[n, width, 2]`` are zero-padded to the longest coding, one column at least for ``np.lexsort``.
+    """
+    width = max([1, *(p[0].shape[1] for p in parts)])
+    letters, start = np.zeros((sum(len(p[0]) for p in parts), width, 2), dtype=np.intp), 0
+    for p in parts:
+        letters[start : start + len(p[0]), : p[0].shape[1]] = p[0]
+        start += len(p[0])
     order = _address_order(letters[:, :, 1])
-    return letters[order], log_ratio[order]
+    return letters[order], *(np.concatenate(column)[order] for column in list(zip(*parts))[1:])
+
+
+def _stopping_sets(r: Realization, epsilons: Sequence[float], rows: Callable[[Chunk], tuple]) -> list[tuple]:
+    """Per ε: the codings of ``stopping_set`` in address order, from one walk to the smallest ε.
+
+    Entry i is ``(letters, *rows)`` for ``epsilons[i]``: the ``[n, width, 2]`` letters, row k holding one
+    coding's letters ``(sys, j)`` and then zeros as ``_address_order`` reads them, and the stopped rows of
+    each array of ``rows(chunk)``, whose row k belongs to node k of the chunk.  ``rows`` is called on every
+    chunk, in walk order.  Equal ε share one entry.  The walk runs under ``DEFAULT_NODE_BUDGET``.
+    """
+    log_eps = np.array([_log_epsilon(r, e) for e in epsilons], dtype=float)
+    grid = np.sort(log_eps)
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]  # not np.unique, whose first call imports numpy.ma
+    parts = None
+    for chunk in levels(r, log_stop=grid[0], node_budget=DEFAULT_NODE_BUDGET):
+        columns = rows(chunk)
+        if parts is None:  # the root's empty rows give an empty set its dtypes and shapes
+            none = np.zeros(0, dtype=np.intp)
+            parts = [[(chunk.letters(none), *(c[none] for c in columns))] for _ in grid]
+        first, past = _stop_ranges(chunk, grid)
+        for k in range(first.min(), past.max()):
+            stopped = ((first <= k) & (k < past)).nonzero()[0]
+            if stopped.size:
+                parts[k].append((chunk.letters(stopped), *(c[stopped] for c in columns)))
+    sets = [_in_address_order(p) for p in parts]
+    return [sets[k] for k in np.searchsorted(grid, log_eps).tolist()]
+
+
+def _stopping_letters(r: Realization, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The codings of ``stopping_set`` in address order: ``[n, width, 2]`` letters and log ratios."""
+    return _stopping_sets(r, [epsilon], lambda chunk: (chunk.log_ratio,))[0]
 
 
 def stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
@@ -445,13 +477,9 @@ def stopping_counts(r: Realization, scales: Sequence[float]) -> np.ndarray:
     if not log_eps.size:
         return np.zeros(0, dtype=np.int64)
     grid = np.sort(log_eps)  # not np.unique, whose first call imports numpy.ma (1 MiB)
-    # a node counts for grid indices [first >= log_ratio, first >= parent log_ratio)
     delta = np.zeros(grid.size + 1, dtype=np.int64)
     for chunk in levels(r, log_stop=grid[0], node_budget=DEFAULT_NODE_BUDGET):
-        if chunk.up is None:
-            continue
-        first = np.searchsorted(grid, chunk.log_ratio)
-        past = np.searchsorted(grid, chunk.up.log_ratio[chunk.parent])
+        first, past = _stop_ranges(chunk, grid)
         delta += np.bincount(first, minlength=delta.size) - np.bincount(past, minlength=delta.size)
     return np.cumsum(delta)[np.searchsorted(grid, log_eps)]
 

@@ -1,12 +1,17 @@
-"""Fuzz the ensemble, level-sum, section, neck and geometry entry points: each example returns or raises a typed
-error, in bounded time."""
+"""Fuzz the ensemble, level-sum, section, neck and geometry entry points, and the CLI commands over them: each
+example returns or raises a typed error, in bounded time."""
+import contextlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from necktree import cli
 from necktree.errors import ConfigError, NecktreeError, ResourceError
 from necktree.gauges import h1, power
 from necktree.geometry import sample_points
@@ -165,3 +170,68 @@ REFUSED = {
 def test_entry_points_refuse_what_they_cannot_hold(case, error, message):
     with time_limit(20), pytest.raises(error, match=message):
         build_and_call(case)
+
+
+def config_files(case: dict, where: Path) -> dict[str, str]:
+    """The family, model and gauge of ``case`` as JSON files under ``where``, by name; no file is checked."""
+    weights = case["weights"]
+    if not sum(weights):  # zero weights, but not all of them
+        weights = weights[:-1] + [1.0]
+    systems = [
+        {"label": f"s{i}", "weight": w / sum(weights), "maps": [
+            {"ratio": m.ratio, "translation": m.translation.tolist()}
+            for m in maps(c, n, mixed, case["dim"], case["spread"])
+        ]} for i, ((c, n, mixed), w) in enumerate(zip(case["systems"], weights))
+    ]
+    kind, k = case["kind"], len(systems)
+    model = {"model": kind}
+    if kind == "v_variable":
+        model = {"model": {"v_variable": case["v"]}}
+    elif kind == "neck_block":
+        levels = [[1 / k] * k, [1.0] + [0.0] * (k - 1)]
+        model = {"model": {"neck_block": {"templates": [
+            {"levels": levels[: 1 + i % 2], "weight": w} for i, w in enumerate(case["template_weights"])
+        ]}}}
+    gauge = {"s": case["s"], "family": {"h1": {"beta": 0.5, "gamma": 0.3}} if case["h1"] else "power"}
+    paths = {}
+    for name, obj in (("family", {"ambient_dim": case["dim"], "systems": systems}),
+                      ("model", {**model, "seed": case["seed"]}), ("gauge", gauge)):
+        paths[name] = str(where / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(obj))
+    return paths
+
+
+def cli_args(command: str, case: dict, paths: dict[str, str], where: Path) -> list[str]:
+    """Small-sized arguments of one ``necktree`` command on the files of ``case``."""
+    args = [command, "--family", paths["family"], "--model", paths["model"]]
+    depths = ",".join(map(str, case["depths"]))
+    if command == "render":
+        return [*args, "--n", str(50 * case["n"]), "--out", str(where / "points.csv")]
+    args += ["--gauge", paths["gauge"]]
+    if command == "levelsum":
+        return [*args, "--depths", depths, "--budget", "10000"]
+    if command == "sections":
+        return [*args, "--depth-min", str(case["depth_min"]), "--depth-cap", str(case["depth_cap"])]
+    thresholds = [] if case["thresholds"] is None else ["--thresholds=" + ",".join(map(str, case["thresholds"]))]
+    return [*args, "--n", str(case["n"]), "--depths", depths, *thresholds]
+
+
+@settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cases(), st.sampled_from(["levelsum", "sections", "drift", "render"]))
+# a run of each command, a walk past its budget, a table past the node budget and a map that never shrinks
+@example({**BASE, "kind": "recursive"}, "sections")
+@example(BASE, "drift")
+@example({**BASE, "kind": "v_variable", "v": 3, "dim": 2}, "render")
+@example({**BASE, "kind": "recursive"}, "levelsum")
+@example({**BASE, "kind": "v_variable", "v": 10**9}, "drift")
+@example({**BASE, "systems": [(1.0, 1, False), (1 / 3, 3, False)], "weights": [0.5, 0.5]}, "render")
+def test_cli_exits_with_a_code_and_one_error_line_on_failure(tmp_path, case, command):
+    out, err = io.StringIO(), io.StringIO()
+    argv = cli_args(command, case, config_files(case, tmp_path), tmp_path)
+    with time_limit(20), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(("config error: ", "resource error: ", "error: ")), lines
+    assert "Traceback" not in err.getvalue()

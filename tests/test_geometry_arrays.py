@@ -3,12 +3,13 @@ and geometry in ambient dimension 2."""
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from necktree import geometry, trees
@@ -184,6 +185,71 @@ def test_mass_check_on_letter_arrays_matches_coding_tuples(r, epsilons, n_balls,
         args = (r, h, nu, n_balls, epsilons, seed)
         got = _report_or_error(mass_distribution_check, *args, assume_uosc=True)
         assert got == _report_or_error(oracle_mass_distribution_check, *args, assume_uosc=True)
+
+
+def _dying_realization(seed: int):
+    """A homogeneous tree over one single-map system and one 0-map system: seed 0 lives to level 4, seed 1 dies at
+    its root."""
+    one = IFS(maps=(SimilarityMap(0.5, translation=np.zeros(1)),), label="one")
+    return sample(HOM, seed, RIFSFamily(systems=(one, IFS(maps=(), label="none")), weights=(0.5, 0.5)))
+
+
+def _shaped(*arrays) -> tuple:
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(realizations(), realizations(separated_families())),
+    # unsorted grids of 1-4 radii with repeats
+    st.lists(st.floats(0.02, 0.5), min_size=1, max_size=3).flatmap(
+        lambda radii: st.lists(st.sampled_from(radii), min_size=1, max_size=4)
+    ),
+    st.integers(1, 7),
+)
+@example(_dying_realization(0), [0.01, 0.3, 0.01], 2)  # empty at 0.01 only
+@example(_dying_realization(1), [0.3, 0.1], 1)  # empty everywhere
+def test_one_walk_over_a_grid_matches_the_walk_per_epsilon(r, epsilons, frontier):
+    fam, nu = r.family, natural_measure(r)
+    # chunks of 1-7 nodes spread each stopping set over several chunks and depths
+    with patch.object(trees, "FRONTIER_NODES", frontier):
+        got = geometry._stopping_cylinders(r, epsilons)
+        assert len(got) == len(epsilons)
+        for eps, (letters, center, diameter) in zip(epsilons, got):
+            want, _ = trees._stopping_letters(r, eps)
+            _, want_center, want_diameter = geometry._cylinders(fam, want)
+            assert _shaped(letters, center, diameter) == _shaped(want, want_center, want_diameter)
+            assert nu.log_masses(letters).tobytes() == nu.log_masses(want).tobytes()
+
+
+def test_a_grid_walk_of_a_dying_tree_gives_empty_sets():
+    for seed, sizes in ((0, [0, 1, 0]), (1, [0, 0, 0])):
+        got = geometry._stopping_cylinders(_dying_realization(seed), [0.01, 0.3, 0.01])
+        assert [len(letters) for letters, *_ in got] == sizes
+
+
+def test_a_mass_check_walks_once_and_keeps_one_row_set_per_depth():
+    r, frontier = sample(HOM, 3, worked_family_geometric()), 5
+    walks, outputs, step, walk = [], [], geometry._compose_step, trees.levels
+
+    def counted_walk(*args, **kwargs):
+        walks.append(kwargs)
+        for chunk in walk(*args, **kwargs):
+            yield chunk
+            # the consumer is done with this chunk: what it holds are the row sets of depths 1..chunk.depth
+            held = sum(len(rows) for rows in (ref() for ref in outputs) if rows is not None)
+            assert held <= chunk.depth * frontier
+
+    def tracked_step(*args):
+        out = step(*args)
+        outputs.append(weakref.ref(out[0]))
+        return out
+
+    with patch.object(trees, "levels", counted_walk), patch.object(geometry, "_compose_step", tracked_step), \
+            patch.object(trees, "FRONTIER_NODES", frontier):
+        report = mass_distribution_check(r, power(0.6), natural_measure(r), 10, [0.03, 0.004, 0.1], seed=1)
+    assert len(walks) == 1
+    assert len(outputs) > 20 and report.max_neighbor_count > 0
 
 
 @settings(max_examples=100)
