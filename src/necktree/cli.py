@@ -48,6 +48,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
 
+    def parse_known_args(self, args, namespace=None):
+        # the word after an option of one value is that value: "--thresholds -20,20" reads as "--thresholds=-20,20"
+        words = []
+        for word in args:
+            action = self._option_string_actions.get(words[-1] if words else "")
+            words.append(words.pop() + "=" + word if action and action.nargs is None else word)
+        return super().parse_known_args(words, namespace)
+
 
 @dataclass
 class RunManifest:
@@ -217,10 +225,8 @@ def _section_json(sv: measure.SectionValue) -> str:
 def _drift(ns: argparse.Namespace) -> None:
     """``drift`` writes every column of the drift table, ``pack`` its packing-direction columns."""
     family, model, seed, gauge, manifest = _inputs(ns)
-    parts = ns.thresholds.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"thresholds: expected two numbers lo,hi, got {ns.thresholds!r}")
-    thresholds = tuple(config._number(x, "thresholds") for x in parts)
+    # drift_experiment refuses anything but two finite numbers
+    thresholds = tuple(config._number(x, "thresholds") for x in ns.thresholds.split(","))
     report = measure.drift_experiment(
         family, model, gauge, ns.n, parse_depths(ns.depths), seed,
         thresholds=thresholds, workers=ns.workers,

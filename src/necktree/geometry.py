@@ -85,46 +85,21 @@ def _apply(acc: list, x: np.ndarray) -> np.ndarray:
     return ratio[..., None] * (matrix @ x) + translation
 
 
-def _cylinders(family: RIFSFamily, letters: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """Row k: the similarity composed from a coding's letters ``letters[k, i] = (sys, j)``, which
-    are followed by zeros, with its cylinder's center and diameter.
-
-    Rows are ordered by coding length, longest first, so the rows with an i-th letter are a prefix
-    and letter column i is one ``_compose_step`` on that prefix; the inverse permutation returns
-    the rows in input order.
-    """
-    maps = _maps(family)
-    lengths = np.count_nonzero(letters[:, :, 1], axis=1)
-    order = np.argsort(-lengths, kind="stable")
-    sys, j = letters[order].transpose(2, 1, 0)  # [column, row], longest coding first
-    acc = [t[0, np.zeros(len(letters), dtype=np.intp)] for t in maps]  # identity rows
-    for col in range(lengths.max(initial=0)):
-        k = np.count_nonzero(lengths > col)
-        for a, part in zip(acc, _compose_step([a[:k] for a in acc], maps, sys[col, :k], j[col, :k])):
-            a[:k] = part
-    back = np.argsort(order)  # the inverse permutation
-    acc = [a[back] for a in acc]
-    dim = family.ambient_dim
-    return acc, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim)
-
-
 def _stopping_cylinders(r: Realization, epsilons: Sequence[float]) -> list[tuple[np.ndarray, ...]]:
     """Per ε: the letters of ``trees.stopping_set``'s codings and their cylinders' centers and diameters, in one walk.
 
-    The bytes are those of ``trees._stopping_letters`` and ``_cylinders``.  Each chunk's similarity rows are one
+    The bytes are those of ``trees._stopping_letters`` and ``compose``.  Each chunk's similarity rows are one
     ``_compose_step`` on its parent chunk's rows.  The walk is depth-first, so a chunk's parent is the last chunk
     a level up, and only the rows of the last chunk of each depth are kept.
     """
     maps, dim = _maps(r.family), r.family.ambient_dim
-    held = []  # held[d]: the rows of the last chunk at depth d
+    held = [tuple(t[0, :1] for t in maps)]  # held[d]: the rows of the last chunk at depth d, the identity at the root
 
     def rows(chunk: trees.Chunk) -> tuple:
-        del held[chunk.depth :]
-        if chunk.up is None:
-            held.append(tuple(t[0, :1] for t in maps))  # the identity
-        else:
+        if chunk.up is not None:
+            del held[chunk.depth :]
             held.append(_compose_step([a[chunk.parent] for a in held[-1]], maps, chunk.sys, chunk.j))
-        return held[-1]
+        return held[chunk.depth]
 
     return [
         (letters, _apply(acc, np.full(dim, 0.5)), acc[0] * math.sqrt(dim))
@@ -148,13 +123,14 @@ def require_geometry(family: RIFSFamily) -> None:
 
 def compose(family: RIFSFamily, coding: Coding) -> Cylinder:
     """Compose the coding's maps left to right and return the cylinder."""
+    maps, dim = _maps(family), family.ambient_dim
+    acc = tuple(t[0, :1] for t in maps)  # the identity row
     for si, j in coding.letters:
         if not 1 <= j <= family.systems[si].nmaps:
             raise ParameterError(f"coding letter ({si}, {j}) has no matching map")
-    letters = np.array(coding.letters, dtype=np.intp).reshape(1, -1, 2)
-    (ratio, matrix, translation), center, diameter = _cylinders(family, letters)
-    affine = Affine(ratio=float(ratio[0]), matrix=matrix[0], translation=translation[0])
-    return Cylinder(coding=coding, affine=affine, center=center[0], diameter=float(diameter[0]))
+        acc = _compose_step(acc, maps, np.array([si]), np.array([j]))
+    affine = Affine(ratio=float(acc[0][0]), matrix=acc[1][0], translation=acc[2][0])
+    return Cylinder(coding, affine, center=_apply(acc, np.full(dim, 0.5))[0], diameter=affine.ratio * math.sqrt(dim))
 
 
 def uosc_audit_1d(family: RIFSFamily) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry, streams, trees
 from .errors import ExtinctionError, GeometryError, ParameterError, PreconditionError
 from .gauges import GaugeFunction
-from .rifs import HOMOGENEOUS, NECK_BLOCK, V_VARIABLE, ModelSpec, RIFSFamily, _model_weights, log_moments
+from .rifs import HOMOGENEOUS, NECK_BLOCK, V_VARIABLE, ModelSpec, RIFSFamily, _left_sum, _model_weights, log_moments
 from .rifs import _almost_deterministic_at, beta_hat, eta_hat, log_moment_stats  # noqa: F401  (re-exports)
 from .trees import DEFAULT_NODE_BUDGET, Chunk, Coding, Realization, level_labels, levels, sample, vv_level_counts
 
@@ -72,7 +72,7 @@ class NaturalMeasure:
     realization: Realization
 
     def log_masses(self, letters: np.ndarray) -> np.ndarray:
-        """Log masses of the codings of a letter array as ``geometry._cylinders`` reads it."""
+        """Log masses of the codings of ``[n, width, 2]`` letters ``(sys, j)``, zero-padded past each coding."""
         total = np.zeros(len(letters))
         for sys, j in letters.transpose(1, 2, 0):
             rows = (j > 0).nonzero()[0]
@@ -350,7 +350,7 @@ def _increments(start: float, walk: np.ndarray, out: Optional[np.ndarray] = None
 
 def _increment_mean_var(paths: list[tuple[float, float, int]]) -> tuple[float, float]:
     """Mean and variance E[x^2] - mean^2 (clamped at 0) of the pooled increments of ``paths``."""
-    total, total_sq, n = map(sum, zip(*paths))
+    total, total_sq, n = map(_left_sum, zip(*paths))
     mean = total / n
     return mean, max(total_sq / n - mean**2, 0.0)
 
@@ -573,7 +573,7 @@ def section_infimum(
     for chunk in levels(r, max_depth=depth_cap, node_budget=node_budget):
         visited += len(chunk)
         close_to(chunk.depth)
-        open_.append(_OpenChunk(chunk, open_[-1] if open_ else None, n_max, depth_cap))
+        open_.append(_OpenChunk(chunk, n_max, depth_cap))
         # the argmin is dropped for good once the tree outgrows argmin_limit
         if visited <= argmin_limit:
             kept.append(open_[-1])
@@ -594,15 +594,15 @@ class _OpenChunk:
     in a ``small`` chunk of at most ``trees.SCALAR_NODES`` nodes, where numpy's
     per-call cost would dominate; a chunk at ``depth_cap`` has none.
     ``finish`` drops it and keeps ``mine``, whether each node took its own
-    value; ``_argmin_section`` sets ``first``.
+    value.
     """
 
-    __slots__ = ("chunk", "up", "small", "kids", "mine", "first")
+    __slots__ = ("chunk", "small", "kids", "mine")
 
-    def __init__(self, chunk: Chunk, up: Optional["_OpenChunk"], n_max: int, depth_cap: int) -> None:
+    def __init__(self, chunk: Chunk, n_max: int, depth_cap: int) -> None:
         n = len(chunk)
-        self.chunk, self.up, self.small = chunk, up, n <= trees.SCALAR_NODES
-        self.kids = self.mine = self.first = None
+        self.chunk, self.small = chunk, n <= trees.SCALAR_NODES
+        self.kids = self.mine = None
         if chunk.depth < depth_cap:
             self.kids = [[-math.inf] * n_max for _ in range(n)] if self.small else np.full((n, n_max), -math.inf)
 
@@ -646,7 +646,7 @@ class _OpenChunk:
 def _log_sum(row: list[float]) -> float:
     """log sum exp(row): each term's ``math.exp`` relative to the maximum, added left to right; -inf if all are."""
     m = max(row)
-    return m if m == -math.inf else m + math.log(sum([math.exp(x - m) for x in row]))
+    return m if m == -math.inf else m + math.log(_left_sum([math.exp(x - m) for x in row]))
 
 
 def _log_sum_rows(rows: np.ndarray) -> np.ndarray:
@@ -670,42 +670,21 @@ def _log_sum_rows(rows: np.ndarray) -> np.ndarray:
 def _argmin_section(kept: list[_OpenChunk]) -> tuple[tuple[int, ...], ...]:
     """The nodes that took their own value under no ancestor that did, in address order.
 
-    The nodes of ``kept`` are numbered in its order, each chunk's from its
-    ``first`` on (the root is 0, its own parent), into one array each of
-    parents, ``j``, depths and ``mine``.  ``lifts[k]`` maps a node to the
-    node 2^k levels above it (the root above the root): k doublings tell
-    whether a node within 2^k levels above took its own value, and the
-    binary digits of its distance from a section node lift that node to the
-    ancestor holding column c of its address.  ``trees._address_order``
-    sorts the zero-padded rows.
+    ``kept`` comes parents first, so one pass finds, chunk by chunk, whether each node or an ancestor took its own
+    value; a chunk is left out of ``taken`` where none did.  Only the chunks that hold a section node read their
+    letters, since ``Chunk.letters`` walks every depth even for no node.
     """
-    total = 0
+    parts, taken = [], {}  # taken: by the id of a chunk
     for node in kept:
-        node.first, total = total, total + len(node.chunk)
-    rest = kept[1:]  # the root chunk has no parent or j arrays
-    sizes = [len(node.chunk) for node in rest]
-    parent = np.concatenate([[0], *(node.chunk.parent for node in rest)])
-    parent[1:] += np.repeat(np.array([node.up.first for node in rest], dtype=np.intp), sizes)
-    j_of = np.concatenate([[0], *(node.chunk.j for node in rest)])
-    depth_of = np.repeat([node.chunk.depth for node in kept], [1, *sizes])
-    mine = np.concatenate([node.mine for node in kept])
-
-    lifts, above = [parent], mine[parent]
-    above[0] = False
-    for _ in range(int(depth_of.max() - 1).bit_length()):
-        above |= above[lifts[-1]]
-        lifts.append(lifts[-1][lifts[-1]])
-    ids = (mine & ~above).nonzero()[0]
-    if not ids.size:
-        return ()
-    depth = depth_of[ids]
-    dist = depth[:, None] - 1 - np.arange(max(int(depth.max()), 1))  # lexsort needs a column
-    node = ids[:, None]  # np.where broadcasts it along the row
-    for k, lift in enumerate(lifts[:-1]):
-        node = np.where(dist & (1 << k), lift[node], node)
-    rows = np.where(dist >= 0, j_of[node], 0)
-    order = trees._address_order(rows)
-    return tuple([tuple(a[:n]) for a, n in zip(rows[order].tolist(), depth[order].tolist())])
+        above = taken.get(id(node.chunk.up))
+        if above is not None or True in node.mine:
+            mine = np.asarray(node.mine, dtype=bool)
+            above = False if above is None else above[node.chunk.parent]
+            taken[id(node.chunk)], section = mine | above, np.greater(mine, above).nonzero()[0]  # mine and not above
+            if section.size:
+                parts.append((node.chunk.letters(section),))
+    j = trees._in_address_order(parts)[0][:, :, 1]
+    return tuple([tuple(a[:n]) for a, n in zip(j.tolist(), np.count_nonzero(j, axis=1).tolist())])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,14 @@ NECK_BLOCK = "neck_block"
 _KINDS = (HOMOGENEOUS, RECURSIVE, V_VARIABLE, NECK_BLOCK)
 
 
+def _left_sum(xs):
+    """``xs`` added left to right from 0, as 3.11's float ``sum()`` adds and 3.12's, which compensates, does not."""
+    total = 0
+    for x in xs:
+        total += x
+    return total
+
+
 def _is_integer(value) -> bool:
     """True for an int or a numpy integer; a count of 2.5, 2.0, NaN or True is none."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -214,7 +222,7 @@ class ModelSpec:
             raise ConfigError("template level distributions must all have one length")
         lengths = np.array([t.length for t in self.templates])
         rows = [cumulative_weights(d) for t in self.templates for d in t.levels]
-        tcum = cumulative_weights(np.asarray(tw, dtype=float) / sum(tw))
+        tcum = cumulative_weights(np.asarray(tw, dtype=float) / _left_sum(tw))
         _set_tables(self, template_bounds=_label_bounds(tcum), level_thresholds=_label_thresholds(rows),
                     lengths=lengths, first_rows=np.cumsum(lengths) - lengths)
 
@@ -307,7 +315,7 @@ def _moments(family: RIFSFamily, s: float) -> list[float]:
     """``S^s`` of every system, each ``c ** s`` over ``map_ratios`` added left to right (0.0 for no maps)."""
     if s < 0:
         raise ParameterError("moment exponent s must be >= 0")
-    return [float(sum([c**s for c in row])) for row in family.map_ratios]
+    return [float(_left_sum([c**s for c in row])) for row in family.map_ratios]
 
 
 def bisect_decreasing(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
@@ -334,7 +342,7 @@ def _moment_root(row: tuple[float, ...]) -> Optional[float]:
     if cmax >= 1.0:
         return None
     hi = math.log(len(row)) / math.log(1.0 / cmax) + 1.0
-    return bisect_decreasing(lambda s: sum([c**s for c in row]) - 1.0, 0.0, hi)
+    return bisect_decreasing(lambda s: _left_sum([c**s for c in row]) - 1.0, 0.0, hi)
 
 
 def log_moments(family: RIFSFamily, s: float) -> np.ndarray:
@@ -378,7 +386,7 @@ def log_moment_stats(family: RIFSFamily, s: float, model: ModelSpec | str = HOMO
     num = total = 0.0
     for t in spec.templates:
         stats = [_log_stats(dist, vals) for dist in t.levels]
-        num += t.weight * (sum(v for _, v in stats) + (sum(m for m, _ in stats) - mean * t.length) ** 2)
+        num += t.weight * (_left_sum([v for _, v in stats]) + (_left_sum([m for m, _ in stats]) - mean * t.length) ** 2)
         total += t.weight * t.length
     return mean, num / total
 
@@ -388,7 +396,7 @@ def eta_hat(family: RIFSFamily, model: ModelSpec | str = HOMOGENEOUS) -> float:
     active = [(w, row) for w, row in zip(_model_weights(family, model)[1], family.map_ratios) if w > 0]
     if not all(row for _, row in active):
         raise PreconditionError("eta_hat needs every positive-weight system non-empty")
-    return abs(sum(w * float(np.mean(np.log(row))) for w, row in active))
+    return abs(_left_sum([w * float(np.mean(np.log(row))) for w, row in active]))
 
 
 def beta_hat(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS) -> float:
@@ -406,7 +414,7 @@ def _statistic(solver: str, family: RIFSFamily, weights: tuple[float, ...]):
     homogeneous statistic builds once per solve."""
     if solver == RECURSIVE:  # ``_moments`` inlined for the bisection; w * 0 adds the 0.0 of an empty system
         rows = list(zip(weights, family.map_ratios))
-        return (lambda s: sum([w * sum([c**s for c in row]) for w, row in rows])), "E[S^0]", 1
+        return (lambda s: _left_sum([w * _left_sum([c**s for c in row]) for w, row in rows])), "E[S^0]", 1
     weight_array = _weight_array(weights)
     return (lambda s: _mean_log_moment(weight_array, log_moments(family, s))[0]), "E[log S^0]", 0
 
@@ -429,7 +437,7 @@ def _almost_deterministic_at(family: RIFSFamily, weights: tuple[float, ...]) -> 
     roots = [_moment_root(row) for _, row in active]
     if any(r is None for r in roots) or not (0.0 < family.c_min and family.c_max < 1.0):
         return None
-    s_bar = float(np.dot([w for w, _ in active], roots)) / sum(w for w, _ in active)
+    s_bar = float(np.dot([w for w, _ in active], roots)) / _left_sum([w for w, _ in active])
     ok = all(abs(v - 1.0) <= ASSERT_TOL for w, v in zip(weights, _moments(family, s_bar)) if w > 0)
     return s_bar if ok else None
 
@@ -458,7 +466,7 @@ def validate(family: RIFSFamily, model: ModelSpec | str) -> ConditionsReport:
         sub_unit = [v for v, w in zip(vals, weights) if w > 0 and v < 1.0]
         if sub_unit:
             gamma = max(sub_unit)
-            p0 = float(sum(w for v, w in zip(vals, weights) if w > 0 and v <= gamma))
+            p0 = float(_left_sum([w for v, w in zip(vals, weights) if w > 0 and v <= gamma]))
             if p0 > 0:
                 gap = (eps, gamma, p0)
 

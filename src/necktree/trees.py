@@ -388,18 +388,6 @@ def _log_epsilon(r: Realization, epsilon: float) -> float:
     return log(epsilon)
 
 
-def _address_order(j: np.ndarray) -> np.ndarray:
-    """The order that puts the nodes of an antichain in address order, from their ``[n, width]`` map indices.
-
-    Row i holds one node's map indices ``j`` and then zeros; maps are
-    numbered from 1, so ``j == 0`` marks the end.  No node of an antichain
-    lies below another and siblings share their parent's system, so one
-    ``np.lexsort`` on the ``j`` columns, the first column as the primary
-    key, gives address order.
-    """
-    return np.lexsort(j[:, ::-1].T)
-
-
 def _stop_ranges(chunk: Chunk, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Node i of ``chunk`` stops at the log ε ``grid[first[i]:past[i]]`` of an ascending grid.
 
@@ -413,13 +401,16 @@ def _in_address_order(parts: Sequence[tuple[np.ndarray, ...]]) -> tuple[np.ndarr
     """One antichain from parts ``(letters, *rows)`` of its nodes, with every array in address order.
 
     Letters ``[n, width, 2]`` are zero-padded to the longest coding, one column at least for ``np.lexsort``.
+    Maps are numbered from 1, so ``j == 0`` marks a coding's end.  No node of an antichain lies below another
+    and siblings share their parent's system, so one ``np.lexsort`` on the ``j`` columns, the first column as
+    the primary key, gives address order.
     """
     width = max([1, *(p[0].shape[1] for p in parts)])
     letters, start = np.zeros((sum(len(p[0]) for p in parts), width, 2), dtype=np.intp), 0
     for p in parts:
         letters[start : start + len(p[0]), : p[0].shape[1]] = p[0]
         start += len(p[0])
-    order = _address_order(letters[:, :, 1])
+    order = np.lexsort(letters[:, ::-1, 1].T)
     return letters[order], *(np.concatenate(column)[order] for column in list(zip(*parts))[1:])
 
 
@@ -427,7 +418,7 @@ def _stopping_sets(r: Realization, epsilons: Sequence[float], rows: Callable[[Ch
     """Per ε: the codings of ``stopping_set`` in address order, from one walk to the smallest ε.
 
     Entry i is ``(letters, *rows)`` for ``epsilons[i]``: the ``[n, width, 2]`` letters, row k holding one
-    coding's letters ``(sys, j)`` and then zeros as ``_address_order`` reads them, and the stopped rows of
+    coding's letters ``(sys, j)`` and then zeros as ``_in_address_order`` pads them, and the stopped rows of
     each array of ``rows(chunk)``, whose row k belongs to node k of the chunk.  ``rows`` is called on every
     chunk, in walk order.  Equal ε share one entry.  The walk runs under ``DEFAULT_NODE_BUDGET``.
     """

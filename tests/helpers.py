@@ -575,16 +575,6 @@ def oracle_all_level_log_sums(r: Realization, h: GaugeFunction, kmax: int):
 # arrays; kept verbatim (names aside) as the bit-identity reference.
 
 
-def letter_arrays(codings: Sequence[Coding]) -> np.ndarray:
-    """Row k holds the letters ``(sys, j)`` of ``codings[k]``, then zeros up to the longest coding."""
-    width = max((len(c) for c in codings), default=0)
-    letters = np.zeros((len(codings), width, 2), dtype=np.intp)
-    for k, coding in enumerate(codings):
-        for d, (si, jj) in enumerate(coding.letters):
-            letters[k, d] = si, jj
-    return letters
-
-
 def oracle_chunk_stopping_set(r: Realization, epsilon: float) -> Iterator[Coding]:
     """Stream the antichain of codings first reaching ratio <= epsilon.
 

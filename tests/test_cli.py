@@ -553,6 +553,21 @@ def test_malformed_input_is_a_config_error(args, bad, configs, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["drift", "pack"])
+def test_a_spaced_negative_threshold_pair_reads_as_the_equals_form(command, configs, capsys):
+    args = [command, *DRIFT_ARGS[1:], "--seed", "5", "--out", "{out}"]
+    outs = []
+    for thresholds in (["--thresholds", "-3,4"], ["--thresholds=-3,4"]):
+        argv, out = _argv([*args, *thresholds], configs)
+        assert run(argv) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert capsys.readouterr().err == ""
+    argv, _ = _argv([*args, "--thresholds", "-3,x"], configs)
+    assert run(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: thresholds: expected a number, got 'x'\n"
+
+
 def test_unreadable_config_is_a_config_error(configs, capsys):
     tmp, _, model, _, power_gauge = configs
     (tmp / "ff.json").write_bytes(b"\xff" + json.dumps(WORKED_FAMILY).encode())

@@ -203,8 +203,13 @@ def config_files(case: dict, where: Path) -> dict[str, str]:
 
 def cli_args(command: str, case: dict, paths: dict[str, str], where: Path) -> list[str]:
     """Small-sized arguments of one ``necktree`` command on the files of ``case``."""
+    if command == "percolate":  # a retention probability in [0, 1.5]; the dimension, a box count or the report
+        what = (["--dim"], ["--boxdim", "--seeds", str(case["n"]), "--min-scale-exp", "6"], [])[case["offset"] % 3]
+        return [command, "--p", str(case["s"]), "--seed", str(case["seed"]), *what]
     args = [command, "--family", paths["family"], "--model", paths["model"]]
     depths = ",".join(map(str, case["depths"]))
+    if command in ("validate", "dim"):
+        return args
     if command == "render":
         return [*args, "--n", str(50 * case["n"]), "--out", str(where / "points.csv")]
     args += ["--gauge", paths["gauge"]]
@@ -212,15 +217,18 @@ def cli_args(command: str, case: dict, paths: dict[str, str], where: Path) -> li
         return [*args, "--depths", depths, "--budget", "10000"]
     if command == "sections":
         return [*args, "--depth-min", str(case["depth_min"]), "--depth-cap", str(case["depth_cap"])]
-    thresholds = [] if case["thresholds"] is None else ["--thresholds=" + ",".join(map(str, case["thresholds"]))]
+    # the spaced form: a lower threshold such as -20.0 is the option's value, not an option
+    thresholds = [] if case["thresholds"] is None else ["--thresholds", ",".join(map(str, case["thresholds"]))]
     return [*args, "--n", str(case["n"]), "--depths", depths, *thresholds]
 
 
 @settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cases(), st.sampled_from(["levelsum", "sections", "drift", "render"]))
+@given(cases(), st.sampled_from(["levelsum", "sections", "drift", "pack", "render", "validate", "dim", "percolate"]))
 # a run of each command, a walk past its budget, a table past the node budget and a map that never shrinks
 @example({**BASE, "kind": "recursive"}, "sections")
 @example(BASE, "drift")
+@example(BASE, "pack")
+@example({**BASE, "offset": 1}, "percolate")
 @example({**BASE, "kind": "v_variable", "v": 3, "dim": 2}, "render")
 @example({**BASE, "kind": "recursive"}, "levelsum")
 @example({**BASE, "kind": "v_variable", "v": 10**9}, "drift")

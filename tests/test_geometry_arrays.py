@@ -21,7 +21,6 @@ from necktree.rifs import IFS, RIFSFamily, SimilarityMap, dimension
 from necktree.trees import BlockTemplate, Coding, ModelSpec, coding_level, sample, stopping_set
 
 from helpers import (
-    letter_arrays,
     oracle_chunk_stopping_set,
     oracle_compose,
     oracle_cylinders,
@@ -112,6 +111,12 @@ def _bytes(cyl) -> tuple:
     return tuple(np.asarray(x).tobytes() for x in (a.ratio, a.matrix, a.translation, cyl.center, cyl.diameter))
 
 
+def _cells(cylinders) -> tuple:
+    """The bytes of the centers and diameters of ``(letters or similarities, centers, diameters)``."""
+    *_, center, diameter = cylinders
+    return center.tobytes(), diameter.tobytes()
+
+
 def _points_or_error(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs).tobytes()
@@ -132,12 +137,9 @@ def _points_or_error(fn, *args, **kwargs):
 def test_array_composition_matches_one_letter_at_a_time(r, epsilon, n, seed, tol, retries, frontier):
     fam = r.family
     codings = [Coding((), 0.0), *stopping_set(r, epsilon)]  # words of mixed lengths
-    (ratio, matrix, translation), center, diameter = geometry._cylinders(fam, letter_arrays(codings))
-    for k, coding in enumerate(codings):
-        want = _bytes(oracle_compose(fam, coding))
-        assert _bytes(compose(fam, coding)) == want
-        rows = (ratio[k], matrix[k], translation[k], center[k], diameter[k])
-        assert tuple(x.tobytes() for x in rows) == want
+    for coding in codings:
+        assert _bytes(compose(fam, coding)) == _bytes(oracle_compose(fam, coding))
+    assert _cells(geometry._stopping_cylinders(r, [epsilon])[0]) == _cells(oracle_cylinders(fam, codings[1:]))
     nu = natural_measure(r)
     # blocks of 1-7 points make every sample split into several blocks
     with patch.object(trees, "FRONTIER_NODES", frontier):
@@ -147,11 +149,6 @@ def test_array_composition_matches_one_letter_at_a_time(r, epsilon, n, seed, tol
 
 def _words(codings) -> list:
     return [(c.letters, c.log_ratio.hex()) for c in codings]
-
-
-def _rows(cylinders) -> tuple:
-    (ratio, matrix, translation), center, diameter = cylinders
-    return tuple(x.tobytes() for x in (ratio, matrix, translation, center, diameter))
 
 
 def _report_or_error(check, *args, **kwargs):
@@ -177,7 +174,7 @@ def test_mass_check_on_letter_arrays_matches_coding_tuples(r, epsilons, n_balls,
             want = list(oracle_chunk_stopping_set(r, eps))
             assert _words(stopping_set(r, eps)) == _words(want)
             letters, _ = trees._stopping_letters(r, eps)
-            assert _rows(geometry._cylinders(fam, letters)) == _rows(oracle_cylinders(fam, want))
+            assert _cells(geometry._stopping_cylinders(r, [eps])[0]) == _cells(oracle_cylinders(fam, want))
             masses = [math.exp(x).hex() for x in nu.log_masses(letters).tolist()]
             assert masses == [math.exp(oracle_log_mass(nu, c)).hex() for c in want]
             assert [nu.mass(c).hex() for c in want] == masses
@@ -217,7 +214,7 @@ def test_one_walk_over_a_grid_matches_the_walk_per_epsilon(r, epsilons, frontier
         assert len(got) == len(epsilons)
         for eps, (letters, center, diameter) in zip(epsilons, got):
             want, _ = trees._stopping_letters(r, eps)
-            _, want_center, want_diameter = geometry._cylinders(fam, want)
+            _, want_center, want_diameter = oracle_cylinders(fam, list(stopping_set(r, eps)))
             assert _shaped(letters, center, diameter) == _shaped(want, want_center, want_diameter)
             assert nu.log_masses(letters).tobytes() == nu.log_masses(want).tobytes()
 

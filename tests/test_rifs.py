@@ -16,6 +16,7 @@ from necktree.rifs import (
     SimilarityMap,
     RECURSIVE,
     _almost_deterministic_at,
+    _left_sum,
     _model_weights,
     _moment_root,
     _statistic,
@@ -411,6 +412,13 @@ def test_level_weights_that_overflow_are_refused_with_no_warning():
 def test_float_sum_adds_left_to_right():
     # CPython 3.12 and later give 2.0 here: their float sum() compensates rounding, while 3.11 adds left to right
     assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
-        "sum() of floats no longer adds left to right, so the pinned bytes of measure._log_sum, rifs._moments, "
-        "rifs._moment_root and rifs._statistic's recursive objective would move"
+        "sum() of floats no longer adds left to right: a float sum whose value reaches an output must go through "
+        "rifs._left_sum, or its bits would move"
     )
+
+
+def test_the_left_sum_adds_left_to_right_on_any_interpreter():
+    assert _left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert _left_sum([]) == 0 and math.copysign(1.0, _left_sum([-0.0])) == 1.0  # from the integer 0, as sum()
+    xs = list(np.random.default_rng(5).standard_normal(50) * 10.0 ** np.arange(-25, 25))
+    assert _left_sum(xs) == np.cumsum(xs)[-1]  # numpy accumulates one element at a time

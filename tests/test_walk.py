@@ -15,7 +15,7 @@ from necktree.errors import ParameterError, PreconditionError, ResourceError
 from necktree.gauges import h1, loglog_power, power
 from necktree.geometry import percolation_preset, stopping_counts
 from necktree.measure import level_sums, section_infimum
-from necktree.rifs import IFS, RIFSFamily, SimilarityMap, equicontractive_family
+from necktree.rifs import IFS, RIFSFamily, SimilarityMap, dimension, equicontractive_family
 from necktree.trees import BlockTemplate, ModelSpec, _codings, coding_level, levels, sample, stopping_set
 
 from helpers import (
@@ -206,6 +206,17 @@ def test_level_walker_consumers_match_depth_first_walker(
             else:
                 assert got.value_log == -math.inf
         assert list(stopping_set(r, epsilon)) == list(oracle_stopping_set(r, epsilon))
+
+
+@pytest.mark.parametrize("gauge", [lambda s: loglog_power(s, 0.5), lambda s: h1(s, 1.5)], ids=["loglog", "h1"])
+def test_argmin_section_of_a_deep_thin_tree_matches_the_depth_first_walker(gauge):
+    fam = deep_thin_family()
+    h = gauge(dimension(fam, REC))  # at the dimension a node far above the cap takes its own value
+    for seed in range(4):
+        r = sample(REC, seed, fam)
+        got, want = section_infimum(r, h, 1, 300), oracle_section_infimum(r, h, 1, 300)
+        assert (got.value_log, got.argmin_section) == (want.value_log, want.argmin_section)
+        assert 0 < max(map(len, got.argmin_section)) < 300
 
 
 def _address_log_ratio(r, address):
