@@ -5,7 +5,9 @@ timestamps) next to its output.  Data outputs never contain timestamps, so
 identical inputs give byte-identical files regardless of worker count.
 
 Each command is one handler registered on its subparser; ``run`` calls it
-and maps package errors to exit codes.
+and maps package errors to exit codes.  Config files are read on every run,
+and identical inputs (the same bytes, or the same percolation p) are
+resolved once per process, "auto" gauge entries included.
 """
 from __future__ import annotations
 
@@ -49,12 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     def parse_known_args(self, args, namespace=None):
-        # the word after an option of one value is that value: "--thresholds -20,20" reads as "--thresholds=-20,20"
+        # the word after an option of one value is that value: "--thresholds -20,20", or "--thresh -20,20"
+        # by a unique prefix as argparse reads one, reads as "--thresholds=-20,20"
         words = []
         for word in args:
-            action = self._option_string_actions.get(words[-1] if words else "")
-            words.append(words.pop() + "=" + word if action and action.nargs is None else word)
+            words.append(words.pop() + "=" + word if words and self._takes_one_value(words[-1]) else word)
         return super().parse_known_args(words, namespace)
+
+    def _takes_one_value(self, word: str) -> bool:
+        options = self._option_string_actions
+        if word not in options and word.startswith("--"):
+            names = [name for name in options if name.startswith(word)]
+            word = names[0] if len(names) == 1 else word
+        return word in options and options[word].nargs is None
 
 
 @dataclass
@@ -102,28 +111,50 @@ def parse_depths(text: str) -> list[int]:
     return vals
 
 
-def _load_model(arg: str):
-    """Model from a file path, or a bare model name for convenience."""
-    if arg in ("homogeneous", "recursive"):
-        obj = {"model": arg}
-        model_hash = config.content_hash(json.dumps(obj, sort_keys=True).encode())
-    else:
-        obj, model_hash = config.load_json_hashed(arg)
-    spec, seed = config.model_from_dict(obj)
-    return spec, seed, model_hash
+@functools.lru_cache(maxsize=8)
+def _resolve(family: bytes, model: bytes | str, gauge: bytes | None):
+    """Family, model spec, the model's seed and gauge (or None) from the config files' bytes, or a bare model name.
+
+    Keyed by the bytes themselves, so a file rewritten with other bytes is
+    resolved again; a resolution that raises is not cached.  What it returns
+    is frozen, so the runs of one process share it.
+    """
+    fam = config.family_from_dict(json.loads(family))
+    spec, seed = config.model_from_dict({"model": model} if isinstance(model, str) else json.loads(model))
+    if gauge is not None:
+        gauge = config.gauge_from_dict(json.loads(gauge), family=fam, model=spec)
+    return fam, spec, seed, gauge
+
+
+_percolation_preset = functools.lru_cache(maxsize=8)(geometry.percolation_preset)
+
+
+def _read(path: str) -> tuple[bytes, str]:
+    """A config file's bytes and their hash.
+
+    A file that cannot be read or is not JSON raises here, with its path; on a
+    miss ``_resolve`` decodes the bytes again.
+    """
+    data = config.read_json(path)[1]
+    return data, config.content_hash(data)
 
 
 def _inputs(ns: argparse.Namespace):
-    """Family, model, seed, gauge (or None) and manifest of a command that takes --family."""
-    obj, family_hash = config.load_json_hashed(ns.family)
-    family = config.family_from_dict(obj)
-    model, model_seed, model_hash = _load_model(ns.model)
+    """Family, model, seed, gauge (or None) and manifest of a command that takes --family.
+
+    The files are read on every call, and what they resolve to once per process (``_resolve``).
+    """
+    family, family_hash = _read(ns.family)
+    if ns.model in ("homogeneous", "recursive"):  # a bare model name for convenience
+        model, model_hash = ns.model, config.content_hash(json.dumps({"model": ns.model}).encode())
+    else:
+        model, model_hash = _read(ns.model)
     hashes = {"family": family_hash, "model": model_hash}
-    seed = (model_seed or 0) if ns.seed is None else ns.seed
     gauge = None
     if ns.gauge:
-        obj, hashes["gauge"] = config.load_json_hashed(ns.gauge)
-        gauge = config.gauge_from_dict(obj, family=family, model=model)
+        gauge, hashes["gauge"] = _read(ns.gauge)
+    family, model, model_seed, gauge = _resolve(family, model, gauge)
+    seed = (model_seed or 0) if ns.seed is None else ns.seed
     manifest = RunManifest(
         command=ns.command, spec_hashes=hashes, master_seed=int(seed),
         tool_version=__version__, started=_now(),
@@ -250,7 +281,7 @@ def _render(ns: argparse.Namespace) -> None:
 
 
 def _percolate(ns: argparse.Namespace) -> None:
-    family, model = geometry.percolation_preset(ns.p)
+    family, model = _percolation_preset(ns.p)
     if ns.dim:
         print(_fmt(dimension(family, RECURSIVE)))
     elif ns.boxdim:

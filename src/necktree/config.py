@@ -28,11 +28,11 @@ from .rifs import HOMOGENEOUS, IFS, BlockTemplate, ModelSpec, RIFSFamily, Simila
 
 
 def load_json(path: Union[str, Path]) -> Any:
-    return load_json_hashed(path)[0]
+    return read_json(path)[0]
 
 
-def load_json_hashed(path: Union[str, Path]) -> tuple[Any, str]:
-    """A config file's JSON value and the ``content_hash`` of its bytes, from one read.
+def read_json(path: Union[str, Path]) -> tuple[Any, bytes]:
+    """A config file's JSON value and the bytes it was decoded from, from one read.
 
     A file that cannot be read, or whose bytes are not UTF-8 JSON, raises ``ConfigError``.
     """
@@ -46,7 +46,7 @@ def load_json_hashed(path: Union[str, Path]) -> tuple[Any, str]:
         obj = json.loads(data.decode())
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    return obj, content_hash(data)
+    return obj, data
 
 
 def content_hash(data: bytes) -> str:

@@ -65,6 +65,7 @@ class SimilarityMap:
 
     ``isometry`` and ``translation`` may be omitted for measure-only work;
     they default to the identity and the origin when geometry is composed.
+    Given ones are kept as read-only float copies.
     """
 
     ratio: float
@@ -75,8 +76,8 @@ class SimilarityMap:
         if not (0.0 < self.ratio <= 1.0):
             raise ConfigError(f"map ratio must be in (0, 1], got {self.ratio}")
         try:
-            q = None if self.isometry is None else np.asarray(self.isometry, dtype=float)
-            b = None if self.translation is None else np.asarray(self.translation, dtype=float)
+            q = None if self.isometry is None else np.array(self.isometry, dtype=float)
+            b = None if self.translation is None else np.array(self.translation, dtype=float)
         except (TypeError, ValueError):
             given = f"isometry {self.isometry!r}, translation {self.translation!r}"
             raise ConfigError(f"map geometry must be arrays of numbers ({given})") from None
@@ -88,9 +89,9 @@ class SimilarityMap:
             err = np.max(np.abs(q.T @ q - np.eye(q.shape[0])))
             if err > STRUCT_TOL:
                 raise ConfigError(f"isometry is not orthogonal (|Q^T Q - I| = {err:.3e})")
-            object.__setattr__(self, "isometry", q)
+            _set_tables(self, isometry=q)
         if b is not None:
-            object.__setattr__(self, "translation", b.ravel())
+            _set_tables(self, translation=b.ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +299,7 @@ def _label_bounds(cum) -> np.ndarray:
 
 
 def _set_tables(value, **tables: np.ndarray) -> None:
-    """Set read-only array attributes on a frozen value, outside its dataclass fields."""
+    """Set read-only array attributes on a frozen value."""
     for name, table in tables.items():
         table.flags.writeable = False
         object.__setattr__(value, name, table)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from necktree import cli, measure, trees
+from necktree import cli, config, measure, rifs, trees
 from necktree.cli import EXIT_CONFIG, EXIT_RESOURCE, EXIT_USAGE, parse_depths, run
 from necktree.config import family_to_dict
 from necktree.errors import ConfigError
@@ -566,6 +566,62 @@ def test_a_spaced_negative_threshold_pair_reads_as_the_equals_form(command, conf
     argv, _ = _argv([*args, "--thresholds", "-3,x"], configs)
     assert run(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: thresholds: expected a number, got 'x'\n"
+
+
+@pytest.mark.parametrize("command", ["drift", "pack"])
+def test_an_abbreviated_option_takes_the_next_word_as_its_value(command, configs, capsys):
+    args = [command, *DRIFT_ARGS[1:], "--seed", "5", "--out", "{out}"]
+    outs = []
+    for thresholds in (["--thresh", "-20,20"], ["--thresholds=-20,20"]):
+        argv, out = _argv([*args, *thresholds], configs)
+        assert run(argv) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert capsys.readouterr().err == ""
+    # a prefix of two options stays a usage error
+    argv, _ = _argv([*args, "--f", "csv"], configs)
+    assert run(argv) == EXIT_USAGE
+    assert "ambiguous option: --f could match --family, --format" in capsys.readouterr().err
+
+
+def test_a_second_run_on_the_same_files_resolves_nothing(configs, capsys):
+    _, fam, model, gauge, _ = configs
+    argv = ["levelsum", "--family", str(fam), "--model", str(model), "--gauge", str(gauge), "--depths", "1:20:1"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    # the gauge's "auto" s and beta are solved on the first run only
+    with patch("necktree.config.family_from_dict", wraps=config.family_from_dict) as parse, \
+            patch("necktree.config.dimension", wraps=rifs.dimension) as solve:
+        assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert parse.call_count == solve.call_count == 0
+
+
+def test_a_config_file_rewritten_in_place_is_resolved_again(configs, capsys):
+    _, fam, _, _, power_gauge = configs
+    argv = [
+        "levelsum", "--family", str(fam), "--model", "recursive", "--gauge", str(power_gauge),
+        "--seed", "3", "--depths", "1:12:1",
+    ]
+    assert run(argv) == 0
+    capsys.readouterr()
+    fam.write_text(json.dumps(MULTI_RATIO_FAMILY))
+    assert run(argv) == 0
+    fresh = run_in_fresh_process(argv)
+    assert fresh.returncode == 0 and capsys.readouterr().out == fresh.stdout
+
+
+def test_a_failing_resolution_is_not_remembered(configs, capsys):
+    tmp, fam, _, _, power_gauge = configs
+    (tmp / "v2.json").write_text(json.dumps({"model": {"v_variable": 2}}))
+    argv = ["levelsum", "--family", str(fam), "--model", str(tmp / "v2.json"), "--gauge", str(power_gauge)]
+    errs = []
+    for _ in range(2):
+        with patch("necktree.config.family_from_dict", wraps=config.family_from_dict) as parse:
+            assert run(argv) == EXIT_CONFIG
+        assert parse.call_count == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].startswith("config error: ") and errs[0].count("\n") == 1
 
 
 def test_unreadable_config_is_a_config_error(configs, capsys):

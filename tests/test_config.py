@@ -10,8 +10,8 @@ from necktree.config import (
     family_to_dict,
     gauge_from_dict,
     load_json,
-    load_json_hashed,
     model_from_dict,
+    read_json,
 )
 from necktree.errors import ConfigError
 from necktree.gauges import GaugeFunction
@@ -53,6 +53,23 @@ def test_family_geometry_fields_round_trip():
     assert m.isometry[0, 1] == -1.0
     back = family_to_dict(fam)
     assert back["systems"][0]["maps"][0]["translation"] == [0.1, 0.2]
+
+
+def test_a_parsed_familys_map_arrays_are_read_only():
+    # a family is shared by every later run of one process, so its maps must not change under it
+    obj = {"ambient_dim": 2, "systems": [{"weight": 1.0, "maps": [
+        {"ratio": 0.5, "isometry": [[0.0, 1.0], [1.0, 0.0]], "translation": [0.25, 0.5]},
+    ]}]}
+    m = family_from_dict(obj).systems[0].maps[0]
+    for a in (m.isometry, m.translation):
+        with pytest.raises(ValueError):
+            a[0] = 9.0
+    q, b = np.eye(2), np.zeros(2)
+    m = SimilarityMap(0.5, isometry=q, translation=b)
+    q[0, 0], b[0] = -1.0, 1.0  # the caller's arrays stay writable, and the map keeps its own copies
+    assert m.isometry[0, 0] == 1.0 and m.translation[0] == 0.0
+    with pytest.raises(ValueError):
+        m.translation[0] = 9.0
 
 
 def test_family_missing_field_named():
@@ -188,7 +205,7 @@ def test_hashes_stable_and_sensitive(tmp_path):
     assert a != content_hash(b"hello!")
     f = tmp_path / "x.json"
     f.write_text(json.dumps({"model": "recursive"}))
-    assert load_json_hashed(f) == ({"model": "recursive"}, content_hash(f.read_bytes()))
+    assert read_json(f) == ({"model": "recursive"}, f.read_bytes())
 
 
 def test_load_json_errors(tmp_path):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -233,13 +234,26 @@ def cli_args(command: str, case: dict, paths: dict[str, str], where: Path) -> li
 @example({**BASE, "kind": "recursive"}, "levelsum")
 @example({**BASE, "kind": "v_variable", "v": 10**9}, "drift")
 @example({**BASE, "systems": [(1.0, 1, False), (1 / 3, 3, False)], "weights": [0.5, 0.5]}, "render")
+# an "auto" gauge exponent: solved once, and refused alike on every run under V = 2
+@example({**BASE, "s": "auto"}, "drift")
+@example({**BASE, "s": "auto", "kind": "v_variable", "v": 2}, "levelsum")
 def test_cli_exits_with_a_code_and_one_error_line_on_failure(tmp_path, case, command):
-    out, err = io.StringIO(), io.StringIO()
     argv = cli_args(command, case, config_files(case, tmp_path), tmp_path)
-    with time_limit(20), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
+    points = tmp_path / "points.csv"
+    runs = []
+    cached = (cli._resolve, cli._percolation_preset)
+    # as the process's cache holds the inputs (an earlier example may have filled it), again, and resolved afresh
+    for resolve, preset in (cached, cached, tuple(f.__wrapped__ for f in cached)):
+        out, err = io.StringIO(), io.StringIO()
+        points.unlink(missing_ok=True)
+        with time_limit(20), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                patch.object(cli, "_resolve", resolve), patch.object(cli, "_percolation_preset", preset):
+            code = cli.run(argv)
+        runs.append((code, out.getvalue(), err.getvalue(), points.read_bytes() if points.exists() else None))
+    assert runs[0] == runs[1] == runs[2]
+    code, _, err, _ = runs[0]
     assert code in (0, 1, 2, 3)
     if code:
-        lines = err.getvalue().splitlines()
+        lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(("config error: ", "resource error: ", "error: ")), lines
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
