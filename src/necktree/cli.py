@@ -89,6 +89,12 @@ def _fmt(x: float) -> str:
 
 def parse_depths(text: str) -> list[int]:
     """Depth grids: 'a:b:step', 'a:b:log', or a comma list."""
+    return list(_depth_grid(text))
+
+
+@functools.lru_cache(maxsize=16)
+def _depth_grid(text: str) -> list[int]:
+    """``parse_depths``, once per process for each text; its callers get copies."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:

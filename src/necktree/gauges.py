@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -76,9 +77,7 @@ class GaugeFunction:
             # stationary point of -s L + beta log log L:  L log L = beta / s
             if self.s == 0:
                 raise ConfigError("loglog_power gauge needs s > 0 for a stationary point")
-            target = self.beta / self.s
-            # (x + 2) log(x + 2) >= x for x >= 0, so the upper end brackets the root
-            return -bisect_decreasing(lambda L: target - L * math.log(L), 1.0 + 1e-12, max(_E, target + 2.0))
+            return _loglog_log_r0(float(self.beta / self.s))
         # h1 / h1_star: formula valid once loglog(beta L) is positive.
         return -_E / self.beta
 
@@ -159,6 +158,13 @@ class GaugeFunction:
         if self.family == LOGLOG_POWER:
             return f"loglog_power(s={self.s:g}, beta={self.beta:g})"
         return f"{self.family}(s={self.s:g}, beta={self.beta:g}, gamma={self.gamma:g})"
+
+
+@lru_cache(maxsize=256)
+def _loglog_log_r0(target: float) -> float:
+    """The loglog_power cutoff log r0 = -L of the root of L log L = ``target`` (beta / s), solved once per process."""
+    # (x + 2) log(x + 2) >= x for x >= 0, so the upper end brackets the root
+    return -bisect_decreasing(lambda L: target - L * math.log(L), 1.0 + 1e-12, max(_E, target + 2.0))
 
 
 def power(s: float) -> GaugeFunction:

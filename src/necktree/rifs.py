@@ -7,12 +7,16 @@ from the zero-or-infinite regime, and the variance feeding the iterated
 logarithm envelopes.  Each statistic reads per-system values of ``map_ratios``
 rows under a model's one weight vector, from ``_model_weights``; ``_solver``
 maps the model to its dimension solver, and ``_statistic`` gives its statistic.
+
+The pure solves (``_moment_root``, ``dimension``, ``beta_hat``) are memoized in bounded ``lru_cache``s keyed by
+the values they read, never by a family; a solve that raises is not cached.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -257,6 +261,17 @@ def _model_weights(family: RIFSFamily, model: ModelSpec | str) -> tuple[ModelSpe
     return spec, _check_weights(tuple(q.tolist()))
 
 
+class _Rows(NamedTuple):
+    """A memoized solve's family: ``map_ratios`` and the ``_model_weights`` that its model reads back from it."""
+
+    map_ratios: tuple[tuple[float, ...], ...]
+    weights: tuple[float, ...]
+
+    @property
+    def nsystems(self) -> int:
+        return len(self.map_ratios)
+
+
 def _solver(family: RIFSFamily, model: ModelSpec | str) -> tuple[str, tuple[float, ...]]:
     """The dimension solver of ``model`` (recursive or homogeneous; none for v_variable V >= 2) and its weights."""
     spec, weights = _model_weights(family, model)
@@ -332,6 +347,7 @@ def bisect_decreasing(f, lo: float, hi: float, tol: float = ROOT_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
+@lru_cache(maxsize=256)
 def _moment_root(row: tuple[float, ...]) -> Optional[float]:
     """Unique s >= 0 with S^s = 1 of one ``map_ratios`` row, or None when no root exists."""
     if not row:
@@ -402,8 +418,16 @@ def eta_hat(family: RIFSFamily, model: ModelSpec | str = HOMOGENEOUS) -> float:
 
 def beta_hat(family: RIFSFamily, s: float, model: ModelSpec | str = HOMOGENEOUS) -> float:
     """Default envelope-matching gauge parameter Var(log S^s) / eta_hat of ``model``."""
-    _, var = log_moment_stats(family, s, model)
-    eta = eta_hat(family, model)
+    spec, weights = _model_weights(family, model)
+    return _beta_hat(spec, weights, family.map_ratios, float(s))
+
+
+@lru_cache(maxsize=256)
+def _beta_hat(spec: ModelSpec, weights: tuple[float, ...], map_ratios: tuple, s: float) -> float:
+    """``beta_hat`` of the values it reads."""
+    rows = _Rows(map_ratios, weights)
+    _, var = log_moment_stats(rows, s, spec)
+    eta = eta_hat(rows, spec)
     if not (var > 0) or eta == 0:
         raise PreconditionError("beta_hat needs positive variance and contraction")
     return var / eta
@@ -422,13 +446,19 @@ def _statistic(solver: str, family: RIFSFamily, weights: tuple[float, ...]):
 
 def dimension(family: RIFSFamily, model: ModelSpec | str) -> float:
     """Almost-sure dimension of ``model``: the s at which its solver's ``_statistic`` meets its root value."""
-    solver, weights = _solver(family, model)
-    if family.c_max >= 1.0:
+    return _dimension(*_solver(family, model), family.map_ratios)
+
+
+@lru_cache(maxsize=64)
+def _dimension(solver: str, weights: tuple[float, ...], map_ratios: tuple) -> float:
+    """``dimension`` of the values it reads."""
+    c_max = max(c for row in map_ratios for c in row)
+    if c_max >= 1.0:
         raise PreconditionError("dimension needs all contraction ratios < 1")
-    stat, name, at_root = _statistic(solver, family, weights)
+    stat, name, at_root = _statistic(solver, _Rows(map_ratios, weights), weights)
     if not (at0 := stat(0.0)) > at_root:
         raise PreconditionError(f"{solver} model needs {name} > {at_root}, got {name} = {at0}")
-    hi = math.log(max(family.n_max, 2)) / math.log(1.0 / family.c_max) + 1.0
+    hi = math.log(max(max(map(len, map_ratios)), 2)) / math.log(1.0 / c_max) + 1.0
     return bisect_decreasing(lambda s: stat(s) - at_root, 0.0, hi)
 
 
@@ -438,7 +468,7 @@ def _almost_deterministic_at(family: RIFSFamily, weights: tuple[float, ...]) -> 
     roots = [_moment_root(row) for _, row in active]
     if any(r is None for r in roots) or not (0.0 < family.c_min and family.c_max < 1.0):
         return None
-    s_bar = float(np.dot([w for w, _ in active], roots)) / _left_sum([w for w, _ in active])
+    s_bar = _left_sum([w * r for (w, _), r in zip(active, roots)]) / _left_sum([w for w, _ in active])
     ok = all(abs(v - 1.0) <= ASSERT_TOL for w, v in zip(weights, _moments(family, s_bar)) if w > 0)
     return s_bar if ok else None
 

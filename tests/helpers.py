@@ -1165,7 +1165,10 @@ def oracle_almost_deterministic_at(family: RIFSFamily):
     roots = [oracle_moment_root(s) for _, s in active]
     if any(r is None for r in roots) or not (0.0 < family.c_min and family.c_max < 1.0):
         return None
-    s_bar = float(np.dot([w for w, _ in active], roots)) / sum(w for w, _ in active)
+    s_bar = 0.0
+    for (w, _), r in zip(active, roots):
+        s_bar += w * r  # left to right; np.dot may fuse a product into its sum
+    s_bar /= sum(w for w, _ in active)
     if all(abs(sum(m.ratio**s_bar for m in sys.maps) - 1.0) <= ASSERT_TOL for _, sys in active):
         return s_bar
     return None

@@ -100,6 +100,15 @@ def test_parse_depths_forms():
         parse_depths("oops")
 
 
+def test_parse_depths_returns_a_new_list_and_caches_no_error():
+    grid = parse_depths("100:10000:log")
+    grid.append(0)
+    assert parse_depths("100:10000:log") == grid[:-1] and parse_depths("100:10000:log") is not grid
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="need 1 <= a <= b"):
+            parse_depths("5:1:log")
+
+
 def test_dim_prints_worked_value(configs, capsys):
     _, fam, model, _, _ = configs
     assert run(["dim", "--family", str(fam), "--model", str(model)]) == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from necktree.errors import ConfigError, ParameterError
 from necktree.gauges import H1, H1_STAR, LOGLOG_POWER, POWER, GaugeFunction, h1, h1_star, loglog_power, power
+from necktree.gauges import _loglog_log_r0
 
 from helpers import oracle_eval_log
 
@@ -239,3 +240,16 @@ def test_gauge_is_well_formed_or_refused(family, s, beta, gamma):
     except ConfigError:
         return
     assert math.isfinite(h.log_r0) and 0 < h.h_bar <= 1
+
+
+def test_loglog_cutoff_has_its_bits_with_a_cold_and_a_warm_cache():
+    # (s, beta) = (0.5, 1.0) and (1.0, 2.0) share beta / s = 2: warm, the second gauge reads the first one's entry
+    _loglog_log_r0.cache_clear()
+    cold = loglog_power(1.0, 2.0)
+    _loglog_log_r0.cache_clear()
+    loglog_power(0.5, 1.0)
+    warm = loglog_power(1.0, 2.0)
+    assert _loglog_log_r0.cache_info().hits == 1
+    assert (warm.log_r0.hex(), warm.r0.hex(), warm.h_bar.hex()) == (cold.log_r0.hex(), cold.r0.hex(), cold.h_bar.hex())
+    assert cold.log_r0.hex() == _loglog_log_r0.__wrapped__(2.0).hex()
+    assert type(loglog_power(np.float64(1.0), 2).log_r0) is float

@@ -1,10 +1,16 @@
+import ast
+import gc
 import math
+import pathlib
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from necktree import rifs
 from necktree.config import gauge_from_dict
 from necktree.errors import ConfigError, NecktreeError, PreconditionError
 from necktree.gauges import GaugeFunction
@@ -422,3 +428,122 @@ def test_the_left_sum_adds_left_to_right_on_any_interpreter():
     assert _left_sum([]) == 0 and math.copysign(1.0, _left_sum([-0.0])) == 1.0  # from the integer 0, as sum()
     xs = list(np.random.default_rng(5).standard_normal(50) * 10.0 ** np.arange(-25, 25))
     assert _left_sum(xs) == np.cumsum(xs)[-1]  # numpy accumulates one element at a time
+
+
+# ---- the memoized solves -------------------------------------------------------------------------------------------
+
+
+def _hex(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver_cases(), st.floats(0.0, 3.0))
+def test_memoized_solves_have_the_bits_of_a_fresh_solve(case, s):
+    # the caches stay warm across examples, so a key that missed a value the solve reads would show here
+    family, block = case
+    for model in ("homogeneous", "recursive", ModelSpec(kind="v_variable", v=1), block):
+        fresh = outcome(lambda: rifs._dimension.__wrapped__(*rifs._solver(family, model), family.map_ratios))
+        assert _hex(outcome(dimension, family, model)) == _hex(fresh)
+        spec, weights = _model_weights(family, model)
+        fresh = outcome(rifs._beta_hat.__wrapped__, spec, weights, family.map_ratios, s)
+        assert _hex(outcome(beta_hat, family, s, model)) == _hex(fresh)
+    for row in family.map_ratios:
+        assert repr(_moment_root(row)) == repr(_moment_root.__wrapped__(row))
+
+
+def test_the_almost_deterministic_root_adds_its_weighted_roots_left_to_right():
+    # rows whose ratios add to 1 share the root s = 1, each bisected to its own last bits; a BLAS dot may fuse a
+    # product into its sum and move s_bar, which validate reports and drift's refusal names
+    rows = [(0.5, 0.5), (0.3, 0.7), (0.2, 0.8), (0.1, 0.2, 0.7), (0.25,) * 4]
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        chosen = [rows[i] for i in rng.choice(len(rows), size=rng.integers(2, 5), replace=False)]
+        x = rng.random(len(chosen))
+        family = RIFSFamily(
+            systems=tuple(IFS(tuple(SimilarityMap(c) for c in row)) for row in chosen), weights=tuple(x / x.sum())
+        )
+        got = _almost_deterministic_at(family, family.weights)
+        assert got is not None and repr(got) == repr(oracle_almost_deterministic_at(family))
+
+
+def test_equal_families_built_apart_share_one_solve():
+    for memo in (rifs._dimension, _moment_root):
+        memo.cache_clear()
+    with mock.patch.object(rifs, "bisect_decreasing", wraps=rifs.bisect_decreasing) as bisect:
+        first, second = worked_family(), worked_family()
+        assert dimension(first, "homogeneous") == dimension(second, "homogeneous")
+        assert bisect.call_count == 1
+        assert _almost_deterministic_at(first, first.weights) == _almost_deterministic_at(second, second.weights)
+        assert bisect.call_count == 1 + len(set(first.map_ratios))  # one root per distinct row of >= 2 maps
+
+
+def test_the_caches_keep_no_family_alive():
+    family = worked_family()
+    for model in ("homogeneous", "recursive"):
+        dimension(family, model), beta_hat(family, 0.7, model), validate(family, model)
+    ref = weakref.ref(family)
+    del family
+    gc.collect()
+    assert ref() is None
+
+
+def test_an_exponent_keys_as_its_float_value():
+    rifs._beta_hat.cache_clear()
+    family = worked_family()
+    got = [beta_hat(family, s) for s in (1, 1.0, np.float64(1.0))]
+    assert [type(b) for b in got] == [float] * 3 and len({b.hex() for b in got}) == 1
+    assert rifs._beta_hat.cache_info().misses == 1
+
+
+def test_a_negative_zero_weight_keys_as_zero_and_solves_to_the_same_bits():
+    # -0.0 == 0.0 as keys: the zero weight is masked either way, and every bisection branches on > 0
+    systems = (IFS((SimilarityMap(0.5),)), IFS((SimilarityMap(1 / 3),) * 2), IFS((SimilarityMap(0.25),) * 3))
+    fams = [RIFSFamily(systems=systems, weights=(zero, 0.5, 0.5)) for zero in (0.0, -0.0)]
+    assert math.copysign(1.0, fams[1].weights[0]) == -1.0
+    for model in ("homogeneous", "recursive"):
+        solves = [rifs._dimension.__wrapped__(*rifs._solver(f, model), f.map_ratios) for f in fams]
+        assert solves[0].hex() == solves[1].hex() == dimension(fams[1], model).hex()
+        betas = [rifs._beta_hat.__wrapped__(*_model_weights(f, model), f.map_ratios, 0.7) for f in fams]
+        assert betas[0].hex() == betas[1].hex() == beta_hat(fams[1], 0.7, model).hex()
+    assert _almost_deterministic_at(fams[0], fams[0].weights) == _almost_deterministic_at(fams[1], fams[1].weights)
+
+
+def test_a_failing_solve_raises_on_every_call_and_is_not_cached():
+    subcritical = equicontractive_family([1], 0.5, [1.0])
+    unit = RIFSFamily(systems=(IFS((SimilarityMap(1.0), SimilarityMap(0.5))),), weights=(1.0,))
+    rifs._dimension.cache_clear()
+    for family, model, error in (
+        (subcritical, "homogeneous", PreconditionError),
+        (unit, "recursive", PreconditionError),
+        (worked_family(), ModelSpec(kind="v_variable", v=2), ConfigError),
+    ):
+        raised = [outcome(dimension, family, model) for _ in range(2)]
+        assert raised[0] == raised[1] and raised[0][0] is error
+    assert rifs._dimension.cache_info().currsize == 0
+    flat = equicontractive_family([2, 2], 0.5, [0.5, 0.5])  # zero variance
+    raised = (PreconditionError, "beta_hat needs positive variance and contraction")
+    assert outcome(beta_hat, flat, 0.7) == outcome(beta_hat, flat, 0.7) == raised
+
+
+def _builtin_sums(node, where):
+    """``(line, enclosing dotted name)`` of each builtin ``sum(...)`` call under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = f"{where}.{node.name}"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+        yield node.lineno, where
+    for child in ast.iter_child_nodes(node):
+        yield from _builtin_sums(child, where)
+
+
+def test_builtin_sum_adds_no_float_outside_its_allowed_functions():
+    # Python 3.12's sum() of floats compensates rounding; a float sum whose value can reach an output adds left to
+    # right through rifs._left_sum.  These functions sum only in checks, in template weights or in integer counts.
+    allowed = {"rifs.ModelSpec.__post_init__", "rifs._check_weights", "rifs._model_weights", "trees._in_address_order"}
+    found = [
+        f"{path.name}:{line} in {where}"
+        for path in sorted(pathlib.Path(rifs.__file__).parent.glob("*.py"))
+        for line, where in _builtin_sums(ast.parse(path.read_text()), path.stem)
+        if where not in allowed
+    ]
+    assert not found, f"builtin sum() outside its allow-list; add left to right with rifs._left_sum: {found}"

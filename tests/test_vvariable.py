@@ -246,3 +246,14 @@ def test_every_table_chunk_follows_the_batch_rule():
     assert [len(call.args[0]) for call in draw.call_args_list] == [1, 2]
     for call in draw.call_args_list:
         assert call.args[2] == 150 <= trees.VV_BATCH_ENTRIES // trees._vv_level_entries(call.args[0])
+
+
+@pytest.mark.parametrize("v", [1, 2, 8, 32])
+def test_level_totals_are_the_buffer_reduce_of_each_chunk(v):
+    # an extinct (0-map) system gives -inf buffers
+    family = equicontractive_family([0, 2, 3], 1 / 3, [0.45, 0.3, 0.25])
+    rs = [trees.sample(ModelSpec(kind="v_variable", v=v), seed, family) for seed in range(6)]
+    chunks = list(trees.vv_log_counts(rs, 150))
+    assert any(np.isneginf(x).any() for x in chunks)
+    want = np.concatenate([np.logaddexp.reduce(x, axis=2).T for x in chunks], 1)
+    assert [row.tobytes() for row in trees.vv_level_counts(rs, 150)] == [row.tobytes() for row in want]
